@@ -35,9 +35,8 @@ struct BistExperimentConfig {
   /// segments and sequence reduction). 0 = hardware concurrency; results are
   /// bit-identical for any value. Overrides generation.num_threads.
   std::size_t num_threads = 1;
-  /// Speculation width W for the candidate-seed search (packed lane-parallel
-  /// evaluation, clamped to 64). 1 forces the scalar reference loop; results
-  /// are bit-identical for any value. Overrides generation.speculation_lanes.
+  /// No-op, like FunctionalBistConfig::speculation_lanes; kept only so
+  /// existing callers that assign it still compile.
   std::size_t speculation_lanes = 64;
   /// Fault lanes packed per machine word inside each grading shard (PPSFP,
   /// clamped to [1, 64]); applies to every fault-grading step of the flow.

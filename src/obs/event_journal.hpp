@@ -9,7 +9,7 @@
 //  * deterministic -- library code emits events only from the construction
 //    loop's single-threaded control flow (worker threads fill provenance
 //    structs that are merged deterministically first), so the journal is
-//    bit-identical across num_threads and speculation_lanes for the
+//    bit-identical across num_threads and fault_pack_width for the
 //    deterministic event subset (see DESIGN.md "Provenance & convergence");
 //  * compiled out -- the FBT_OBS_EVENT macro in obs/instrument.hpp is a
 //    no-op when the build sets FBT_OBS_ENABLED=0. The classes here stay

@@ -37,7 +37,7 @@ struct JsonValue {
 
   /// Dotted-path lookup through nested objects ("gauges.flow.num_tests"
   /// would NOT work since metric names contain dots -- use find() twice for
-  /// those; this is for fixed schema paths like "speculation").
+  /// those; this is for fixed schema paths like "analytics.convergence").
   const JsonValue* find_path(const std::vector<std::string>& path) const;
 
   /// number when kNumber, `fallback` otherwise.

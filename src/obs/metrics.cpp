@@ -123,13 +123,8 @@ void register_core_counters() {
   reg.counter("atpg.podem_backtracks");
   reg.counter("fault.faults_dropped");
   reg.counter("flow.faults_detected");
-  // Speculative seed search (PR 4) and parallel grading (PR 3): registered
-  // here so the scalar/serial configurations still report them as zeros
-  // instead of omitting them.
-  reg.counter("bist.speculated_lanes");
-  reg.counter("bist.speculation_hits");
-  reg.counter("bist.speculation_wasted");
-  reg.counter("bist.speculation_batches");
+  // Parallel grading: registered here so the serial configurations still
+  // report it as zero instead of omitting it.
   reg.counter("fault.parallel_shards_graded");
   // Disambiguates parallel_shards_graded == 0: the serial short-circuit
   // fired (few faults or one thread), vs. parallelism never engaged at all.
@@ -172,7 +167,6 @@ void register_core_counters() {
   reg.histogram("serve.request_total_warm_ms",
                 Histogram::log_latency_ms_bounds());
   reg.gauge("flow.num_threads");
-  reg.gauge("flow.speculation_lanes");
   reg.gauge("flow.fault_pack_width");
   reg.gauge("flow.fault_coverage_percent");
   reg.gauge("flow.num_tests");

@@ -63,8 +63,8 @@ DiffResult diff_run_reports(const JsonValue& baseline, const JsonValue& current,
 
 /// Renders a parsed run report (plus the raw NDJSON journal text, may be
 /// empty) into a single self-contained HTML page: config/gauge/counter
-/// tables, the convergence curve as an inline SVG, the segment-yield and
-/// speculation tables, phase timings, and a capped tail of the journal.
+/// tables, the convergence curve as an inline SVG, the segment-yield table,
+/// phase timings, and a capped tail of the journal.
 std::string render_html_dashboard(const JsonValue& report,
                                   const std::string& journal_ndjson);
 

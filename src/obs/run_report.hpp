@@ -28,9 +28,7 @@
 //       "convergence": [{"tests": 64, "detected": 321}, ...],
 //       "segment_yield": [{"sequence": 0, "segment": 0, "seed": 123,
 //                          "tests": 100, "newly_detected": 42,
-//                          "peak_swa": 12.5}, ...],
-//       "speculation": {"batches": 1, "lanes_evaluated": 64, "hits": 3,
-//                       "wasted": 10}},
+//                          "peak_swa": 12.5}, ...]},
 //     "jobs": {"workers": 4, "submitted": 100, "executed": 100, "steals": 7,
 //              "busy_ms": 120.000, "idle_ms": 280.000, "utilization": 0.3},
 //     "memory": {
@@ -51,7 +49,9 @@
 // the rank landed in the overflow bucket, so the reported p99 is only a
 // lower bound -- see obs::histogram_quantile). Consumers must tolerate a
 // missing "memory" or "jobs" section (v2/v3 reports remain renderable and
-// diffable; absent quantities diff as 0). Histogram summaries are guarded: a
+// diffable; absent quantities diff as 0). Reports written before the
+// speculative seed search was removed also carry an "analytics.speculation"
+// object; consumers ignore it. Histogram summaries are guarded: a
 // histogram with no samples renders mean/p50/p90/p99 as 0, never NaN.
 // bytes_per_gate / bytes_per_fault divide the footprint total by the
 // flow.num_gates / flow.num_faults gauges (0 when the gauge is unset).

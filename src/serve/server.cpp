@@ -459,6 +459,12 @@ void SocketServer::handle_connection(int fd) {
       keep_serving = service_.handle_line(line, emit);
     }
     buffer.erase(0, start);
+    if (buffer.size() > kMaxRequestLineBytes) {
+      emit(render_error("", "request line exceeds " +
+                                std::to_string(kMaxRequestLineBytes) +
+                                " bytes without a newline"));
+      break;
+    }
   }
   ::close(fd);
   if (!keep_serving) request_stop();

@@ -14,7 +14,7 @@
 //   4. store the summary under the experiment key and render it.
 //
 // Determinism note: cached experiment keys EXCLUDE num_threads and
-// speculation_lanes (results are bit-identical across them), so a request
+// fault_pack_width (results are bit-identical across them), so a request
 // repeated at a different parallelism setting is a legitimate warm hit; the
 // detect_hash / first_detect_hash fields prove it bit-identical.
 //
@@ -24,6 +24,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -38,6 +39,14 @@
 #include "serve/protocol.hpp"
 
 namespace fbt::serve {
+
+/// Longest request line a connection may buffer while waiting for its
+/// newline. An inline `netlist_bench` must fit: the largest registry circuit
+/// (wb_conmax) writes ~170 KB of .bench text, so this leaves room for
+/// inline circuits ~24x that size. A peer that exceeds it gets one protocol
+/// error line and is disconnected, so a client that never sends '\n' cannot
+/// grow the daemon's memory without bound.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{4} << 20;
 
 class ExperimentService {
  public:
@@ -99,6 +108,8 @@ class ExperimentService {
 };
 
 /// Blocking AF_UNIX NDJSON server: accept loop + one thread per connection.
+/// Each connection buffers at most kMaxRequestLineBytes of an unfinished
+/// request line.
 class SocketServer {
  public:
   SocketServer(ExperimentService& service, std::string socket_path);

@@ -69,9 +69,6 @@ class SeqSim {
   /// Number of step() calls since the last load_state().
   std::size_t cycle() const { return cycle_; }
 
-  /// Whether a previous settled cycle exists (the next step measures SWA).
-  bool have_prev() const { return have_prev_; }
-
   /// Opaque snapshot of the full simulation state (flip-flops, settled line
   /// values, switching-activity history). Used by the BIST flow to evaluate
   /// candidate TPG seeds and roll back rejected ones.

@@ -6,6 +6,7 @@
 #include "circuits/s27.hpp"
 #include "fault/fault_sim.hpp"
 #include "sim/seqsim.hpp"
+#include "util/rng.hpp"
 
 namespace fbt {
 namespace {
@@ -191,6 +192,108 @@ TEST(FunctionalBist, HoldingProducesOverriddenStates) {
   }
   if (!run.tests.empty()) {
     EXPECT_GT(overridden, 0u);  // holding must actually bite somewhere
+  }
+}
+
+/// Tight enough to force SWA violations and trimmed segments on s298, loose
+/// enough that some segments survive.
+FunctionalBistConfig trimming_config() {
+  FunctionalBistConfig cfg;
+  cfg.segment_length = 64;
+  cfg.max_segment_failures = 2;
+  cfg.max_sequence_failures = 2;
+  cfg.bounded = true;
+  cfg.swa_bound_percent = 30.0;
+  cfg.rng_seed = 2026;
+  return cfg;
+}
+
+TEST(FunctionalBist, BoundedTrimsLeaveAReplayableTrajectory) {
+  // Replays every committed multi-segment sequence from reset using only the
+  // recorded (seed, length) pairs and re-derives the tests. This pins the
+  // invariant that after a violation-trimmed segment (an odd-cycle violation
+  // rewinds to the last even boundary) the simulator sits at the end of the
+  // usable prefix -- the trajectory the on-chip hardware would produce.
+  const Netlist nl = load_benchmark("s298");
+  const FunctionalBistConfig cfg = trimming_config();
+  FunctionalBistGenerator gen(nl, cfg);
+  const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
+  std::vector<std::uint32_t> detect(faults.size(), 0);
+  const FunctionalBistResult run = gen.run(faults, detect);
+  ASSERT_FALSE(run.sequences.empty());
+
+  std::size_t trimmed = 0;
+  Tpg tpg(nl, cfg.tpg);
+  SeqSim sim(nl);
+  std::size_t next_test = 0;
+  for (const SequenceRecord& seq : run.sequences) {
+    sim.load_reset_state();
+    for (const SegmentRecord& seg : seq.segments) {
+      ASSERT_EQ(seg.length % 2, 0u);
+      if (seg.length < cfg.segment_length) ++trimmed;
+      tpg.reseed(seg.seed);
+      for (std::size_t c = 0; c < seg.length; c += 2) {
+        const std::vector<std::uint8_t> launch = sim.state();
+        const std::vector<std::uint8_t> v1 = tpg.next_vector();
+        sim.step(v1);
+        const std::vector<std::uint8_t> v2 = tpg.next_vector();
+        sim.step(v2);
+        ASSERT_LT(next_test, run.tests.size());
+        const BroadsideTest& t = run.tests[next_test++];
+        EXPECT_EQ(t.scan_state, launch);
+        EXPECT_EQ(t.v1, v1);
+        EXPECT_EQ(t.v2, v2);
+      }
+    }
+  }
+  EXPECT_EQ(next_test, run.tests.size());
+  // At least one segment was trimmed, so the replay actually crossed a
+  // post-violation boundary.
+  EXPECT_GT(trimmed, 0u);
+}
+
+TEST(FunctionalBist, HoldSetSeedsFollowTheGeneratorStream) {
+  // Candidate seeds are drawn one at a time from the generator's PCG stream
+  // (odd, so the LFSR never starts all-zero), with or without state holding:
+  // the committed seeds must be an in-order subsequence of that stream. The
+  // inert speculation_lanes field must not perturb it either.
+  const Netlist nl = load_benchmark("s344");
+  FunctionalBistConfig cfg = trimming_config();
+  cfg.hold_period_log2 = 2;
+  cfg.hold_set = {0, 2};
+  const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
+
+  std::vector<std::uint32_t> detect(faults.size(), 0);
+  const FunctionalBistResult run =
+      FunctionalBistGenerator(nl, cfg).run(faults, detect);
+  ASSERT_GT(run.num_seeds, 0u);
+
+  Pcg32 stream(cfg.rng_seed, 0xb5ad4eceda1ce2a9ULL);
+  std::size_t draws = 0;
+  constexpr std::size_t kMaxDraws = 100000;
+  for (const SequenceRecord& seq : run.sequences) {
+    for (const SegmentRecord& seg : seq.segments) {
+      while (draws < kMaxDraws &&
+             static_cast<std::uint32_t>(stream.next() | 1u) != seg.seed) {
+        ++draws;
+      }
+      ASSERT_LT(draws, kMaxDraws) << "seed " << seg.seed << " off the stream";
+      ++draws;
+    }
+  }
+
+  cfg.speculation_lanes = 1;
+  std::vector<std::uint32_t> detect_again(faults.size(), 0);
+  const FunctionalBistResult again =
+      FunctionalBistGenerator(nl, cfg).run(faults, detect_again);
+  EXPECT_EQ(detect_again, detect);
+  EXPECT_EQ(again.first_detect, run.first_detect);
+  ASSERT_EQ(again.tests.size(), run.tests.size());
+  for (std::size_t t = 0; t < run.tests.size(); ++t) {
+    EXPECT_EQ(again.tests[t].scan_state, run.tests[t].scan_state);
+    EXPECT_EQ(again.tests[t].v1, run.tests[t].v1);
+    EXPECT_EQ(again.tests[t].v2, run.tests[t].v2);
+    EXPECT_EQ(again.tests[t].state2_override, run.tests[t].state2_override);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <set>
 #include <string>
-#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -64,9 +63,11 @@ TEST(BistFlow, TaskGraphOverloadMatchesSerialReference) {
 #if FBT_OBS_ENABLED
 TEST(BistFlow, ChromeTraceShowsTheTaskGraphAcrossWorkers) {
   // The exported trace of a multi-threaded run must form a real task graph:
-  // every parent edge resolves to a recorded span, spans land on more than
-  // one worker row (tid), and every flow arrow's start has a matching
-  // finish. This is the acceptance pin for cross-worker trace propagation.
+  // every parent edge resolves to a recorded span and every flow arrow's
+  // start has a matching finish. Which worker runs which task is up to the
+  // scheduler (a helping waiter may run them all inline), so worker rows are
+  // pinned separately, by a test that forces a cross-worker hop
+  // (JobSystemTracing.BlockedSiblingsLandOnTwoWorkerRows).
   obs::PhaseTrace::instance().clear();
   const BistExperimentConfig cfg = small_experiment("s298", "buffers");
   jobs::JobSystem jobs(4);
@@ -79,7 +80,6 @@ TEST(BistFlow, ChromeTraceShowsTheTaskGraphAcrossWorkers) {
   ASSERT_TRUE(doc.is_array());
 
   std::set<double> span_ids;
-  std::set<double> tids;
   std::set<double> flow_starts;
   std::set<double> flow_finishes;
   bool saw_experiment_span = false;
@@ -87,7 +87,6 @@ TEST(BistFlow, ChromeTraceShowsTheTaskGraphAcrossWorkers) {
     const std::string ph = event.find("ph")->as_string("");
     if (ph == "X") {
       span_ids.insert(event.find("args")->find("span_id")->as_number());
-      tids.insert(event.find("tid")->as_number());
       saw_experiment_span |=
           event.find("name")->as_string("") == "bist_experiment";
     } else if (ph == "s") {
@@ -97,10 +96,6 @@ TEST(BistFlow, ChromeTraceShowsTheTaskGraphAcrossWorkers) {
     }
   }
   EXPECT_TRUE(saw_experiment_span);
-  // Work actually spread across workers: more than one timeline row. (On a
-  // single-core machine the helping waiter may legitimately execute every
-  // task inline, so only assert when real parallelism is available.)
-  if (std::thread::hardware_concurrency() > 1) EXPECT_GE(tids.size(), 2u);
   // Correct parent/child edges: every non-zero parent is a recorded span.
   for (const obs::JsonValue& event : doc.array) {
     if (event.find("ph")->as_string("") != "X") continue;

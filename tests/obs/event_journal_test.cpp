@@ -32,12 +32,13 @@ TEST(EventJournal, RendersTypedFieldsAsOneJsonLine) {
   j.emit("seed_tried", {{"seed", 123u},
                         {"segment", -1},
                         {"swa", 12.5},
-                        {"source", "packed"}});
+                        {"reason", "no_new_detections"}});
   const std::vector<JournalEvent> events = j.events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(render_event_line(events[0]),
             "{\"seq\": 0, \"type\": \"seed_tried\", \"seed\": 123, "
-            "\"segment\": -1, \"swa\": 12.5, \"source\": \"packed\"}");
+            "\"segment\": -1, \"swa\": 12.5, "
+            "\"reason\": \"no_new_detections\"}");
 }
 
 TEST(EventJournal, EscapesStringsInTypeAndFields) {

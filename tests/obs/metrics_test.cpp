@@ -152,10 +152,8 @@ TEST(RegisterCoreCounters, CoreNamesAlwaysPresent) {
        {"sim.seqsim_gates_evaluated", "sim.bitsim_gates_evaluated",
         "bist.lfsr_cycles", "bist.tests_extracted", "atpg.podem_backtracks",
         "fault.faults_dropped", "flow.faults_detected",
-        // Parallel grading (PR 3) and speculative seed search (PR 4): must
-        // appear as zeros in serial/scalar runs, not be omitted.
-        "bist.speculated_lanes", "bist.speculation_hits",
-        "bist.speculation_wasted", "bist.speculation_batches",
+        // Parallel grading: must appear as zero in serial runs, not be
+        // omitted.
         "fault.parallel_shards_graded",
         // Scheduler telemetry (PR 10): report consumers rely on the jobs
         // section existing even for single-threaded runs.
@@ -165,7 +163,7 @@ TEST(RegisterCoreCounters, CoreNamesAlwaysPresent) {
     EXPECT_TRUE(found) << name;
   }
   for (const char* name :
-       {"fault.parallel_threads", "flow.num_threads", "flow.speculation_lanes",
+       {"fault.parallel_threads", "flow.num_threads",
         "flow.fault_coverage_percent", "flow.num_tests", "flow.num_seeds",
         "jobs.workers", "jobs.queue_depth"}) {
     bool found = false;

@@ -202,7 +202,7 @@ std::string report_json_v3(double peak_rss, double bytes_per_gate) {
   "counters": {},
   "gauges": {"flow.fault_coverage_percent": 91.25, "flow.num_tests": 500},
   "histograms": {},
-  "analytics": {"convergence": [], "segment_yield": [], "speculation": {"batches": 0, "lanes_evaluated": 0, "hits": 0, "wasted": 0}},
+  "analytics": {"convergence": [], "segment_yield": []},
   "memory": {
     "peak_rss_bytes": %.6g,
     "current_rss_bytes": 100000,
@@ -329,7 +329,7 @@ std::string report_json_v4() {
     "serve.request_total_cold_ms": {"count": 3, "sum": 2400.0, "mean": 800.0, "p50": 750.0, "p90": 900.0, "p99": 1000.0, "p99_clamped": true, "buckets": []},
     "serve.request_total_warm_ms": {"count": 9, "sum": 4.5, "mean": 0.5, "p50": 0.4, "p90": 0.9, "p99": 1.0, "p99_clamped": false, "buckets": []}
   },
-  "analytics": {"convergence": [], "segment_yield": [], "speculation": {"batches": 0, "lanes_evaluated": 0, "hits": 0, "wasted": 0}},
+  "analytics": {"convergence": [], "segment_yield": []},
   "jobs": {"workers": 4, "submitted": 40, "executed": 40, "steals": 6, "busy_ms": 90.000, "idle_ms": 310.000, "utilization": 0.225},
   "memory": {"peak_rss_bytes": 1000, "current_rss_bytes": 900, "allocated_bytes": 0, "allocation_count": 0, "footprints": {}, "bytes_per_gate": 0, "bytes_per_fault": 0}
 })";

@@ -135,7 +135,6 @@ RunReportData golden_data() {
       {"fault.grade_duration_ms", {1.0, 10.0}, {2, 1, 0}, 3, 5.5}};
   data.analytics.convergence = {{64, 300}, {128, 321}};
   data.analytics.segment_yield = {{0, 0, 123, 100, 42, 12.5}};
-  data.analytics.speculation = {1, 64, 3, 10};
   data.memory.peak_rss_bytes = 50331648;
   data.memory.current_rss_bytes = 33554432;
   data.memory.allocated_bytes = 6144;
@@ -191,8 +190,7 @@ constexpr const char* kGoldenReport = R"({
     "convergence": [{"tests": 64, "detected": 300}, {"tests": 128, "detected": 321}],
     "segment_yield": [
       {"sequence": 0, "segment": 0, "seed": 123, "tests": 100, "newly_detected": 42, "peak_swa": 12.5}
-    ],
-    "speculation": {"batches": 1, "lanes_evaluated": 64, "hits": 3, "wasted": 10}
+    ]
   },
   "jobs": {"workers": 4, "submitted": 100, "executed": 100, "steals": 7, "busy_ms": 120.000, "idle_ms": 280.000, "utilization": 0.3},
   "memory": {

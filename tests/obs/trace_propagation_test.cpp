@@ -6,6 +6,7 @@
 #include "obs/phase.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <set>
 #include <string>
@@ -237,6 +238,56 @@ TEST(JobSystemTracing, ChromeExportCarriesSpanIdsAndFlowArrows) {
   // Every flow start has a matching finish and vice versa.
   EXPECT_FALSE(flow_starts.empty());
   EXPECT_EQ(flow_starts, flow_finishes);
+}
+
+TEST(JobSystemTracing, BlockedSiblingsLandOnTwoWorkerRows) {
+  // Forces a cross-worker hop: the first task blocks, without helping, until
+  // its sibling has started. A thread stuck in the first task cannot start
+  // the second, so the two spans run on different threads whichever ones
+  // the scheduler (or the helping waiter) picks, and the Chrome trace must
+  // show them on two timeline rows.
+  PhaseTrace::instance().clear();
+  std::atomic<bool> sibling_started{false};
+  bool timed_out = false;
+  {
+    jobs::JobSystem pool(2);
+    PhaseSpan root("hop_root");
+    const jobs::TaskHandle blocker = pool.submit([&] {
+      PhaseSpan span("hop_blocker");
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!sibling_started.load(std::memory_order_acquire)) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          timed_out = true;
+          return;
+        }
+        std::this_thread::yield();
+      }
+    });
+    const jobs::TaskHandle sibling = pool.submit([&sibling_started] {
+      PhaseSpan span("hop_sibling");
+      sibling_started.store(true, std::memory_order_release);
+    });
+    pool.wait_all({blocker, sibling});
+  }
+  ASSERT_FALSE(timed_out) << "the sibling never started on another thread";
+
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(json_parse(PhaseTrace::instance().chrome_trace_json(), doc, error))
+      << error;
+  double blocker_tid = -1.0;
+  double sibling_tid = -1.0;
+  for (const JsonValue& event : doc.array) {
+    if (event.find("ph")->as_string("") != "X") continue;
+    const std::string name = event.find("name")->as_string("");
+    const double tid = event.find("tid")->as_number();
+    if (name == "hop_blocker") blocker_tid = tid;
+    if (name == "hop_sibling") sibling_tid = tid;
+  }
+  ASSERT_GE(blocker_tid, 0.0);
+  ASSERT_GE(sibling_tid, 0.0);
+  EXPECT_NE(blocker_tid, sibling_tid);
 }
 
 // TSan stress: many submitters, nested resubmission from inside tasks, and

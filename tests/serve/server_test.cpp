@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "circuits/registry.hpp"
 #include "flow/bist_flow.hpp"
 #include "jobs/job_system.hpp"
+#include "netlist/bench_io.hpp"
 #include "serve/protocol.hpp"
 
 namespace fbt::serve {
@@ -176,16 +184,15 @@ TEST(ExperimentService, WarmHitIsBitIdenticalToColdMiss) {
 }
 
 TEST(ExperimentService, WarmHitAcrossParallelismKnobs) {
-  // num_threads / speculation_lanes are excluded from experiment keys
-  // (results are bit-identical across them), so the repeat at a different
-  // parallelism setting is a legitimate warm hit.
+  // num_threads is excluded from experiment keys (results are bit-identical
+  // across it), so the repeat at a different parallelism setting is a
+  // legitimate warm hit.
   Fixture fx;
   ExperimentRequest request = small_request();
   bool hit = true;
   const ExperimentSummary cold = fx.service.run_experiment(request, &hit);
   ASSERT_FALSE(hit);
   request.config.num_threads = 3;
-  request.config.speculation_lanes = 8;
   const ExperimentSummary warm = fx.service.run_experiment(request, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(hash_detect_counts(cold.detect_count),
@@ -296,6 +303,104 @@ TEST(ExperimentService, InlineNetlistSharesKeyWithTextualVariant) {
   EXPECT_TRUE(hit);
   EXPECT_EQ(hash_detect_counts(cold.detect_count),
             hash_detect_counts(warm.detect_count));
+}
+
+/// Connects a client to `path`; -1 on failure. Reads time out after 30 s so
+/// a server that never answers fails the test instead of hanging it.
+int connect_client(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const timeval timeout{30, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Sends all of `data`, stopping early if the peer closes.
+void send_all(int fd, const std::string& data) {
+  std::size_t sent = 0;
+  while (sent < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return;
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+/// Reads until the peer closes the connection (EOF or reset).
+std::string read_until_closed(int fd) {
+  std::string received;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n <= 0) return received;
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
+/// A SocketServer running its accept loop on a thread; stopped and joined
+/// on destruction, so a failed assertion cannot leave the thread joinable.
+struct RunningServer {
+  RunningServer(ExperimentService& service, const std::string& path)
+      : server(service, path) {}
+  ~RunningServer() {
+    server.request_stop();
+    if (accept_loop.joinable()) accept_loop.join();
+  }
+
+  SocketServer server;
+  std::thread accept_loop;
+};
+
+TEST(SocketServer, OversizedRequestLineGetsOneErrorAndIsClosed) {
+  Fixture fx;
+  RunningServer running(fx.service, ::testing::TempDir() + "fbt_serve_test_" +
+                                        std::to_string(::getpid()) + ".sock");
+  std::string error;
+  ASSERT_TRUE(running.server.start(error)) << error;
+  running.accept_loop =
+      std::thread([&running] { running.server.serve_forever(); });
+  const std::string& path = running.server.socket_path();
+
+  // One byte past the bound and never a newline: the daemon must answer
+  // with a single error line and hang up instead of buffering forever.
+  const int fd = connect_client(path);
+  ASSERT_GE(fd, 0);
+  send_all(fd, std::string(kMaxRequestLineBytes + 1, 'x'));
+  const std::string reply = read_until_closed(fd);
+  ::close(fd);
+  EXPECT_NE(reply.find("\"type\": \"error\""), std::string::npos) << reply;
+  EXPECT_NE(reply.find("without a newline"), std::string::npos) << reply;
+  EXPECT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+  EXPECT_TRUE(reply.ends_with('\n')) << reply;
+
+  // The daemon keeps serving other connections.
+  const int next = connect_client(path);
+  ASSERT_GE(next, 0);
+  send_all(next, "{\"type\": \"ping\", \"id\": \"after\"}\n");
+  ::shutdown(next, SHUT_WR);
+  EXPECT_NE(read_until_closed(next).find("\"type\": \"pong\""),
+            std::string::npos);
+  ::close(next);
+}
+
+TEST(SocketServer, RequestLineBoundFitsEveryRegistryCircuitInline) {
+  // An inline netlist_bench carries write_bench text with each newline
+  // escaped as two characters; every registry circuit must fit with room to
+  // spare for the rest of the request.
+  for (const BenchmarkSpec& spec : benchmark_registry()) {
+    const std::string text = write_bench(load_benchmark(spec.name));
+    std::size_t escaped = text.size();
+    for (const char c : text) escaped += c == '\n' ? 1 : 0;
+    EXPECT_LT(2 * escaped, kMaxRequestLineBytes) << spec.name;
+  }
 }
 
 }  // namespace
