@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "fault/parallel_fault_sim.hpp"
+#include "fault/fault_sim.hpp"
 #include "obs/instrument.hpp"
 #include "sim/seqsim.hpp"
 #include "util/require.hpp"
@@ -10,16 +10,11 @@
 namespace fbt {
 
 FunctionalBistGenerator::FunctionalBistGenerator(
-    const Netlist& netlist, const FunctionalBistConfig& config)
-    : FunctionalBistGenerator(netlist, config, nullptr, nullptr) {}
-
-FunctionalBistGenerator::FunctionalBistGenerator(
     const Netlist& netlist, const FunctionalBistConfig& config,
-    std::shared_ptr<const FlatFanins> flat, jobs::JobSystem* jobs)
+    std::shared_ptr<const FlatFanins> flat, jobs::JobSystem* /*jobs*/)
     : netlist_(&netlist),
       config_(config),
       flat_(std::move(flat)),
-      jobs_(jobs),
       tpg_(netlist, config.tpg),
       rng_(config.rng_seed, 0xb5ad4eceda1ce2a9ULL) {
   require(config.segment_length >= 2 && config.segment_length % 2 == 0,
@@ -128,15 +123,12 @@ FunctionalBistResult FunctionalBistGenerator::run(
 
   FunctionalBistResult result;
   result.first_detect.assign(faults.size(), FaultFirstDetect{});
-  ParallelBroadsideFaultSim fsim(
-      *netlist_, config_.num_threads, jobs_,
-      static_cast<std::uint32_t>(config_.fault_pack_width), flat_);
+  BroadsideFaultSim fsim(*netlist_, BroadsideFaultSim::Engine::kPacked, flat_);
   SeqSim sim = flat_ != nullptr ? SeqSim(*netlist_, flat_) : SeqSim(*netlist_);
 
   // Provenance bookkeeping: applied-test stream position and the running
   // detected-fault count (faults at the detect limit), both advanced only by
-  // accepted segments so the journal is identical across thread counts and
-  // fault pack widths.
+  // accepted segments.
   std::size_t applied_tests = 0;
   std::size_t cumulative_detected = 0;
   for (const std::uint32_t c : detect_count) {

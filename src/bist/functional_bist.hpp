@@ -24,13 +24,16 @@
 #include "bist/tpg.hpp"
 #include "fault/broadside_test.hpp"
 #include "fault/fault.hpp"
-#include "jobs/job_system.hpp"
 #include "netlist/flat_fanins.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/seqsim.hpp"
 #include "util/rng.hpp"
 
 namespace fbt {
+
+namespace jobs {
+class JobSystem;
+}
 
 struct SegmentRecord {
   std::uint32_t seed = 0;    ///< LFSR seed that generated the segment
@@ -61,17 +64,11 @@ struct FunctionalBistConfig {
   const class TransitionPatternStore* pattern_store = nullptr;
   std::uint64_t rng_seed = 1;
   std::uint32_t detect_limit = 1;  ///< n-detect threshold for "new" faults
-  /// Worker threads for candidate-segment fault grading (0 = hardware
-  /// concurrency). Results are bit-identical for any value; 1 keeps the
-  /// serial reference engine.
+  /// No-ops, kept only so existing callers that assign them still compile:
+  /// candidate seeds are evaluated one at a time, and every candidate is
+  /// graded by one PPSFP grader (64 fault lanes per word).
   std::size_t num_threads = 1;
-  /// No-op: candidate seeds are always evaluated one at a time. Kept only so
-  /// existing callers that assign it still compile.
   std::size_t speculation_lanes = 64;
-  /// Fault lanes packed per machine word inside each grading shard (PPSFP;
-  /// clamped to [1, 64]). Detect counts, detection matrices, and first-detect
-  /// attribution are bit-identical for any width; 1 keeps the serial
-  /// reference engine.
   std::size_t fault_pack_width = 64;
 
   /// State holding (§4.5): when hold_period_log2 = h >= 1, the flops listed
@@ -104,23 +101,19 @@ struct FunctionalBistResult {
   std::size_t lmax = 0;        ///< L_max: longest segment
   double peak_swa = 0.0;       ///< peak SWA % over all applied cycles
   std::size_t newly_detected = 0;
-  /// One entry per fault: first-detect attribution. Bit-identical across
-  /// num_threads and fault_pack_width (the search itself is).
+  /// One entry per fault: first-detect attribution.
   std::vector<FaultFirstDetect> first_detect;
 };
 
 class FunctionalBistGenerator {
  public:
-  FunctionalBistGenerator(const Netlist& netlist,
-                          const FunctionalBistConfig& config);
-
-  /// Serving-path constructor: shares a pre-built FlatFanins CSR of
-  /// `netlist` with the internal simulator (nullptr rebuilds one) and runs
-  /// fault grading on `jobs` (nullptr selects the process-wide pool).
+  /// `flat` optionally shares a pre-built FlatFanins CSR of `netlist` with
+  /// the internal simulators (nullptr rebuilds one). `jobs` is ignored; it
+  /// remains only so existing callers that pass it still compile.
   FunctionalBistGenerator(const Netlist& netlist,
                           const FunctionalBistConfig& config,
-                          std::shared_ptr<const FlatFanins> flat,
-                          jobs::JobSystem* jobs);
+                          std::shared_ptr<const FlatFanins> flat = nullptr,
+                          jobs::JobSystem* jobs = nullptr);
 
   const Tpg& tpg() const { return tpg_; }
 
@@ -148,7 +141,6 @@ class FunctionalBistGenerator {
   const Netlist* netlist_;
   FunctionalBistConfig config_;
   std::shared_ptr<const FlatFanins> flat_;  ///< shared CSR; may be null
-  jobs::JobSystem* jobs_ = nullptr;         ///< grading substrate; may be null
   Tpg tpg_;
   Pcg32 rng_;
   std::vector<std::uint8_t> hold_mask_;  ///< per flop; empty when no holding

@@ -2,17 +2,15 @@
 
 #include <algorithm>
 
-#include "fault/parallel_fault_sim.hpp"
+#include "fault/fault_sim.hpp"
 #include "obs/instrument.hpp"
 #include "util/require.hpp"
 
 namespace fbt {
 
 PerTestFaults detected_by_test(const Netlist& netlist, const TestSet& tests,
-                               const TransitionFaultList& faults,
-                               std::size_t num_threads, jobs::JobSystem* jobs,
-                               std::uint32_t fault_pack_width) {
-  ParallelBroadsideFaultSim sim(netlist, num_threads, jobs, fault_pack_width);
+                               const TransitionFaultList& faults) {
+  BroadsideFaultSim sim(netlist, BroadsideFaultSim::Engine::kPacked);
   const auto matrix = sim.detection_matrix(tests, faults);
   FBT_OBS_FOOTPRINT("fault.detection_matrix",
                     detection_matrix_footprint_bytes(matrix));
@@ -152,13 +150,12 @@ std::vector<std::size_t> reduce_groups(const Netlist& netlist,
                                        const TransitionFaultList& faults,
                                        const std::vector<std::size_t>& group_of,
                                        std::size_t num_groups,
-                                       std::size_t num_threads,
-                                       jobs::JobSystem* jobs,
-                                       std::uint32_t fault_pack_width) {
+                                       std::size_t /*num_threads*/,
+                                       jobs::JobSystem* /*jobs*/,
+                                       std::uint32_t /*fault_pack_width*/) {
   FBT_OBS_PHASE("reduce");  // covers the matrix simulation and the sweep
-  return reduce_groups(detected_by_test(netlist, tests, faults, num_threads,
-                                        jobs, fault_pack_width),
-                       faults.size(), group_of, num_groups);
+  return reduce_groups(detected_by_test(netlist, tests, faults), faults.size(),
+                       group_of, num_groups);
 }
 
 }  // namespace fbt

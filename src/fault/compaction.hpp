@@ -11,10 +11,9 @@
 //
 // Every pass consumes the detection matrix transposed to per-test fault
 // lists. Each entry point exists in two forms: a convenience overload that
-// simulates the matrix itself (optionally across `num_threads` workers, 0 =
-// hardware concurrency), and an overload taking a precomputed PerTestFaults
-// so callers running several passes -- or a flow that already graded the set
-// -- pay the fault simulation once.
+// simulates the matrix itself (one PPSFP grader), and an overload taking a
+// precomputed PerTestFaults so callers running several passes -- or a flow
+// that already graded the set -- pay the fault simulation once.
 #pragma once
 
 #include <cstdint>
@@ -22,22 +21,20 @@
 
 #include "fault/broadside_test.hpp"
 #include "fault/fault.hpp"
-#include "jobs/job_system.hpp"
 
 namespace fbt {
+
+namespace jobs {
+class JobSystem;
+}
 
 /// per_test[t] lists the indices of the faults test t detects, ascending.
 using PerTestFaults = std::vector<std::vector<std::uint32_t>>;
 
-/// Simulates the full detection matrix (no dropping) and transposes it to
-/// per-test fault lists. `num_threads` > 1 shards the fault list across a
-/// worker pool and `fault_pack_width` > 1 packs faults into bit-lanes inside
-/// each shard (PPSFP); the result is bit-identical for any combination.
+/// Simulates the full detection matrix (no dropping) with the PPSFP engine
+/// and transposes it to per-test fault lists.
 PerTestFaults detected_by_test(const Netlist& netlist, const TestSet& tests,
-                               const TransitionFaultList& faults,
-                               std::size_t num_threads = 1,
-                               jobs::JobSystem* jobs = nullptr,
-                               std::uint32_t fault_pack_width = 1);
+                               const TransitionFaultList& faults);
 
 /// Indices (into the original set) of the kept tests, ascending.
 std::vector<std::size_t> reverse_order_compaction(
@@ -58,6 +55,8 @@ std::vector<std::size_t> forward_looking_compaction(
 /// every fault it detects is also detected by a kept group. `group_of[t]`
 /// maps test index to group id (0..num_groups-1). Returns kept group ids,
 /// ascending. This is the §4.3 "reduce the number of selected seeds" step.
+/// The three trailing parameters are ignored; they remain only so existing
+/// callers that pass them still compile.
 std::vector<std::size_t> reduce_groups(const Netlist& netlist,
                                        const TestSet& tests,
                                        const TransitionFaultList& faults,

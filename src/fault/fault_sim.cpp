@@ -83,20 +83,17 @@ std::vector<std::uint8_t> second_state(const Netlist& netlist,
   return s2;
 }
 
-BroadsideFaultSim::BroadsideFaultSim(const Netlist& netlist,
-                                     std::uint32_t fault_pack_width,
+BroadsideFaultSim::BroadsideFaultSim(const Netlist& netlist, Engine engine,
                                      std::shared_ptr<const FlatFanins> flat)
-    : netlist_(&netlist),
-      sim_(netlist),
-      pack_width_(std::clamp<std::uint32_t>(fault_pack_width, 1, 64)) {
+    : netlist_(&netlist), sim_(netlist) {
   v1_values_.assign(netlist.size(), 0);
   state2_.assign(netlist.num_flops(), 0);
-  if (pack_width_ > 1) {
+  if (engine == Engine::kPacked) {
     packed_ = std::make_unique<PackedFaultProp>(netlist, std::move(flat));
     good2_values_.assign(netlist.size(), 0);
-    chunk_sites_.assign(64, 0);
-    chunk_fault_.assign(64, 0);
-    chunk_pos_.assign(64, 0);
+    chunk_sites_.assign(PackedFaultProp::kLanes, 0);
+    chunk_fault_.assign(PackedFaultProp::kLanes, 0);
+    chunk_pos_.assign(PackedFaultProp::kLanes, 0);
   }
 }
 
@@ -205,7 +202,7 @@ std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
       active.push_back(static_cast<std::uint32_t>(f));
     }
   }
-  if (pack_width_ > 1) {
+  if (packed_ != nullptr) {
     // Translate each fault site into the packed kernel's internal id space
     // once up front; the chunk walk hands propagate_internal() pre-resolved
     // sites instead of paying the lookup per lane per call.
@@ -227,10 +224,10 @@ std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
     tests_loaded += count;
     std::uint32_t block_newly = 0;
     std::size_t live = 0;
-    if (pack_width_ > 1) {
+    if (packed_ != nullptr) {
       // PPSFP walk, test-major: transpose the active faults' launch masks
-      // into per-test lane words, then pack up to pack_width_ still-needy
-      // faults of each test into full lane words (fixed fault groups would
+      // into per-test lane words, then pack up to kLanes still-needy faults
+      // of each test into full lane words (fixed fault groups would
       // leave most lanes idle). Tests run in ascending order with the serial
       // saturation arithmetic, so detect counts and first-detect attribution
       // reproduce the serial engine exactly; see DESIGN.md "PPSFP packed
@@ -267,7 +264,7 @@ std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
         // Propagate one packed chunk and credit the detected lanes.
         const auto flush = [&](std::size_t nlanes) {
           ++pack_groups;
-          pack_lanes_wasted += pack_width_ - nlanes;
+          pack_lanes_wasted += PackedFaultProp::kLanes - nlanes;
           const std::uint64_t a =
               nlanes == 64 ? ~0ULL : ((1ULL << nlanes) - 1);
           std::uint64_t det = packed_->propagate_internal(
@@ -302,7 +299,7 @@ std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
             chunk_sites_[lanes] = site_internal_[f];
             chunk_fault_[lanes] = f;
             chunk_pos_[lanes] = pos;
-            if (++lanes == pack_width_) {
+            if (++lanes == PackedFaultProp::kLanes) {
               flush(lanes);
               lanes = 0;
             }
@@ -351,8 +348,9 @@ std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
     }
   }
   if (provenance != nullptr) {
-    // Canonical order: the in-loop order is (block, active-list position),
-    // which a sharded merge cannot reproduce; fault index can.
+    // Canonical order: the in-loop order differs between the engines
+    // (serial: block, active-list position; packed: test, lane); fault index
+    // is the same for both.
     std::sort(provenance->first_hits.begin(), provenance->first_hits.end(),
               [](const FirstDetectHit& a, const FirstDetectHit& b) {
                 return a.fault < b.fault;
@@ -383,7 +381,7 @@ std::vector<std::vector<std::uint64_t>> BroadsideFaultSim::detection_matrix(
   for (std::size_t first = 0; first < tests.size(); first += 64) {
     const std::size_t count = std::min<std::size_t>(64, tests.size() - first);
     load_block(tests, first, count);
-    if (pack_width_ > 1) {
+    if (packed_ != nullptr) {
       // Test-major PPSFP, as in grade() but with no dropping: every
       // (fault, launching test) pair is propagated and lands in its row bit.
       bind_packed_block();
@@ -431,7 +429,7 @@ std::vector<std::vector<std::uint64_t>> BroadsideFaultSim::detection_matrix(
             const std::uint32_t f = static_cast<std::uint32_t>(g * 64 + k);
             chunk_sites_[lanes] = site_internal_[f];
             chunk_fault_[lanes] = f;
-            if (++lanes == pack_width_) {
+            if (++lanes == PackedFaultProp::kLanes) {
               flush(lanes);
               lanes = 0;
             }
@@ -456,7 +454,7 @@ std::vector<std::vector<std::uint64_t>> BroadsideFaultSim::detection_matrix(
 bool BroadsideFaultSim::detects(const BroadsideTest& test,
                                 const TransitionFault& fault) {
   load_block(std::span(&test, 1), 0, 1);
-  if (pack_width_ > 1) {
+  if (packed_ != nullptr) {
     bind_packed_block();
     if ((launch_mask(fault) & 1ULL) == 0) return false;
     const NodeId site = fault.line;

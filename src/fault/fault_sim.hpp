@@ -8,12 +8,15 @@
 // engine of Chapter 2.
 //
 // Two propagation engines share the good-machine block evaluation:
-//  * serial (fault_pack_width == 1, the reference): one fault at a time, 64
-//    tests per word (BitSim::fault_propagate);
-//  * PPSFP (fault_pack_width > 1): up to `fault_pack_width` faults per word,
-//    one test at a time, against the shared fault-free two-frame trace
-//    (PackedFaultProp). Detect counts, detection matrices, and first-detect
-//    provenance are bit-identical across pack widths.
+//  * serial (the reference): one fault at a time, 64 tests per word
+//    (BitSim::fault_propagate);
+//  * PPSFP ("parallel-pattern single-fault propagation", packed): up to
+//    PackedFaultProp::kLanes = 64 faults per word, one test at a time,
+//    against the shared fault-free two-frame trace (PackedFaultProp).
+// Detect counts, detection matrices, and first-detect provenance are
+// bit-identical across the engines. The flow grades with PPSFP; the serial
+// engine stays for its smaller footprint (see DESIGN.md "One grader per
+// loop") and as the tests' oracle.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +53,8 @@ struct GradeBlockStat {
 
 /// Optional provenance from one grade() call. Both vectors are canonical --
 /// first_hits sorted by fault index, blocks in test order covering every
-/// block any still-active fault was graded against -- so the serial engine
-/// and any sharded parallel merge produce bit-identical provenance.
+/// block any still-active fault was graded against -- so both engines
+/// produce bit-identical provenance.
 struct GradeProvenance {
   std::vector<FirstDetectHit> first_hits;
   std::vector<GradeBlockStat> blocks;
@@ -71,18 +74,17 @@ inline std::uint64_t detection_matrix_footprint_bytes(
 
 class BroadsideFaultSim {
  public:
-  /// `fault_pack_width` > 1 selects the PPSFP engine: the active fault list
-  /// is walked in groups of up to `fault_pack_width` (clamped to [1, 64])
-  /// bit-lanes propagated together against the shared good-machine trace.
-  /// 1 (and 0) keeps the serial reference engine. `flat` optionally shares a
-  /// pre-built CSR of `netlist` with the packed engine (nullptr rebuilds
-  /// one; ignored when serial).
-  explicit BroadsideFaultSim(const Netlist& netlist,
-                             std::uint32_t fault_pack_width = 1,
-                             std::shared_ptr<const FlatFanins> flat = nullptr);
+  /// Propagation engine. Both give bit-identical results.
+  enum class Engine {
+    kSerial,  ///< one fault at a time, 64 tests per word (the reference)
+    kPacked,  ///< PPSFP: up to PackedFaultProp::kLanes faults per word
+  };
 
-  /// Resolved pack width (>= 1; > 1 means the PPSFP engine is active).
-  std::uint32_t fault_pack_width() const { return pack_width_; }
+  /// `flat` optionally shares a pre-built CSR of `netlist` with the packed
+  /// engine (nullptr rebuilds one; ignored when serial).
+  explicit BroadsideFaultSim(const Netlist& netlist,
+                             Engine engine = Engine::kSerial,
+                             std::shared_ptr<const FlatFanins> flat = nullptr);
 
   /// Grades `tests` against `faults` with fault dropping: a fault whose
   /// detection count in `detect_count` reaches `detect_limit` is skipped.
@@ -149,13 +151,12 @@ class BroadsideFaultSim {
   std::vector<std::uint64_t> pack_scratch_;  // source-word packing scratch
   std::uint64_t block_mask_ = 0;          // valid-pattern bits of the block
 
-  // PPSFP engine state (empty/null when pack_width_ == 1). Scheduling is
+  // PPSFP engine state (empty/null for the serial engine). Scheduling is
   // test-major: each block transposes the active faults' launch masks into
-  // per-test lane words (launch_tx_), and every propagation packs up to
-  // pack_width_ still-needy faults of one test into full lane words (fixed
-  // fault groups would leave most lanes idle -- a typical test launches only
-  // a few percent of any 64-fault group).
-  std::uint32_t pack_width_ = 1;
+  // per-test lane words (launch_tx_), and every propagation packs up to 64
+  // still-needy faults of one test into full lane words (fixed fault groups
+  // would leave most lanes idle -- a typical test launches only a few
+  // percent of any 64-fault group).
   std::unique_ptr<PackedFaultProp> packed_;
   std::vector<std::uint64_t> good2_values_;  // frame-2 value words per node
   std::vector<std::uint64_t> launch_tx_;  // [t * groups + g]: launch lanes

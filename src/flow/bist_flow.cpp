@@ -7,7 +7,6 @@
 #include "fault/compaction.hpp"
 #include "obs/instrument.hpp"
 #include "util/require.hpp"
-#include "jobs/job_system.hpp"
 
 namespace fbt {
 
@@ -74,8 +73,6 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
   FunctionalBistConfig gen = config.generation;
   gen.swa_bound_percent = swa_func;
   gen.bounded = !unconstrained;
-  gen.num_threads = config.num_threads;
-  gen.fault_pack_width = config.fault_pack_width;
 
   ScanChains scan(target, config.scan);
   BistExperimentResult result{.target = std::move(target),
@@ -94,7 +91,7 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
                               .rtl = {}};
   result.detect_count.assign(result.faults.size(), 0);
 
-  FunctionalBistGenerator generator(result.target, gen, flat, &jobs);
+  FunctionalBistGenerator generator(result.target, gen, flat);
   result.nsp = generator.tpg().cube().specified_count();
   result.run = generator.run(result.faults, result.detect_count);
   result.seeds_before_reduction = result.run.num_seeds;
@@ -118,8 +115,7 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
             "internal: test/sequence bookkeeping mismatch");
     const std::vector<std::size_t> kept =
         reduce_groups(result.target, result.run.tests, result.faults, group_of,
-                      result.run.sequences.size(), config.num_threads, &jobs,
-                      static_cast<std::uint32_t>(config.fault_pack_width));
+                      result.run.sequences.size());
     if (kept.size() < result.run.sequences.size()) {
       FunctionalBistResult reduced;
       reduced.newly_detected = result.run.newly_detected;
@@ -183,9 +179,6 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
   FBT_OBS_GAUGE_SET("flow.num_gates", result.target.num_gates());
   FBT_OBS_GAUGE_SET("flow.num_faults", result.faults.size());
 
-  FBT_OBS_GAUGE_SET("flow.num_threads",
-                    jobs::JobSystem::resolve_threads(config.num_threads));
-  FBT_OBS_GAUGE_SET("flow.fault_pack_width", config.fault_pack_width);
   FBT_OBS_GAUGE_SET("flow.num_tests", result.run.num_tests);
   FBT_OBS_GAUGE_SET("flow.num_seeds", result.run.num_seeds);
   FBT_OBS_GAUGE_SET("flow.swa_func_percent", result.swa_func);

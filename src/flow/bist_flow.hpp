@@ -14,6 +14,7 @@
 #include "bist/hardware_plan.hpp"
 #include "bist/state_holding.hpp"
 #include "fault/fault.hpp"
+#include "jobs/job_system.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/scan.hpp"
 #include "rtl/emit.hpp"
@@ -31,17 +32,11 @@ struct BistExperimentConfig {
   /// sequences whose tests detect nothing the kept sequences miss
   /// (forward-looking fault simulation over sequence groups).
   bool reduce_sequences = true;
-  /// Worker threads for every fault-grading step of the flow (candidate
-  /// segments and sequence reduction). 0 = hardware concurrency; results are
-  /// bit-identical for any value. Overrides generation.num_threads.
+  /// No-ops, like their FunctionalBistConfig namesakes; kept only so
+  /// existing callers that assign them still compile. Every fault-grading
+  /// step of the flow runs on one PPSFP grader.
   std::size_t num_threads = 1;
-  /// No-op, like FunctionalBistConfig::speculation_lanes; kept only so
-  /// existing callers that assign it still compile.
   std::size_t speculation_lanes = 64;
-  /// Fault lanes packed per machine word inside each grading shard (PPSFP,
-  /// clamped to [1, 64]); applies to every fault-grading step of the flow.
-  /// 1 forces the serial reference engine; results are bit-identical for any
-  /// value. Overrides generation.fault_pack_width.
   std::size_t fault_pack_width = 64;
   /// Emit the on-chip BIST machinery as Verilog after generation. Requires a
   /// scan partition whose chain lengths all divide Lsc -- use
@@ -93,10 +88,11 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config);
 
 /// Same flow as a task graph on `jobs`: target/driver loading, SWA_func
 /// calibration, CSR flattening, and fault collapsing run as dependency-
-/// ordered tasks, and every fault-grading step multiplexes `jobs` -- many
-/// experiments share one pool. `artifacts` short-circuits tasks whose
-/// results the caller already holds (cache hits). Results are bit-identical
-/// to the single-argument overload for any pool size and any artifacts.
+/// ordered tasks, so many experiments share one pool; construction and
+/// reduction then run on the calling thread. `artifacts` short-circuits
+/// tasks whose results the caller already holds (cache hits). Results are
+/// bit-identical to the single-argument overload for any pool size and any
+/// artifacts.
 BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
                                          jobs::JobSystem& jobs,
                                          const ExperimentArtifacts& artifacts);

@@ -124,9 +124,8 @@ class JobSystem {
   /// Number of worker threads (>= 1).
   std::size_t size() const { return queues_.size(); }
 
-  /// Maps the num_threads knob to an actual count: 0 becomes
-  /// hardware_concurrency() (or 1 when that is unknown). Shared by every
-  /// `num_threads` knob in the repo (grading shards, server pools).
+  /// Maps a requested worker count to an actual one: 0 becomes
+  /// hardware_concurrency() (or 1 when that is unknown).
   static std::size_t resolve_threads(std::size_t requested);
 
   /// Schedules `fn` for execution. The handle outlives the system only as an

@@ -7,10 +7,9 @@
 //  * cheap on the emitting path -- one mutex-guarded vector push per event;
 //    events are emitted at segment/block granularity, never per gate;
 //  * deterministic -- library code emits events only from the construction
-//    loop's single-threaded control flow (worker threads fill provenance
-//    structs that are merged deterministically first), so the journal is
-//    bit-identical across num_threads and fault_pack_width for the
-//    deterministic event subset (see DESIGN.md "Provenance & convergence");
+//    loop's single-threaded control flow, so the journal is bit-identical
+//    across job-pool sizes for the deterministic event subset (see
+//    DESIGN.md "Provenance & convergence");
 //  * compiled out -- the FBT_OBS_EVENT macro in obs/instrument.hpp is a
 //    no-op when the build sets FBT_OBS_ENABLED=0. The classes here stay
 //    available in both builds so tools and tests can use them directly.

@@ -123,15 +123,8 @@ void register_core_counters() {
   reg.counter("atpg.podem_backtracks");
   reg.counter("fault.faults_dropped");
   reg.counter("flow.faults_detected");
-  // Parallel grading: registered here so the serial configurations still
-  // report it as zero instead of omitting it.
-  reg.counter("fault.parallel_shards_graded");
-  // Disambiguates parallel_shards_graded == 0: the serial short-circuit
-  // fired (few faults or one thread), vs. parallelism never engaged at all.
-  reg.counter("fault.serial_grade_fallbacks");
-  reg.gauge("fault.parallel_threads");
   // PPSFP packed fault grading: pack-efficiency counters, registered so
-  // serial configurations (pack width 1) still report them as zeros.
+  // runs that never grade (or grade serially) still report them as zeros.
   reg.counter("fault.pack_groups_simulated");
   reg.counter("fault.pack_lanes_wasted");
   reg.counter("fault.pack_diff_words_propagated");
@@ -166,8 +159,6 @@ void register_core_counters() {
                 Histogram::log_latency_ms_bounds());
   reg.histogram("serve.request_total_warm_ms",
                 Histogram::log_latency_ms_bounds());
-  reg.gauge("flow.num_threads");
-  reg.gauge("flow.fault_pack_width");
   reg.gauge("flow.fault_coverage_percent");
   reg.gauge("flow.num_tests");
   reg.gauge("flow.num_seeds");

@@ -99,12 +99,8 @@ CacheKey experiment_cache_key(const CacheKey& target_key,
       .u64(config.calibration.tpg.lfsr_stages)
       .u64(config.calibration.tpg.bias_bits)
       .u64(config.calibration.rng_seed);
-  // Generation. num_threads and fault_pack_width are intentionally absent:
-  // results are bit-identical across them (see header comment), so a warm
-  // cache serves any parallelism setting -- folding a parallelism-only knob
-  // in would turn warm repeats at a different setting into spurious misses.
-  // swa_bound_percent/bounded are derived (from calibration and the driver)
-  // rather than request inputs.
+  // Generation. swa_bound_percent/bounded are derived (from calibration and
+  // the driver) rather than request inputs.
   const FunctionalBistConfig& g = config.generation;
   b.u64(g.tpg.lfsr_stages)
       .u64(g.tpg.bias_bits)

@@ -5,11 +5,7 @@
 // (write_bench round-trips parse_bench, so whitespace/comment/ordering
 // variants of the same circuit collapse to one key), and derived artifacts
 // fold the producing netlist keys together with exactly the config fields
-// that affect their bytes. Fields that are proven result-neutral --
-// num_threads and fault_pack_width, bit-identical by the determinism
-// discipline the identity tests pin -- are deliberately EXCLUDED from
-// experiment keys, so a warm cache answers a request at any parallelism
-// setting.
+// that affect their bytes.
 //
 // The hash is a dual-lane 64-bit FNV-1a (two independent offset bases /
 // primes over the same byte stream) giving a 128-bit key; collisions are
@@ -72,8 +68,7 @@ CacheKey fault_list_cache_key(const CacheKey& target_key);
 CacheKey flat_fanins_cache_key(const CacheKey& target_key);
 
 /// Key of a full experiment result. Folds the netlist keys and every config
-/// field that can change the result bytes; num_threads and fault_pack_width
-/// are excluded (results are bit-identical across them).
+/// field that can change the result bytes.
 CacheKey experiment_cache_key(const CacheKey& target_key,
                               const CacheKey& driver_key,
                               const BistExperimentConfig& config);

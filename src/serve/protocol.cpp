@@ -121,9 +121,6 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
         uint_or(o, "scan_min_chain_length", cfg.scan.min_chain_length);
     cfg.reduce_sequences =
         bool_or(o, "reduce_sequences", cfg.reduce_sequences);
-    cfg.num_threads = uint_or(o, "num_threads", cfg.num_threads);
-    cfg.fault_pack_width =
-        uint_or(o, "fault_pack_width", cfg.fault_pack_width);
     cfg.emit_rtl = bool_or(o, "emit_rtl", cfg.emit_rtl);
     cfg.rtl_misr_stages = static_cast<unsigned>(
         uint_or(o, "rtl_misr_stages", cfg.rtl_misr_stages));

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -365,15 +366,37 @@ SocketServer::SocketServer(ExperimentService& service, std::string socket_path)
 SocketServer::~SocketServer() {
   request_stop();
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  std::vector<std::thread> threads;
+  join_all();
+  ::unlink(path_.c_str());
+}
+
+std::size_t SocketServer::tracked_connections() const {
+  std::lock_guard lock(mutex_);
+  return connections_.size();
+}
+
+void SocketServer::reap_finished() {
+  std::vector<std::thread> finished;
   {
     std::lock_guard lock(mutex_);
-    threads.swap(threads_);
+    const auto done = std::partition(
+        connections_.begin(), connections_.end(),
+        [](const Connection& c) { return c.fd >= 0; });
+    for (auto it = done; it != connections_.end(); ++it) {
+      finished.push_back(std::move(it->thread));
+    }
+    connections_.erase(done, connections_.end());
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
+  for (std::thread& t : finished) t.join();
+}
+
+void SocketServer::join_all() {
+  std::vector<Connection> all;
+  {
+    std::lock_guard lock(mutex_);
+    all.swap(connections_);
   }
-  ::unlink(path_.c_str());
+  for (Connection& c : all) c.thread.join();
 }
 
 bool SocketServer::start(std::string& error) {
@@ -409,25 +432,24 @@ void SocketServer::serve_forever() {
       if (errno == EINTR) continue;
       break;
     }
+    reap_finished();
     std::lock_guard lock(mutex_);
-    conn_fds_.push_back(fd);
-    threads_.emplace_back([this, fd] { handle_connection(fd); });
+    // The handler's final step takes mutex_, so it cannot look for its
+    // entry before the entry exists.
+    connections_.push_back({fd, std::thread([this, fd] {
+                              handle_connection(fd);
+                            })});
   }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard lock(mutex_);
-    threads.swap(threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  join_all();
 }
 
 void SocketServer::request_stop() {
   if (stop_.exchange(true, std::memory_order_acq_rel)) return;
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   std::lock_guard lock(mutex_);
-  for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+  for (const Connection& c : connections_) {
+    if (c.fd >= 0) ::shutdown(c.fd, SHUT_RDWR);
+  }
 }
 
 void SocketServer::handle_connection(int fd) {
@@ -464,6 +486,15 @@ void SocketServer::handle_connection(int fd) {
                                 std::to_string(kMaxRequestLineBytes) +
                                 " bytes without a newline"));
       break;
+    }
+  }
+  {
+    // Release the fd under the lock before closing it: once closed, the
+    // kernel may hand its number to a new connection, which request_stop()
+    // must not shut down on this connection's behalf.
+    std::lock_guard lock(mutex_);
+    for (Connection& c : connections_) {
+      if (c.fd == fd) c.fd = -1;
     }
   }
   ::close(fd);

@@ -13,11 +13,6 @@
 //      lines while it executes;
 //   4. store the summary under the experiment key and render it.
 //
-// Determinism note: cached experiment keys EXCLUDE num_threads and
-// fault_pack_width (results are bit-identical across them), so a request
-// repeated at a different parallelism setting is a legitimate warm hit; the
-// detect_hash / first_detect_hash fields prove it bit-identical.
-//
 // Progress caveat: the journal is process-wide, so when several experiments
 // run concurrently each client's progress stream may interleave events from
 // the others. Result lines are always computed from the request's own run.
@@ -109,7 +104,8 @@ class ExperimentService {
 
 /// Blocking AF_UNIX NDJSON server: accept loop + one thread per connection.
 /// Each connection buffers at most kMaxRequestLineBytes of an unfinished
-/// request line.
+/// request line. The accept loop joins finished connection threads, so a
+/// long-lived daemon holds state only for its live connections.
 class SocketServer {
  public:
   SocketServer(ExperimentService& service, std::string socket_path);
@@ -130,16 +126,27 @@ class SocketServer {
   bool stopping() const { return stop_.load(std::memory_order_acquire); }
   const std::string& socket_path() const { return path_; }
 
+  /// Connections whose thread has not been joined yet.
+  std::size_t tracked_connections() const;
+
  private:
+  struct Connection {
+    int fd = -1;  ///< -1 once the handler has released the descriptor
+    std::thread thread;
+  };
+
   void handle_connection(int fd);
+  /// Joins the threads of connections whose handler has finished.
+  void reap_finished();
+  /// Joins every connection thread (shutdown).
+  void join_all();
 
   ExperimentService& service_;
   std::string path_;
   int listen_fd_ = -1;
   std::atomic<bool> stop_{false};
-  std::mutex mutex_;                 ///< guards conn_fds_ and threads_
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> threads_;
+  mutable std::mutex mutex_;  ///< guards connections_
+  std::vector<Connection> connections_;
 };
 
 }  // namespace fbt::serve

@@ -1,8 +1,8 @@
 // First-detect attribution identity: the (sequence, segment, test, seed)
-// recorded for every fault's first detection must be bit-identical across
-// num_threads in {1, 2, hardware} -- the acceptance criterion for the
-// provenance layer. Also pins the sentinel and consistency invariants of the
-// attribution table itself.
+// recorded for every fault's first detection must be bit-identical whether
+// the flow runs on a one-worker or a four-worker job pool -- the acceptance
+// criterion for the provenance layer. Also pins the sentinel and
+// consistency invariants of the attribution table itself.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,6 +10,7 @@
 
 #include "bist/functional_bist.hpp"
 #include "circuits/registry.hpp"
+#include "flow/bist_flow.hpp"
 #include "jobs/job_system.hpp"
 
 namespace fbt {
@@ -20,9 +21,7 @@ struct RunOutput {
   std::vector<std::uint32_t> detect_count;
 };
 
-RunOutput run_generator(const Netlist& nl, FunctionalBistConfig cfg,
-                        std::size_t threads) {
-  cfg.num_threads = threads;
+RunOutput run_generator(const Netlist& nl, const FunctionalBistConfig& cfg) {
   FunctionalBistGenerator gen(nl, cfg);
   const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
   RunOutput out;
@@ -42,36 +41,42 @@ FunctionalBistConfig small_config() {
   return cfg;
 }
 
-std::vector<std::size_t> thread_counts_under_test() {
-  const std::size_t hw = jobs::JobSystem::resolve_threads(0);
-  std::vector<std::size_t> counts = {1, 2};
-  if (hw != 1 && hw != 2) counts.push_back(hw);
-  return counts;
+/// Committed seeds, sequence by sequence.
+std::vector<std::vector<std::uint32_t>> seeds_of(
+    const FunctionalBistResult& run) {
+  std::vector<std::vector<std::uint32_t>> out;
+  for (const SequenceRecord& seq : run.sequences) {
+    out.emplace_back();
+    for (const SegmentRecord& seg : seq.segments) out.back().push_back(seg.seed);
+  }
+  return out;
 }
 
-TEST(AttributionIdentity, RegistryWideAcrossThreads) {
+TEST(AttributionIdentity, RegistryWideAcrossJobPools) {
+  jobs::JobSystem one(1);
+  jobs::JobSystem four(4);  // the CI container may report one core
   for (const BenchmarkSpec& spec : benchmark_registry()) {
     if (spec.num_gates > 1200) continue;  // bound the sweep's runtime
-    const Netlist nl = load_benchmark(spec.name);
-    const FunctionalBistConfig cfg = small_config();
-    const RunOutput reference = run_generator(nl, cfg, 1);
-    ASSERT_FALSE(reference.result.first_detect.empty()) << spec.name;
-
-    for (const std::size_t threads : thread_counts_under_test()) {
-      if (threads == 1) continue;
-      const RunOutput run = run_generator(nl, cfg, threads);
-      EXPECT_EQ(run.result.first_detect, reference.result.first_detect)
-          << spec.name << " threads=" << threads;
-      EXPECT_EQ(run.detect_count, reference.detect_count)
-          << spec.name << " threads=" << threads;
-    }
+    BistExperimentConfig cfg;
+    cfg.target_name = spec.name;
+    cfg.calibration.num_sequences = 2;
+    cfg.calibration.sequence_length = 200;
+    cfg.generation = small_config();
+    const BistExperimentResult a =
+        run_bist_experiment(cfg, one, ExperimentArtifacts{});
+    const BistExperimentResult b =
+        run_bist_experiment(cfg, four, ExperimentArtifacts{});
+    ASSERT_FALSE(a.run.first_detect.empty()) << spec.name;
+    EXPECT_EQ(b.run.first_detect, a.run.first_detect) << spec.name;
+    EXPECT_EQ(b.detect_count, a.detect_count) << spec.name;
+    EXPECT_EQ(seeds_of(b.run), seeds_of(a.run)) << spec.name;
   }
 }
 
 TEST(AttributionIdentity, AttributionIsConsistentWithTheResult) {
   const Netlist nl = load_benchmark("s298");
   const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
-  const RunOutput out = run_generator(nl, small_config(), 2);
+  const RunOutput out = run_generator(nl, small_config());
   ASSERT_EQ(out.result.first_detect.size(), faults.size());
 
   std::size_t attributed = 0;

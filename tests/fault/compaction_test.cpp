@@ -106,18 +106,6 @@ TEST(Compaction, PrecomputedPerTestListsMatchRecomputation) {
             reduce_groups(nl, tests, faults, group_of, 8));
 }
 
-TEST(Compaction, ParallelMatrixGivesIdenticalPasses) {
-  const Netlist nl = make_s27();
-  const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
-  const TestSet tests = random_tests(nl, 120, 23);
-  EXPECT_EQ(detected_by_test(nl, tests, faults, 2),
-            detected_by_test(nl, tests, faults, 1));
-  std::vector<std::size_t> group_of(tests.size());
-  for (std::size_t t = 0; t < tests.size(); ++t) group_of[t] = t / 10;
-  EXPECT_EQ(reduce_groups(nl, tests, faults, group_of, 12, 2),
-            reduce_groups(nl, tests, faults, group_of, 12, 1));
-}
-
 TEST(Compaction, GroupReductionKeepsCoverage) {
   const Netlist nl = make_s27();
   const TransitionFaultList faults = TransitionFaultList::collapsed(nl);

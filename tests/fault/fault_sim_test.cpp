@@ -221,15 +221,16 @@ TEST(FaultSim, TestsGradedCountsOnlyLoadedTests) {
   // drop well before the last block, so the counter must advance by full
   // 64-test blocks but stay short of the whole set -- and by the identical
   // amount for the serial and the packed engine (same block walk).
-  for (const std::uint32_t width : {1u, 64u}) {
-    BroadsideFaultSim engine(nl, width);
+  for (const bool packed : {false, true}) {
+    BroadsideFaultSim engine(nl, packed ? BroadsideFaultSim::Engine::kPacked
+                                        : BroadsideFaultSim::Engine::kSerial);
     std::fill(counts.begin(), counts.end(), 0);
     before = graded.value();
     engine.grade(tests, faults, counts, 1);
     const std::uint64_t loaded = graded.value() - before;
-    EXPECT_GT(loaded, 0u) << "width=" << width;
-    EXPECT_LT(loaded, tests.size()) << "width=" << width;
-    EXPECT_EQ(loaded % 64, 0u) << "width=" << width;
+    EXPECT_GT(loaded, 0u) << "packed=" << packed;
+    EXPECT_LT(loaded, tests.size()) << "packed=" << packed;
+    EXPECT_EQ(loaded % 64, 0u) << "packed=" << packed;
   }
 }
 #endif

@@ -1,13 +1,11 @@
 // PPSFP packed-grading equivalence suite.
 //
-// The serial engine (fault_pack_width == 1, one fault at a time, 64 tests
-// per word) is the reference; the PPSFP engine (up to 64 faults per word
-// against the shared good-machine trace) must reproduce its detect counts,
-// detection matrices, and first-detect provenance bit for bit -- at every
-// pack width, composed with every thread-sharding setting, on every registry
-// benchmark.
-#include "fault/parallel_fault_sim.hpp"
-
+// The serial engine (one fault at a time, 64 tests per word) is the
+// reference; the PPSFP engine (up to 64 faults per word against the shared
+// good-machine trace) must reproduce its detect counts, detection matrices,
+// and first-detect provenance bit for bit, on every registry benchmark and
+// at every block boundary.
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +19,9 @@
 
 namespace fbt {
 namespace {
+
+constexpr auto kSerial = BroadsideFaultSim::Engine::kSerial;
+constexpr auto kPacked = BroadsideFaultSim::Engine::kPacked;
 
 TestSet random_tests(const Netlist& nl, std::size_t count, std::uint64_t seed) {
   Pcg32 rng(seed);
@@ -39,19 +40,41 @@ TestSet random_tests(const Netlist& nl, std::size_t count, std::uint64_t seed) {
   return tests;
 }
 
-std::vector<std::size_t> thread_counts_under_test() {
-  const std::size_t hw = jobs::JobSystem::resolve_threads(0);
-  std::vector<std::size_t> counts = {1, 2};
-  if (hw != 1 && hw != 2) counts.push_back(hw);
-  return counts;
+/// Counts, newly-complete total, and provenance of one grade() call.
+struct GradeRun {
+  std::vector<std::uint32_t> counts;
+  std::size_t fresh = 0;
+  GradeProvenance prov;
+};
+
+GradeRun grade_with(BroadsideFaultSim::Engine engine, const Netlist& nl,
+                    const TestSet& tests, const TransitionFaultList& faults,
+                    std::vector<std::uint32_t> counts, std::uint32_t limit) {
+  BroadsideFaultSim sim(nl, engine);
+  GradeRun out;
+  out.counts = std::move(counts);
+  out.fresh = sim.grade(tests, faults, out.counts, limit, &out.prov);
+  return out;
 }
 
-constexpr std::uint32_t kWidths[] = {8, 64};
+/// Grades with both engines from the same initial credit and expects
+/// identical results; returns the serial run.
+GradeRun expect_engines_agree(const Netlist& nl, const TestSet& tests,
+                              const TransitionFaultList& faults,
+                              const std::vector<std::uint32_t>& init,
+                              std::uint32_t limit, const std::string& what) {
+  const GradeRun serial = grade_with(kSerial, nl, tests, faults, init, limit);
+  const GradeRun packed = grade_with(kPacked, nl, tests, faults, init, limit);
+  EXPECT_EQ(packed.fresh, serial.fresh) << what;
+  EXPECT_EQ(packed.counts, serial.counts) << what;
+  EXPECT_EQ(packed.prov.first_hits, serial.prov.first_hits) << what;
+  EXPECT_EQ(packed.prov.blocks, serial.prov.blocks) << what;
+  return serial;
+}
 
 // Acceptance criterion: detect counts and first-detect provenance identical
-// to the serial engine for pack widths {1, 8, 64} x threads {1, 2, hw} on
-// every registry benchmark, at a dropping limit (1) and an n-detect limit
-// (3).
+// to the serial engine on every registry benchmark, at a dropping limit (1)
+// and an n-detect limit (3).
 TEST(PpsfpEquivalence, GradeMatchesSerialOnEveryRegistryBenchmark) {
   for (const BenchmarkSpec& spec : benchmark_registry()) {
     const Netlist nl = load_benchmark(spec.name);
@@ -59,35 +82,11 @@ TEST(PpsfpEquivalence, GradeMatchesSerialOnEveryRegistryBenchmark) {
     // Small circuits get several blocks; big ones one block to bound runtime.
     const std::size_t num_tests = spec.num_gates <= 1000 ? 130 : 64;
     const TestSet tests = random_tests(nl, num_tests, spec.seed + 9);
-
     for (const std::uint32_t limit : {1u, 3u}) {
-      BroadsideFaultSim serial(nl);
-      std::vector<std::uint32_t> serial_counts(faults.size(), 0);
-      GradeProvenance serial_prov;
-      const std::size_t serial_new =
-          serial.grade(tests, faults, serial_counts, limit, &serial_prov);
-
-      for (const std::uint32_t width : kWidths) {
-        for (const std::size_t threads : thread_counts_under_test()) {
-          ParallelBroadsideFaultSim packed(nl, threads, nullptr, width);
-          std::vector<std::uint32_t> counts(faults.size(), 0);
-          GradeProvenance prov;
-          const std::size_t fresh =
-              packed.grade(tests, faults, counts, limit, &prov);
-          EXPECT_EQ(fresh, serial_new) << spec.name << " width=" << width
-                                       << " threads=" << threads
-                                       << " limit=" << limit;
-          EXPECT_EQ(counts, serial_counts)
-              << spec.name << " width=" << width << " threads=" << threads
-              << " limit=" << limit;
-          EXPECT_EQ(prov.first_hits, serial_prov.first_hits)
-              << spec.name << " width=" << width << " threads=" << threads
-              << " limit=" << limit;
-          EXPECT_EQ(prov.blocks, serial_prov.blocks)
-              << spec.name << " width=" << width << " threads=" << threads
-              << " limit=" << limit;
-        }
-      }
+      const GradeRun serial = expect_engines_agree(
+          nl, tests, faults, std::vector<std::uint32_t>(faults.size(), 0),
+          limit, spec.name + " limit=" + std::to_string(limit));
+      EXPECT_FALSE(serial.prov.first_hits.empty()) << spec.name;
     }
   }
 }
@@ -100,17 +99,11 @@ TEST(PpsfpEquivalence, DetectionMatrixMatchesSerialOnEveryRegistryBenchmark) {
     const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
     const std::size_t num_tests = spec.num_gates <= 1000 ? 130 : 64;
     const TestSet tests = random_tests(nl, num_tests, spec.seed + 10);
-
-    BroadsideFaultSim serial(nl);
-    const auto serial_matrix = serial.detection_matrix(tests, faults);
-
-    for (const std::uint32_t width : kWidths) {
-      for (const std::size_t threads : thread_counts_under_test()) {
-        ParallelBroadsideFaultSim packed(nl, threads, nullptr, width);
-        EXPECT_EQ(packed.detection_matrix(tests, faults), serial_matrix)
-            << spec.name << " width=" << width << " threads=" << threads;
-      }
-    }
+    BroadsideFaultSim serial(nl, kSerial);
+    BroadsideFaultSim packed(nl, kPacked);
+    EXPECT_EQ(packed.detection_matrix(tests, faults),
+              serial.detection_matrix(tests, faults))
+        << spec.name;
   }
 }
 
@@ -127,23 +120,13 @@ TEST(PpsfpEquivalence, State2OverrideMatchesSerial) {
       tests[i].state2_override.push_back(rng.chance(1, 2));
     }
   }
-
-  BroadsideFaultSim serial(nl);
-  std::vector<std::uint32_t> serial_counts(faults.size(), 0);
-  GradeProvenance serial_prov;
-  serial.grade(tests, faults, serial_counts, 3, &serial_prov);
-  const auto serial_matrix = serial.detection_matrix(tests, faults);
-
-  for (const std::uint32_t width : kWidths) {
-    BroadsideFaultSim packed(nl, width);
-    std::vector<std::uint32_t> counts(faults.size(), 0);
-    GradeProvenance prov;
-    packed.grade(tests, faults, counts, 3, &prov);
-    EXPECT_EQ(counts, serial_counts) << "width=" << width;
-    EXPECT_EQ(prov.first_hits, serial_prov.first_hits) << "width=" << width;
-    EXPECT_EQ(packed.detection_matrix(tests, faults), serial_matrix)
-        << "width=" << width;
-  }
+  expect_engines_agree(nl, tests, faults,
+                       std::vector<std::uint32_t>(faults.size(), 0), 3,
+                       "state2_override");
+  BroadsideFaultSim serial(nl, kSerial);
+  BroadsideFaultSim packed(nl, kPacked);
+  EXPECT_EQ(packed.detection_matrix(tests, faults),
+            serial.detection_matrix(tests, faults));
 }
 
 // The single-query convenience must agree fault by fault, test by test.
@@ -152,8 +135,8 @@ TEST(PpsfpEquivalence, DetectsAgreesWithSerial) {
   const TransitionFaultList faults = TransitionFaultList::uncollapsed(nl);
   const TestSet tests = random_tests(nl, 24, 47);
 
-  BroadsideFaultSim serial(nl);
-  BroadsideFaultSim packed(nl, 64);
+  BroadsideFaultSim serial(nl, kSerial);
+  BroadsideFaultSim packed(nl, kPacked);
   for (const BroadsideTest& t : tests) {
     for (std::size_t f = 0; f < faults.size(); ++f) {
       EXPECT_EQ(packed.detects(t, faults.fault(f)),
@@ -163,12 +146,92 @@ TEST(PpsfpEquivalence, DetectsAgreesWithSerial) {
   }
 }
 
-TEST(PpsfpEquivalence, PackWidthIsClampedToLaneRange) {
+class GradeEdgeCases : public ::testing::TestWithParam<std::size_t> {};
+
+// Block-boundary test counts: 1, 63, 64, 65 tests (and a 3-block set).
+TEST_P(GradeEdgeCases, EnginesAgreeAtBlockBoundaries) {
   const Netlist nl = make_s27();
-  EXPECT_EQ(BroadsideFaultSim(nl, 0).fault_pack_width(), 1u);
-  EXPECT_EQ(BroadsideFaultSim(nl, 1).fault_pack_width(), 1u);
-  EXPECT_EQ(BroadsideFaultSim(nl, 17).fault_pack_width(), 17u);
-  EXPECT_EQ(BroadsideFaultSim(nl, 200).fault_pack_width(), 64u);
+  const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
+  const TestSet tests = random_tests(nl, GetParam(), 11);
+  for (const std::uint32_t limit : {1u, 3u}) {
+    expect_engines_agree(nl, tests, faults,
+                         std::vector<std::uint32_t>(faults.size(), 0), limit,
+                         "limit=" + std::to_string(limit));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockBoundaries, GradeEdgeCases,
+                         ::testing::Values(1u, 63u, 64u, 65u, 130u));
+
+TEST(GradeEdgeCases, AllFaultsSaturatedUpFrontLoadsNothing) {
+  // Saturate every fault up front: grade must return 0, change nothing, and
+  // load no blocks (the active list starts empty).
+  const Netlist nl = make_s27();
+  const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
+  const TestSet tests = random_tests(nl, 256, 13);
+  const std::vector<std::uint32_t> saturated(faults.size(), 1);
+  for (const auto engine : {kSerial, kPacked}) {
+    const GradeRun run = grade_with(engine, nl, tests, faults, saturated, 1);
+    EXPECT_EQ(run.fresh, 0u);
+    EXPECT_EQ(run.counts, saturated);
+    EXPECT_TRUE(run.prov.blocks.empty());
+  }
+}
+
+TEST(GradeEdgeCases, HalfSaturatedUpFrontMatchesSerial) {
+  // Faults that start at the limit never enter the active list; the
+  // survivors still span several blocks.
+  const Netlist nl = make_s27();
+  const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
+  const TestSet tests = random_tests(nl, 130, 29);  // three blocks
+  const std::size_t half = faults.size() / 2;
+  for (const bool saturate_low : {true, false}) {
+    std::vector<std::uint32_t> init(faults.size(), 0);
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      if ((f < half) == saturate_low) init[f] = 4;
+    }
+    const GradeRun serial = expect_engines_agree(
+        nl, tests, faults, init, 4,
+        "low=" + std::to_string(saturate_low));
+    EXPECT_GT(serial.prov.blocks.size(), 1u);
+  }
+}
+
+TEST(GradeEdgeCases, DroppedFaultsStopAccumulatingMidSet) {
+  // detect_limit == 1: every fault detected by an early block must keep
+  // exactly count 1 no matter how many later tests also detect it.
+  const Netlist nl = make_s27();
+  const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
+  TestSet tests = random_tests(nl, 64, 17);
+  const std::size_t base = tests.size();
+  for (std::size_t i = 0; i < base; ++i) tests.push_back(tests[i]);  // repeat
+  const GradeRun serial = expect_engines_agree(
+      nl, tests, faults, std::vector<std::uint32_t>(faults.size(), 0), 1,
+      "repeated set");
+  for (const std::uint32_t c : serial.counts) EXPECT_LE(c, 1u);
+}
+
+TEST(GradeEdgeCases, CarriesDetectionCreditInAndOut) {
+  // A second grade of the same tests starts from the first one's counts.
+  const Netlist nl = make_s27();
+  const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
+  const TestSet tests = random_tests(nl, 96, 3);
+  const GradeRun first = expect_engines_agree(
+      nl, tests, faults, std::vector<std::uint32_t>(faults.size(), 0), 4,
+      "first pass");
+  const GradeRun second =
+      expect_engines_agree(nl, tests, faults, first.counts, 4, "second pass");
+  // Every fault already has credit, so none is "first detected" again.
+  EXPECT_FALSE(first.prov.first_hits.empty());
+  EXPECT_TRUE(second.prov.first_hits.empty());
+  // First hits are sorted by fault index and name a test inside the set.
+  for (std::size_t i = 1; i < first.prov.first_hits.size(); ++i) {
+    EXPECT_LT(first.prov.first_hits[i - 1].fault,
+              first.prov.first_hits[i].fault);
+  }
+  for (const FirstDetectHit& hit : first.prov.first_hits) {
+    EXPECT_LT(hit.test, tests.size());
+  }
 }
 
 #if FBT_OBS_ENABLED
@@ -184,13 +247,13 @@ TEST(PpsfpEquivalence, PackEfficiencyCountersTrackThePackedEngineOnly) {
     return obs::registry().counter("fault.pack_lanes_wasted").value();
   };
 
-  BroadsideFaultSim serial(nl);
+  BroadsideFaultSim serial(nl, kSerial);
   std::vector<std::uint32_t> counts(faults.size(), 0);
   const std::uint64_t groups0 = groups();
   serial.grade(tests, faults, counts, 3);
   EXPECT_EQ(groups(), groups0);  // serial engine never packs
 
-  BroadsideFaultSim packed(nl, 64);
+  BroadsideFaultSim packed(nl, kPacked);
   std::fill(counts.begin(), counts.end(), 0);
   const std::uint64_t groups1 = groups();
   const std::uint64_t wasted1 = wasted();
@@ -198,7 +261,7 @@ TEST(PpsfpEquivalence, PackEfficiencyCountersTrackThePackedEngineOnly) {
   const std::uint64_t simulated = groups() - groups1;
   const std::uint64_t idle = wasted() - wasted1;
   EXPECT_GT(simulated, 0u);
-  // Wasted lanes are bounded by the lanes offered: groups x width.
+  // Wasted lanes are bounded by the lanes offered: groups x 64.
   EXPECT_LT(idle, simulated * 64);
 }
 #endif

@@ -2,6 +2,8 @@
 
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -183,56 +185,51 @@ TEST(BistFlow, SequenceReductionPreservesCoverage) {
   EXPECT_EQ(covered, reduced.detected);
 }
 
-TEST(BistFlow, ParallelGradingReproducesTheSerialFlowExactly) {
-  // num_threads only shards the fault grading; every committed segment,
-  // every detect count, and the reduced sequence set must match the serial
-  // flow bit for bit.
-  BistExperimentConfig cfg = small_experiment("s298", "buffers");
-  cfg.num_threads = 1;
-  const BistExperimentResult serial = run_bist_experiment(cfg);
-  cfg.num_threads = 2;
-  const BistExperimentResult parallel = run_bist_experiment(cfg);
-
-  EXPECT_EQ(parallel.detect_count, serial.detect_count);
-  EXPECT_EQ(parallel.detected, serial.detected);
-  EXPECT_EQ(parallel.run.num_seeds, serial.run.num_seeds);
-  EXPECT_EQ(parallel.run.num_tests, serial.run.num_tests);
-  ASSERT_EQ(parallel.run.sequences.size(), serial.run.sequences.size());
-  for (std::size_t s = 0; s < serial.run.sequences.size(); ++s) {
-    const auto& ps = parallel.run.sequences[s].segments;
-    const auto& ss = serial.run.sequences[s].segments;
-    ASSERT_EQ(ps.size(), ss.size());
-    for (std::size_t i = 0; i < ss.size(); ++i) {
-      EXPECT_EQ(ps[i].seed, ss[i].seed);
-      EXPECT_EQ(ps[i].length, ss[i].length);
+/// (seed, length) of every committed segment, sequence by sequence.
+std::vector<std::vector<std::pair<std::uint32_t, std::size_t>>> segments_of(
+    const BistExperimentResult& r) {
+  std::vector<std::vector<std::pair<std::uint32_t, std::size_t>>> out;
+  for (const SequenceRecord& seq : r.run.sequences) {
+    out.emplace_back();
+    for (const SegmentRecord& seg : seq.segments) {
+      out.back().emplace_back(seg.seed, seg.length);
     }
   }
+  return out;
 }
 
-TEST(BistFlow, PackedGradingReproducesTheSerialFlowExactly) {
-  // fault_pack_width selects the grading engine (serial reference at 1,
-  // PPSFP at 64) for every fault-grading step of the flow; the generated
-  // plan must be bit-identical either way.
-  BistExperimentConfig cfg = small_experiment("s298", "buffers");
-  cfg.fault_pack_width = 1;
-  const BistExperimentResult serial = run_bist_experiment(cfg);
-  cfg.fault_pack_width = 64;
-  const BistExperimentResult packed = run_bist_experiment(cfg);
+TEST(BistFlow, PoolSizeLeavesTheFlowBitIdentical) {
+  // The pool runs the artifact tasks; construction and reduction run on the
+  // calling thread. One worker or four, every committed segment, detect
+  // count, and first-detect attribution must match.
+  const BistExperimentConfig cfg = small_experiment("s298", "buffers");
+  jobs::JobSystem one(1);
+  jobs::JobSystem four(4);
+  const BistExperimentResult a =
+      run_bist_experiment(cfg, one, ExperimentArtifacts{});
+  const BistExperimentResult b =
+      run_bist_experiment(cfg, four, ExperimentArtifacts{});
+  EXPECT_EQ(b.detect_count, a.detect_count);
+  EXPECT_EQ(b.run.first_detect, a.run.first_detect);
+  EXPECT_EQ(segments_of(b), segments_of(a));
+  EXPECT_EQ(b.run.num_tests, a.run.num_tests);
+}
 
-  EXPECT_EQ(packed.detect_count, serial.detect_count);
-  EXPECT_EQ(packed.detected, serial.detected);
-  EXPECT_EQ(packed.run.num_seeds, serial.run.num_seeds);
-  EXPECT_EQ(packed.run.num_tests, serial.run.num_tests);
-  ASSERT_EQ(packed.run.sequences.size(), serial.run.sequences.size());
-  for (std::size_t s = 0; s < serial.run.sequences.size(); ++s) {
-    const auto& ps = packed.run.sequences[s].segments;
-    const auto& ss = serial.run.sequences[s].segments;
-    ASSERT_EQ(ps.size(), ss.size());
-    for (std::size_t i = 0; i < ss.size(); ++i) {
-      EXPECT_EQ(ps[i].seed, ss[i].seed);
-      EXPECT_EQ(ps[i].length, ss[i].length);
-    }
-  }
+TEST(BistFlow, NoOpConfigFieldsAreInert) {
+  // num_threads, fault_pack_width, and speculation_lanes remain only so old
+  // callers compile; no value of them may change a result.
+  BistExperimentConfig cfg = small_experiment("s298", "buffers");
+  const BistExperimentResult reference = run_bist_experiment(cfg);
+  cfg.num_threads = 7;
+  cfg.fault_pack_width = 1;
+  cfg.speculation_lanes = 1;
+  cfg.generation.num_threads = 7;
+  cfg.generation.fault_pack_width = 1;
+  cfg.generation.speculation_lanes = 1;
+  const BistExperimentResult knobbed = run_bist_experiment(cfg);
+  EXPECT_EQ(knobbed.detect_count, reference.detect_count);
+  EXPECT_EQ(knobbed.run.first_detect, reference.run.first_detect);
+  EXPECT_EQ(segments_of(knobbed), segments_of(reference));
 }
 
 TEST(BistFlow, EmitsRtlThatTracksTheGeneratedPlan) {

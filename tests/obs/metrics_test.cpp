@@ -152,9 +152,9 @@ TEST(RegisterCoreCounters, CoreNamesAlwaysPresent) {
        {"sim.seqsim_gates_evaluated", "sim.bitsim_gates_evaluated",
         "bist.lfsr_cycles", "bist.tests_extracted", "atpg.podem_backtracks",
         "fault.faults_dropped", "flow.faults_detected",
-        // Parallel grading: must appear as zero in serial runs, not be
-        // omitted.
-        "fault.parallel_shards_graded",
+        // PPSFP pack efficiency: must appear as zero in runs that never
+        // grade, not be omitted.
+        "fault.pack_groups_simulated",
         // Scheduler telemetry (PR 10): report consumers rely on the jobs
         // section existing even for single-threaded runs.
         "jobs.submitted", "jobs.executed", "jobs.steals", "jobs.busy_us"}) {
@@ -163,8 +163,7 @@ TEST(RegisterCoreCounters, CoreNamesAlwaysPresent) {
     EXPECT_TRUE(found) << name;
   }
   for (const char* name :
-       {"fault.parallel_threads", "flow.num_threads",
-        "flow.fault_coverage_percent", "flow.num_tests", "flow.num_seeds",
+       {"flow.fault_coverage_percent", "flow.num_tests", "flow.num_seeds",
         "jobs.workers", "jobs.queue_depth"}) {
     bool found = false;
     for (const GaugeSample& g : snap.gauges) found |= g.name == name;

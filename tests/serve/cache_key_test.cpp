@@ -120,21 +120,6 @@ TEST(CacheKey, ExperimentKeyFlipsOnResultAffectingFields) {
   EXPECT_NE(experiment_cache_key(driver, target, base), base_key);
 }
 
-TEST(CacheKey, ExperimentKeyIgnoresParallelismKnobs) {
-  // num_threads and fault_pack_width are result-neutral by the determinism
-  // discipline, so a warm cache must answer any parallelism setting.
-  const CacheKey target = KeyBuilder().str("t").finish();
-  const CacheKey driver = KeyBuilder().str("d").finish();
-  BistExperimentConfig a = base_config();
-  BistExperimentConfig b = base_config();
-  b.num_threads = 8;
-  b.fault_pack_width = 1;
-  b.generation.num_threads = 8;
-  b.generation.fault_pack_width = 8;
-  EXPECT_EQ(experiment_cache_key(target, driver, a),
-            experiment_cache_key(target, driver, b));
-}
-
 TEST(CacheKey, DerivedArtifactKeysAreDistinctPerKind) {
   const CacheKey target = KeyBuilder().str("t").finish();
   const CacheKey driver = KeyBuilder().str("d").finish();

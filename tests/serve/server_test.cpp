@@ -183,36 +183,6 @@ TEST(ExperimentService, WarmHitIsBitIdenticalToColdMiss) {
   EXPECT_GE(fx.cache.stats().hits, 1u);
 }
 
-TEST(ExperimentService, WarmHitAcrossParallelismKnobs) {
-  // num_threads is excluded from experiment keys (results are bit-identical
-  // across it), so the repeat at a different parallelism setting is a
-  // legitimate warm hit.
-  Fixture fx;
-  ExperimentRequest request = small_request();
-  bool hit = true;
-  const ExperimentSummary cold = fx.service.run_experiment(request, &hit);
-  ASSERT_FALSE(hit);
-  request.config.num_threads = 3;
-  const ExperimentSummary warm = fx.service.run_experiment(request, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(hash_detect_counts(cold.detect_count),
-            hash_detect_counts(warm.detect_count));
-  EXPECT_EQ(hash_first_detects(cold.first_detect),
-            hash_first_detects(warm.first_detect));
-
-  // fault_pack_width only changes how faults are packed into lane words
-  // (PPSFP vs the serial reference engine), never the results -- a repeat at
-  // a different width is the same experiment.
-  request.config.fault_pack_width = 1;
-  request.config.generation.fault_pack_width = 1;
-  const ExperimentSummary repacked = fx.service.run_experiment(request, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(hash_detect_counts(cold.detect_count),
-            hash_detect_counts(repacked.detect_count));
-  EXPECT_EQ(hash_first_detects(cold.first_detect),
-            hash_first_detects(repacked.first_detect));
-}
-
 TEST(ExperimentService, ConfigChangeIsAFreshMiss) {
   Fixture fx;
   ExperimentRequest request = small_request();
@@ -305,6 +275,50 @@ TEST(ExperimentService, InlineNetlistSharesKeyWithTextualVariant) {
             hash_detect_counts(warm.detect_count));
 }
 
+/// The quoted string value of `"key": "..."` in a response line.
+std::string string_field(const std::string& line, const std::string& key) {
+  const std::string open = "\"" + key + "\": \"";
+  const std::size_t at = line.find(open);
+  if (at == std::string::npos) return {};
+  const std::size_t begin = at + open.size();
+  return line.substr(begin, line.find('"', begin) - begin);
+}
+
+/// Last response line of an s298 experiment request whose config carries
+/// `extra` after the fixed fields.
+std::string serve_s298(Fixture& fx, const std::string& extra) {
+  std::vector<std::string> lines;
+  fx.service.handle_line(
+      "{\"type\": \"experiment\", \"id\": \"h\", \"target\": \"s298\", "
+      "\"stream_progress\": false, \"config\": {\"cal_sequences\": 4, "
+      "\"cal_length\": 400, \"segment_length\": 200, "
+      "\"max_segment_failures\": 2, \"max_sequence_failures\": 2, "
+      "\"rng_seed\": 19" +
+          extra + "}}",
+      [&lines](const std::string& l) { lines.push_back(l); });
+  return lines.empty() ? std::string() : lines.back();
+}
+
+TEST(ExperimentService, HugeNumThreadsIsServedLikeTheDefault) {
+  // The protocol no longer reads num_threads; a value that once sized a
+  // per-thread simulator array must be served cold with the default's
+  // results, and it keys the same experiment as the default.
+  Fixture fx;
+  const std::string huge = serve_s298(fx, ", \"num_threads\": 100000");
+  EXPECT_EQ(string_field(huge, "type"), "result") << huge;
+  EXPECT_EQ(string_field(huge, "cache"), "miss");
+  EXPECT_EQ(string_field(serve_s298(fx, ""), "cache"), "hit");
+
+  Fixture fresh;
+  const std::string plain = serve_s298(fresh, "");
+  EXPECT_EQ(string_field(plain, "cache"), "miss");
+  EXPECT_FALSE(string_field(plain, "detect_hash").empty()) << plain;
+  EXPECT_EQ(string_field(huge, "detect_hash"),
+            string_field(plain, "detect_hash"));
+  EXPECT_EQ(string_field(huge, "first_detect_hash"),
+            string_field(plain, "first_detect_hash"));
+}
+
 /// Connects a client to `path`; -1 on failure. Reads time out after 30 s so
 /// a server that never answers fails the test instead of hanging it.
 int connect_client(const std::string& path) {
@@ -389,6 +403,31 @@ TEST(SocketServer, OversizedRequestLineGetsOneErrorAndIsClosed) {
   EXPECT_NE(read_until_closed(next).find("\"type\": \"pong\""),
             std::string::npos);
   ::close(next);
+}
+
+TEST(SocketServer, FinishedConnectionsAreReaped) {
+  Fixture fx;
+  RunningServer running(fx.service, ::testing::TempDir() + "fbt_serve_reap_" +
+                                        std::to_string(::getpid()) + ".sock");
+  std::string error;
+  ASSERT_TRUE(running.server.start(error)) << error;
+  running.accept_loop =
+      std::thread([&running] { running.server.serve_forever(); });
+  const std::string& path = running.server.socket_path();
+
+  // The server closes its end only after releasing the connection, so each
+  // EOF below means that connection has finished; the next accept joins it.
+  for (int i = 0; i < 200; ++i) {
+    const int fd = connect_client(path);
+    ASSERT_GE(fd, 0) << i;
+    send_all(fd, "{\"type\": \"ping\", \"id\": \"r\"}\n");
+    ::shutdown(fd, SHUT_WR);
+    ASSERT_NE(read_until_closed(fd).find("\"type\": \"pong\""),
+              std::string::npos)
+        << i;
+    ::close(fd);
+  }
+  EXPECT_LE(running.server.tracked_connections(), 1u);
 }
 
 TEST(SocketServer, RequestLineBoundFitsEveryRegistryCircuitInline) {

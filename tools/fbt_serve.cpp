@@ -17,7 +17,6 @@
 //                     [--no-progress] [--cal-sequences N] [--cal-length N]
 //                     [--segment-length N] [--max-segment-failures N]
 //                     [--max-sequence-failures N] [--rng-seed N]
-//                     [--num-threads N] [--fault-pack-width N]
 //       Connects, sends one experiment request (or the raw --json line),
 //       prints every response line, and exits when the result (or an error)
 //       arrives. Exit codes: 0 result received, 1 server error, 2 usage/IO.
@@ -190,9 +189,6 @@ std::string build_request_line(const fbt::Cli& cli) {
   line += ", \"max_sequence_failures\": " +
           std::to_string(cli.get_int("max-sequence-failures", 2));
   line += ", \"rng_seed\": " + std::to_string(cli.get_int("rng-seed", 19));
-  line += ", \"num_threads\": " + std::to_string(cli.get_int("num-threads", 1));
-  line += ", \"fault_pack_width\": " +
-          std::to_string(cli.get_int("fault-pack-width", 64));
   line += "}}";
   return line;
 }
