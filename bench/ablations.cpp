@@ -10,8 +10,8 @@
 //     cycles the stricter bound rejects.
 //  C. n-detect (§4.1): built-in generation naturally accumulates n-detect
 //     coverage as more tests are applied.
-//  D. Seed-set reduction (§4.3 / [89]): sequences kept before/after the
-//     forward-looking reduction at equal coverage.
+//  D. Seed-set reduction (§4.3): sequences kept before/after the
+//     reverse-order reduction at equal coverage.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
     cfg.generation.segment_length = 512;
     cfg.generation.rng_seed = 77;
     const fbt::BistExperimentResult r = fbt::run_bist_experiment(cfg);
-    fbt::Table table("Ablation D: forward-looking sequence reduction");
+    fbt::Table table("Ablation D: reverse-order sequence reduction");
     table.set_header({"", "Sequences", "Seeds", "Tests"});
     table.add_row({"constructed",
                    std::to_string(r.sequences_before_reduction),

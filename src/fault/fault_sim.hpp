@@ -60,18 +60,6 @@ struct GradeProvenance {
   std::vector<GradeBlockStat> blocks;
 };
 
-/// Bytes owned by a detection matrix as returned by detection_matrix()
-/// (resource telemetry; counts content, not allocator slack).
-inline std::uint64_t detection_matrix_footprint_bytes(
-    const std::vector<std::vector<std::uint64_t>>& matrix) {
-  std::uint64_t bytes =
-      sizeof(matrix) + matrix.size() * sizeof(std::vector<std::uint64_t>);
-  for (const std::vector<std::uint64_t>& row : matrix) {
-    bytes += row.size() * sizeof(std::uint64_t);
-  }
-  return bytes;
-}
-
 class BroadsideFaultSim {
  public:
   /// Propagation engine. Both give bit-identical results.

@@ -99,7 +99,8 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
 
   if (config.reduce_sequences && result.run.sequences.size() > 1) {
     // Map each test to its multi-segment sequence and drop sequences that
-    // detect nothing new (forward-looking fault simulation, §4.3/[89]).
+    // detect nothing new (reverse-order fault simulation with dropping,
+    // §4.3).
     // Only whole sequences may be dropped: segments within a sequence share
     // one state trajectory.
     std::vector<std::size_t> group_of;

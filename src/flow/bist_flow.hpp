@@ -30,7 +30,7 @@ struct BistExperimentConfig {
   ScanConfig scan;
   /// §4.3's seed-set reduction: after construction, drop whole multi-segment
   /// sequences whose tests detect nothing the kept sequences miss
-  /// (forward-looking fault simulation over sequence groups).
+  /// (reverse-order fault simulation with dropping over sequence groups).
   bool reduce_sequences = true;
   /// No-ops, like their FunctionalBistConfig namesakes; kept only so
   /// existing callers that assign them still compile. Every fault-grading

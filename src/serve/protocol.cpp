@@ -1,6 +1,8 @@
 #include "serve/protocol.hpp"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "obs/json.hpp"
 #include "obs/run_report.hpp"
@@ -10,16 +12,25 @@ namespace fbt::serve {
 
 namespace {
 
-double num_or(const obs::JsonValue& obj, const std::string& key,
-              double fallback) {
+// Reads the unsigned integer config field `key` into `field`; an absent or
+// non-numeric member leaves `field` as it is. A value that is negative,
+// fractional, or above `max` (by default the field type's own range) fails
+// with `error` instead of being truncated into range.
+template <typename T>
+bool read_uint(const obs::JsonValue& obj, const char* key, T& field,
+               std::string& error,
+               std::uint64_t max = std::numeric_limits<T>::max()) {
   const obs::JsonValue* v = obj.find(key);
-  return v != nullptr ? v->as_number(fallback) : fallback;
-}
-
-std::uint64_t uint_or(const obs::JsonValue& obj, const std::string& key,
-                      std::uint64_t fallback) {
-  return static_cast<std::uint64_t>(
-      num_or(obj, key, static_cast<double>(fallback)));
+  if (v == nullptr || !v->is_number()) return true;
+  const double x = v->number;
+  if (!(x >= 0.0) || x != std::floor(x) || x >= 0x1p64 ||
+      static_cast<std::uint64_t>(x) > max) {
+    error = std::string("config \"") + key +
+            "\" must be an integer in [0, " + std::to_string(max) + "]";
+    return false;
+  }
+  field = static_cast<T>(x);
+  return true;
 }
 
 bool bool_or(const obs::JsonValue& obj, const std::string& key,
@@ -93,37 +104,34 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
   if (const obs::JsonValue* c = doc.find("config"); c != nullptr &&
                                                     c->is_object()) {
     const obs::JsonValue& o = *c;
-    cfg.calibration.num_sequences =
-        uint_or(o, "cal_sequences", cfg.calibration.num_sequences);
-    cfg.calibration.sequence_length =
-        uint_or(o, "cal_length", cfg.calibration.sequence_length);
-    cfg.calibration.rng_seed =
-        uint_or(o, "cal_rng_seed", cfg.calibration.rng_seed);
-    cfg.calibration.tpg.lfsr_stages = static_cast<unsigned>(
-        uint_or(o, "cal_lfsr_stages", cfg.calibration.tpg.lfsr_stages));
-    cfg.calibration.tpg.bias_bits = static_cast<unsigned>(
-        uint_or(o, "cal_bias_bits", cfg.calibration.tpg.bias_bits));
-    cfg.generation.tpg.lfsr_stages = static_cast<unsigned>(
-        uint_or(o, "tpg_lfsr_stages", cfg.generation.tpg.lfsr_stages));
-    cfg.generation.tpg.bias_bits = static_cast<unsigned>(
-        uint_or(o, "tpg_bias_bits", cfg.generation.tpg.bias_bits));
-    cfg.generation.segment_length =
-        uint_or(o, "segment_length", cfg.generation.segment_length);
-    cfg.generation.max_segment_failures = uint_or(
-        o, "max_segment_failures", cfg.generation.max_segment_failures);
-    cfg.generation.max_sequence_failures = uint_or(
-        o, "max_sequence_failures", cfg.generation.max_sequence_failures);
-    cfg.generation.rng_seed = uint_or(o, "rng_seed", cfg.generation.rng_seed);
-    cfg.generation.detect_limit = static_cast<std::uint32_t>(
-        uint_or(o, "detect_limit", cfg.generation.detect_limit));
-    cfg.scan.max_chains = uint_or(o, "scan_max_chains", cfg.scan.max_chains);
-    cfg.scan.min_chain_length =
-        uint_or(o, "scan_min_chain_length", cfg.scan.min_chain_length);
+    const bool in_range =
+        read_uint(o, "cal_sequences", cfg.calibration.num_sequences, error,
+                  kMaxCalSequences) &&
+        read_uint(o, "cal_length", cfg.calibration.sequence_length, error,
+                  kMaxCalLength) &&
+        read_uint(o, "cal_rng_seed", cfg.calibration.rng_seed, error) &&
+        read_uint(o, "cal_lfsr_stages", cfg.calibration.tpg.lfsr_stages,
+                  error) &&
+        read_uint(o, "cal_bias_bits", cfg.calibration.tpg.bias_bits, error) &&
+        read_uint(o, "tpg_lfsr_stages", cfg.generation.tpg.lfsr_stages,
+                  error) &&
+        read_uint(o, "tpg_bias_bits", cfg.generation.tpg.bias_bits, error) &&
+        read_uint(o, "segment_length", cfg.generation.segment_length, error,
+                  kMaxSegmentLength) &&
+        read_uint(o, "max_segment_failures",
+                  cfg.generation.max_segment_failures, error) &&
+        read_uint(o, "max_sequence_failures",
+                  cfg.generation.max_sequence_failures, error) &&
+        read_uint(o, "rng_seed", cfg.generation.rng_seed, error) &&
+        read_uint(o, "detect_limit", cfg.generation.detect_limit, error) &&
+        read_uint(o, "scan_max_chains", cfg.scan.max_chains, error) &&
+        read_uint(o, "scan_min_chain_length", cfg.scan.min_chain_length,
+                  error) &&
+        read_uint(o, "rtl_misr_stages", cfg.rtl_misr_stages, error);
+    if (!in_range) return false;
     cfg.reduce_sequences =
         bool_or(o, "reduce_sequences", cfg.reduce_sequences);
     cfg.emit_rtl = bool_or(o, "emit_rtl", cfg.emit_rtl);
-    cfg.rtl_misr_stages = static_cast<unsigned>(
-        uint_or(o, "rtl_misr_stages", cfg.rtl_misr_stages));
   }
   return true;
 }

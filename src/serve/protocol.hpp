@@ -52,9 +52,20 @@ struct Request {
   ExperimentRequest experiment;  ///< valid when type == kExperiment
 };
 
+/// Caps on the config fields that size a request's work: segment_length (L),
+/// cal_length and cal_sequences. They leave ample room over the
+/// dissertation's largest settings (L <= 18000; 30 calibration sequences of
+/// 30000 cycles) while keeping one request from reserving unbounded memory
+/// or simulating for days.
+inline constexpr std::uint64_t kMaxSegmentLength = std::uint64_t{1} << 16;
+inline constexpr std::uint64_t kMaxCalLength = std::uint64_t{1} << 18;
+inline constexpr std::uint64_t kMaxCalSequences = 256;
+
 /// Parses one request line. Returns false and fills `error` on malformed
-/// input (unknown type, bad JSON, missing target). Config fields absent
-/// from the request keep BistExperimentConfig defaults.
+/// input (unknown type, bad JSON, missing target) and on an unsigned config
+/// field that is negative, fractional, outside its field's type, or above
+/// its cap. Config fields absent from the request keep BistExperimentConfig
+/// defaults.
 bool parse_request(const std::string& line, Request& out, std::string& error);
 
 /// Hex fingerprint of the per-fault detect-count vector.

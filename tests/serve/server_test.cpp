@@ -319,6 +319,25 @@ TEST(ExperimentService, HugeNumThreadsIsServedLikeTheDefault) {
             string_field(plain, "first_detect_hash"));
 }
 
+TEST(ExperimentService, OutOfRangeConfigGetsAnErrorResponse) {
+  // 2^32 + 5 once narrowed to a 5-stage LFSR and was served and cached as
+  // that; a segment length past the cap once went straight into reserve().
+  Fixture fx;
+  for (const std::string& config :
+       {std::string("\"tpg_lfsr_stages\": 4294967301"),
+        "\"segment_length\": " + std::to_string(kMaxSegmentLength + 2)}) {
+    std::vector<std::string> lines;
+    EXPECT_TRUE(fx.service.handle_line(
+        "{\"type\": \"experiment\", \"id\": \"r\", \"target\": "
+        "\"s298\", \"stream_progress\": false, \"config\": {" +
+            config + "}}",
+        [&lines](const std::string& l) { lines.push_back(l); }));
+    ASSERT_EQ(lines.size(), 1u) << config;
+    EXPECT_EQ(string_field(lines[0], "type"), "error") << lines[0];
+  }
+  EXPECT_EQ(fx.cache.stats().entries, 0u);
+}
+
 /// Connects a client to `path`; -1 on failure. Reads time out after 30 s so
 /// a server that never answers fails the test instead of hanging it.
 int connect_client(const std::string& path) {
