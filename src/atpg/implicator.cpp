@@ -45,7 +45,8 @@ bool Implicator::imply_gate(Frame frame, NodeId gate) {
     const Val3* plane =
         values_.data() + static_cast<std::size_t>(frame) * netlist_->size();
     const Val3 computed =
-        eval_gate3_indexed(g.type, g.fanins.data(), g.fanins.size(), plane);
+        eval_gate<Val3>(g.type, g.fanins.size(),
+                        [&](std::size_t k) { return plane[g.fanins[k]]; });
     if (!set_value(out_idx, computed)) return false;
   }
 

@@ -9,7 +9,6 @@ namespace fbt {
 
 PodemEngine::PodemEngine(const Netlist& netlist, const PodemConfig& config)
     : netlist_(&netlist),
-      flat_(netlist),
       config_(config),
       rng_(config.rng_seed, 0x2545f4914f6cdd1dULL) {
   require(netlist.finalized(), "PodemEngine", "netlist must be finalized");
@@ -39,7 +38,6 @@ bool PodemEngine::preassign(std::span<const Assignment> assignments) {
 
 void PodemEngine::simulate() {
   const Netlist& nl = *netlist_;
-  const NodeId* ids = flat_.fanin_ids();
   for (int f = 0; f < 2; ++f) {
     const auto frame = static_cast<Frame>(f);
     Val3* vals = good_.data() + static_cast<std::size_t>(frame) * nl.size();
@@ -54,12 +52,7 @@ void PodemEngine::simulate() {
         vals[ff] = good_[idx({Frame::k1, nl.dff_input(ff)})];
       }
     }
-    for (const NodeId id : flat_.const0_nodes()) vals[id] = Val3::k0;
-    for (const NodeId id : flat_.const1_nodes()) vals[id] = Val3::k1;
-    // Gates.
-    for (const FlatFanins::Entry& e : flat_.entries()) {
-      vals[e.node] = eval_gate3_indexed(e.type, ids + e.first, e.count, vals);
-    }
+    settle(nl, vals);
   }
 }
 
@@ -71,18 +64,10 @@ void PodemEngine::simulate_faulty(const TransitionFault& fault,
   // Frame-2 sources (the faulty circuit shares frame 1 with the good one).
   for (const NodeId pi : nl.inputs()) out[pi] = good_[idx({Frame::k2, pi})];
   for (const NodeId ff : nl.flops()) out[ff] = good_[idx({Frame::k2, ff})];
-  for (const NodeId id : flat_.const0_nodes()) out[id] = Val3::k0;
-  for (const NodeId id : flat_.const1_nodes()) out[id] = Val3::k1;
   if (!is_combinational(nl.type(fault.line))) out[fault.line] = forced;
-  const NodeId* ids = flat_.fanin_ids();
-  Val3* vals = out.data();
-  for (const FlatFanins::Entry& e : flat_.entries()) {
-    if (e.node == fault.line) {
-      vals[e.node] = forced;
-      continue;
-    }
-    vals[e.node] = eval_gate3_indexed(e.type, ids + e.first, e.count, vals);
-  }
+  settle(nl, out.data(), [&](NodeId id) {
+    if (id == fault.line) out[id] = forced;
+  });
 }
 
 PodemEngine::GoalState PodemEngine::goal_state(

@@ -23,7 +23,6 @@
 #include "atpg/two_frame.hpp"
 #include "fault/broadside_test.hpp"
 #include "fault/fault.hpp"
-#include "netlist/flat_fanins.hpp"
 #include "sim/value.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -110,7 +109,6 @@ class PodemEngine {
   std::pair<FrameNode, Val3> backtrace(FrameNode node, Val3 want);
 
   const Netlist* netlist_;
-  FlatFanins flat_;
   PodemConfig config_;
   Pcg32 rng_;
 

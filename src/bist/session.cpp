@@ -29,20 +29,9 @@ class FaultySettler {
     for (std::size_t i = 0; i < state.size(); ++i) {
       values_[netlist_->flops()[i]] = state[i];
     }
-    for (NodeId id = 0; id < netlist_->size(); ++id) {
-      const GateType t = netlist_->type(id);
-      if (t == GateType::kConst0) values_[id] = 0;
-      if (t == GateType::kConst1) values_[id] = 1;
-    }
     maybe_force(faulty_line_, /*is_source=*/true);
-    std::vector<std::uint8_t> fanins;
-    for (const NodeId id : netlist_->eval_order()) {
-      const Gate& g = netlist_->gate(id);
-      fanins.clear();
-      for (const NodeId f : g.fanins) fanins.push_back(values_[f]);
-      values_[id] = eval_gate2(g.type, fanins);
-      maybe_force(id, /*is_source=*/false);
-    }
+    fbt::settle(*netlist_, values_.data(),
+                [&](NodeId id) { maybe_force(id, /*is_source=*/false); });
   }
 
   std::uint8_t value(NodeId id) const { return values_[id]; }

@@ -59,20 +59,14 @@ bool window_detects(const ClockDomains& domains, const MultiCycleTest& test,
   std::vector<std::uint8_t> site_history;  // good site values, oldest first
   site_history.reserve(delay);
 
-  std::vector<std::uint8_t> fanins;
-  auto settle = [&](std::vector<std::uint8_t>& vals,
-                    const std::vector<std::uint8_t>& state,
-                    const std::vector<std::uint8_t>& pi, bool faulty) {
+  auto settle_machine = [&](std::vector<std::uint8_t>& vals,
+                            const std::vector<std::uint8_t>& state,
+                            const std::vector<std::uint8_t>& pi, bool faulty) {
     for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
       vals[nl.inputs()[i]] = pi[i];
     }
     for (std::size_t i = 0; i < nl.num_flops(); ++i) {
       vals[nl.flops()[i]] = state[i];
-    }
-    for (NodeId id = 0; id < nl.size(); ++id) {
-      const GateType t = nl.type(id);
-      if (t == GateType::kConst0) vals[id] = 0;
-      if (t == GateType::kConst1) vals[id] = 1;
     }
     auto force = [&](NodeId id) {
       if (!faulty || id != fault.line) return;
@@ -89,18 +83,12 @@ bool window_detects(const ClockDomains& domains, const MultiCycleTest& test,
       vals[id] = folded;
     };
     if (!is_combinational(nl.gate(fault.line).type)) force(fault.line);
-    for (const NodeId id : nl.eval_order()) {
-      const Gate& g = nl.gate(id);
-      fanins.clear();
-      for (const NodeId f : g.fanins) fanins.push_back(vals[f]);
-      vals[id] = eval_gate2(g.type, fanins);
-      force(id);
-    }
+    settle(nl, vals.data(), force);
   };
 
   for (std::size_t c = 0; c < test.vectors.size(); ++c) {
-    settle(good_vals, good_state, test.vectors[c], /*faulty=*/false);
-    settle(bad_vals, bad_state, test.vectors[c], /*faulty=*/true);
+    settle_machine(good_vals, good_state, test.vectors[c], /*faulty=*/false);
+    settle_machine(bad_vals, bad_state, test.vectors[c], /*faulty=*/true);
 
     // Primary outputs are observed every fast cycle.
     for (const NodeId po : nl.outputs()) {

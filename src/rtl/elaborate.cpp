@@ -425,20 +425,7 @@ RtlSim::RtlSim(const RtlDesign& design)
   settle();
 }
 
-void RtlSim::settle() {
-  const Netlist& nl = design_->netlist;
-  for (NodeId id = 0; id < nl.size(); ++id) {
-    const GateType t = nl.type(id);
-    if (t == GateType::kConst0) values_[id] = 0;
-    if (t == GateType::kConst1) values_[id] = 1;
-  }
-  std::vector<std::uint8_t> fanins;
-  for (const NodeId id : nl.eval_order()) {
-    fanins.clear();
-    for (const NodeId f : nl.fanins(id)) fanins.push_back(values_[f]);
-    values_[id] = eval_gate2(nl.type(id), fanins);
-  }
-}
+void RtlSim::settle() { fbt::settle(design_->netlist, values_.data()); }
 
 void RtlSim::step() {
   const Netlist& nl = design_->netlist;

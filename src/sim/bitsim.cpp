@@ -15,67 +15,11 @@ BitSim::BitSim(const Netlist& netlist) : netlist_(&netlist) {
   queued_stamp_.assign(netlist.size(), 0);
   level_queue_.resize(netlist.max_level() + 1);
   use_default_observation_points();
-
-  // Fold the eval program: tt bit index is (a << 1) | b, and one-input gates
-  // duplicate their fanin, which under eval_gate64()'s semantics inverts for
-  // kNot/kNand/kNor/kXnor (NAND(a, a) = ~a) and passes through otherwise
-  // (AND(a, a) = a).
-  eval_ops_.reserve(netlist.eval_order().size());
-  for (const NodeId id : netlist.eval_order()) {
-    const GateType type = netlist.type(id);
-    const auto fanins = netlist.fanins(id);
-    EvalOp op;
-    op.id = id;
-    op.count = static_cast<std::uint16_t>(fanins.size());
-    if (fanins.size() == 1) {
-      op.fan0 = op.fan1 = fanins[0];
-      op.count = 2;
-      const bool invert = type == GateType::kNot ||
-                          type == GateType::kNand ||
-                          type == GateType::kNor || type == GateType::kXnor;
-      op.tt = invert ? 0b0111 : 0b1000;
-    } else if (fanins.size() == 2) {
-      op.fan0 = fanins[0];
-      op.fan1 = fanins[1];
-      switch (type) {
-        case GateType::kAnd:  op.tt = 0b1000; break;
-        case GateType::kNand: op.tt = 0b0111; break;
-        case GateType::kOr:   op.tt = 0b1110; break;
-        case GateType::kNor:  op.tt = 0b0001; break;
-        case GateType::kXor:  op.tt = 0b0110; break;
-        case GateType::kXnor: op.tt = 0b1001; break;
-        default:
-          op.count = 3;  // unexpected two-input type: generic path
-          op.tt = static_cast<std::uint8_t>(type);
-          break;
-      }
-    } else {
-      op.tt = static_cast<std::uint8_t>(type);
-    }
-    eval_ops_.push_back(op);
-  }
 }
 
 void BitSim::eval() {
-  std::uint64_t* const values = values_.data();
-  for (const EvalOp& op : eval_ops_) {
-    if (op.count == 2) {
-      const std::uint64_t a = values[op.fan0];
-      const std::uint64_t b = values[op.fan1];
-      const std::uint64_t t0 = 0 - static_cast<std::uint64_t>(op.tt & 1);
-      const std::uint64_t t1 = 0 - static_cast<std::uint64_t>((op.tt >> 1) & 1);
-      const std::uint64_t t2 = 0 - static_cast<std::uint64_t>((op.tt >> 2) & 1);
-      const std::uint64_t t3 = 0 - static_cast<std::uint64_t>((op.tt >> 3) & 1);
-      const std::uint64_t lo = t0 ^ ((t0 ^ t1) & b);
-      const std::uint64_t hi = t2 ^ ((t2 ^ t3) & b);
-      values[op.id] = lo ^ ((lo ^ hi) & a);
-    } else {
-      const auto fanins = netlist_->fanins(op.id);
-      values[op.id] = eval_gate64_indexed(netlist_->type(op.id), fanins.data(),
-                                          fanins.size(), values);
-    }
-  }
-  FBT_OBS_COUNTER_ADD("sim.bitsim_gates_evaluated", eval_ops_.size());
+  settle(*netlist_, values_.data());
+  FBT_OBS_COUNTER_ADD("sim.bitsim_gates_evaluated", netlist_->num_gates());
 }
 
 void BitSim::next_state(std::span<std::uint64_t> next_state) const {
@@ -138,17 +82,19 @@ std::uint64_t BitSim::fault_propagate(NodeId site, std::uint64_t faulty_word) {
       ++propagation_evals;
       const NodeId id = bucket[i];
       const Gate& g = netlist_->gate(id);
-      std::uint64_t out;
       const std::size_t n = g.fanins.size();
+      std::uint64_t out;
       if (n <= 8) {
         for (std::size_t k = 0; k < n; ++k) {
           fanin_words[k] = faulty_value(g.fanins[k]);
         }
-        out = eval_gate64(g.type, std::span(fanin_words, n));
+        out = eval_gate<std::uint64_t>(
+            g.type, n, [&](std::size_t k) { return fanin_words[k]; });
       } else {
         big.clear();
         for (const NodeId f : g.fanins) big.push_back(faulty_value(f));
-        out = eval_gate64(g.type, big);
+        out = eval_gate<std::uint64_t>(
+            g.type, n, [&](std::size_t k) { return big[k]; });
       }
       if (out == values_[id]) continue;  // fault effect died here
       stamp_[id] = current_stamp_;

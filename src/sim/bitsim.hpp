@@ -52,7 +52,6 @@ class BitSim {
         sizeof(*this) +
         (values_.size() + faulty_.size()) * sizeof(std::uint64_t) +
         (stamp_.size() + queued_stamp_.size()) * sizeof(std::uint32_t) +
-        eval_ops_.size() * sizeof(EvalOp) +
         observe_.size() * sizeof(std::uint8_t) +
         level_queue_.size() * sizeof(std::vector<NodeId>);
     for (const std::vector<NodeId>& q : level_queue_) {
@@ -67,25 +66,8 @@ class BitSim {
   }
   void enqueue_fanouts(NodeId id);
 
-  // One entry per eval_order() gate. Gates with at most two fanins (all of a
-  // synthesized netlist) are folded at construction into a branchless 4-entry
-  // truth-table mux -- one-input gates duplicate their fanin -- so eval()
-  // walks a flat 16-byte-record program instead of chasing Gate fanin
-  // vectors and dispatching eval_gate64() per gate. Wider gates keep
-  // `count` > 2 and fall back to the generic indexed evaluator.
-  struct EvalOp {
-    NodeId id = 0;            ///< output node
-    NodeId fan0 = 0;          ///< count<=2: first fanin
-    NodeId fan1 = 0;          ///< count<=2: second fanin
-    std::uint16_t count = 0;  ///< fanin count (1 folded into 2)
-    std::uint8_t tt = 0;      ///< count<=2: truth table; else GateType
-    std::uint8_t pad = 0;
-  };
-  static_assert(sizeof(EvalOp) == 16);
-
   const Netlist* netlist_;
   std::vector<std::uint64_t> values_;
-  std::vector<EvalOp> eval_ops_;
 
   // Fault propagation scratch.
   std::vector<std::uint64_t> faulty_;

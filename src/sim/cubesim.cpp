@@ -15,15 +15,7 @@ void CubeSim::clear() {
   std::fill(values_.begin(), values_.end(), Val3::kX);
 }
 
-void CubeSim::eval() {
-  std::vector<Val3> fanins;
-  for (const NodeId id : netlist_->eval_order()) {
-    const Gate& g = netlist_->gate(id);
-    fanins.clear();
-    for (const NodeId f : g.fanins) fanins.push_back(values_[f]);
-    values_[id] = eval_gate3(g.type, fanins);
-  }
-}
+void CubeSim::eval() { settle(*netlist_, values_.data()); }
 
 std::size_t CubeSim::specified_next_state_count() const {
   std::size_t count = 0;

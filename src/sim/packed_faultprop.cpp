@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "sim/value.hpp"
 #include "util/require.hpp"
 
 namespace fbt {
@@ -32,27 +33,6 @@ PackedFaultProp::PackedFaultProp(const Netlist& netlist,
   inv_.resize(n);
   for (std::size_t i = 0; i < n; ++i) inv_[perm_[i]] = static_cast<NodeId>(i);
 
-  // Two-input truth table per gate type, bit (a << 1) | b. One-input gates
-  // are folded into the two-input path with a duplicated fanin: only the
-  // a == b entries are reachable, so AND passes through and NAND inverts,
-  // matching eval_gate64's degenerate one-input semantics (NOT/NAND/NOR/
-  // XNOR invert, the rest pass).
-  const auto gate_tt = [](GateType type, std::size_t count) -> std::uint8_t {
-    if (count == 1) {
-      return (type == GateType::kNot || type == GateType::kNand ||
-              type == GateType::kNor || type == GateType::kXnor)
-                 ? 0b0111
-                 : 0b1000;
-    }
-    switch (type) {
-      case GateType::kAnd:  return 0b1000;
-      case GateType::kNand: return 0b0111;
-      case GateType::kOr:   return 0b1110;
-      case GateType::kNor:  return 0b0001;
-      case GateType::kXor:  return 0b0110;
-      default:              return 0b1001;  // kXnor
-    }
-  };
   nodes_.assign(n, Node{});
   fanin_ids_.clear();
   for (std::size_t i = 0; i < n; ++i) {
@@ -64,7 +44,7 @@ PackedFaultProp::PackedFaultProp(const Netlist& netlist,
     Node& m = nodes_[i];
     if (fanins.size() == 1 || fanins.size() == 2) {
       m.count = 2;
-      m.tt = gate_tt(type, fanins.size());
+      m.tt = gate_truth_table(type, fanins.size());
       m.fan0 = inv_[fanins[0]];
       m.fan1 = inv_[fanins.back()];
     } else {
@@ -230,47 +210,17 @@ std::uint64_t PackedFaultProp::propagate_internal(std::span<const NodeId> sites,
       const NodeId id = static_cast<NodeId>((wi << 6) | b);
       ++evals;
       Node& m = nodes_[id];
+      // One- and two-input gates take the branchless truth-table mux: gate
+      // types are data-dependent, so a switch here is an unpredictable
+      // indirect branch on the hot path.
       std::uint64_t out;
       if (m.count == 2) {
-        // One- and two-input gates dominate synthesized netlists (one-input
-        // gates were folded in at construction); evaluate them with a
-        // branchless truth-table mux -- gate types are data-dependent, so a
-        // switch here is an unpredictable indirect branch on the hot path.
-        const std::uint64_t a = faulty(m.fan0);
-        const std::uint64_t b2 = faulty(m.fan1);
-        const std::uint64_t t0 = 0 - static_cast<std::uint64_t>(m.tt & 1);
-        const std::uint64_t t1 =
-            0 - static_cast<std::uint64_t>((m.tt >> 1) & 1);
-        const std::uint64_t t2 =
-            0 - static_cast<std::uint64_t>((m.tt >> 2) & 1);
-        const std::uint64_t t3 =
-            0 - static_cast<std::uint64_t>((m.tt >> 3) & 1);
-        const std::uint64_t lo = t0 ^ ((t0 ^ t1) & b2);  // a = 0 row
-        const std::uint64_t hi = t2 ^ ((t2 ^ t3) & b2);  // a = 1 row
-        out = lo ^ ((lo ^ hi) & a);
+        out = eval_truth_table(m.tt, faulty(m.fan0), faulty(m.fan1));
       } else {
-        const GateType type = static_cast<GateType>(m.tt);
-        const NodeId* fan = fanin_ids_.data() + m.first;
-        std::uint64_t acc;
-        switch (type) {
-          case GateType::kAnd:
-          case GateType::kNand:
-            acc = ~0ULL;
-            for (std::uint16_t k = 0; k < m.count; ++k) acc &= faulty(fan[k]);
-            out = type == GateType::kAnd ? acc : ~acc;
-            break;
-          case GateType::kOr:
-          case GateType::kNor:
-            acc = 0;
-            for (std::uint16_t k = 0; k < m.count; ++k) acc |= faulty(fan[k]);
-            out = type == GateType::kOr ? acc : ~acc;
-            break;
-          default:  // kXor / kXnor
-            acc = 0;
-            for (std::uint16_t k = 0; k < m.count; ++k) acc ^= faulty(fan[k]);
-            out = type == GateType::kXor ? acc : ~acc;
-            break;
-        }
+        const NodeId* const fan = fanin_ids_.data() + m.first;
+        out = eval_gate<std::uint64_t>(
+            static_cast<GateType>(m.tt), m.count,
+            [&](std::size_t k) { return faulty(fan[k]); });
       }
       std::uint64_t d = out ^ (0 - ((m.good >> test) & 1ULL));
       // A fault site inside another lane's cone stays stuck in its own lane

@@ -83,14 +83,12 @@ class PackedFaultProp {
  private:
   /// Per-node record: gate metadata and the lane words, together in one
   /// 32-byte (half cache line) struct so evaluating a node touches a single
-  /// line. One-input gates are rewritten at construction as two-input gates
-  /// with a duplicated fanin, so the two-input fast path (a branchless
-  /// 4-entry truth-table mux keyed by `tt`) covers every node a synthesized
-  /// netlist is made of, and its fanin ids live inline -- the gather issues
-  /// both lane loads straight off this one record instead of bouncing
-  /// through a CSR body first. Gates with more than two fanins fall back to
-  /// a span in fanin_ids_ and `tt` holds the GateType for the generic
-  /// accumulate loop. diff is zero for every node outside the running
+  /// line. One- and two-input gates keep their fanin ids inline with
+  /// gate_truth_table() in `tt` (a one-input gate duplicates its fanin), so
+  /// the gather issues both lane loads straight off this one record and
+  /// eval_truth_table() evaluates them without a branch on the gate type.
+  /// Wider gates fall back to a span in fanin_ids_ and `tt` holds the
+  /// GateType for eval_gate. diff is zero for every node outside the running
   /// propagation's touched set (reset on every exit path via touched_), so
   /// the fanin gather needs no validity branch.
   struct Node {

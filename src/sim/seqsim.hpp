@@ -30,9 +30,11 @@ class SeqSim {
  public:
   explicit SeqSim(const Netlist& netlist);
 
-  /// Shares a pre-built flattened fanin view (CSR) of `netlist` instead of
-  /// rebuilding it -- the serving cache hands the same immutable CSR to many
-  /// concurrent simulators. `flat` must describe `netlist` exactly.
+  /// Holds a shared flattened fanin view (CSR) of `netlist`: a view built
+  /// from a shared_ptr keeps the netlist alive while the simulator runs (the
+  /// serving cache evicts netlists and views independently). step() settles
+  /// over the netlist's own CSR, which the view points at. `flat` must
+  /// describe `netlist` exactly.
   SeqSim(const Netlist& netlist, std::shared_ptr<const FlatFanins> flat);
 
   /// Loads a state (one 0/1 value per flop, in netlist flop order), resets the

@@ -33,8 +33,8 @@ TimingGraph::TimingGraph(const Netlist& netlist, const DelayLibrary& library,
   };
 
   // Three-valued settle of both patterns.
-  auto settle = [&](std::vector<Val3>& vals, const std::vector<Val3>& in,
-                    bool second_frame) {
+  auto settle_pattern = [&](std::vector<Val3>& vals,
+                            const std::vector<Val3>& in, bool second_frame) {
     for (const NodeId pi : netlist.inputs()) {
       vals[pi] = accept_case(pi) ? in[pi] : Val3::kX;
     }
@@ -48,24 +48,15 @@ TimingGraph::TimingGraph(const Netlist& netlist, const DelayLibrary& library,
         vals[ff] = Val3::kX;
       }
     }
-    for (NodeId id = 0; id < n; ++id) {
-      if (netlist.type(id) == GateType::kConst0) vals[id] = Val3::k0;
-      if (netlist.type(id) == GateType::kConst1) vals[id] = Val3::k1;
-    }
-    std::vector<Val3> fanins;
-    for (const NodeId id : netlist.eval_order()) {
-      const Gate& g = netlist.gate(id);
-      fanins.clear();
-      for (const NodeId fi : g.fanins) fanins.push_back(vals[fi]);
-      vals[id] = eval_gate3(g.type, fanins);
-      // Case values may be set on internal pins too (as with PrimeTime's
-      // set_case_analysis); a both-pattern-specified internal condition
-      // overrides the (necessarily weaker or equal) forward-derived value.
+    // Case values may be set on internal pins too (as with PrimeTime's
+    // set_case_analysis); a both-pattern-specified internal condition
+    // overrides the (necessarily weaker or equal) forward-derived value.
+    settle(netlist, vals.data(), [&](NodeId id) {
       if (accept_case(id)) vals[id] = in[id];
-    }
+    });
   };
-  settle(val1_, in1, false);
-  settle(val2_, in2, true);
+  settle_pattern(val1_, in1, false);
+  settle_pattern(val2_, in2, true);
 
   // A node can toggle unless both pattern values are binary and equal.
   toggle_.assign(n, 0);

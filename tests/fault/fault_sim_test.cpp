@@ -8,6 +8,7 @@
 #include "obs/metrics.hpp"
 #include "sim/seqsim.hpp"
 #include "sim/value.hpp"
+#include "test_circuits.hpp"
 #include "util/rng.hpp"
 
 namespace fbt {
@@ -52,16 +53,20 @@ bool reference_detects(const Netlist& nl, const BroadsideTest& t,
   for (std::size_t i = 0; i < nl.num_flops(); ++i) {
     vals[nl.flops()[i]] = s2[i];
   }
+  for (NodeId id = 0; id < nl.size(); ++id) {
+    if (nl.type(id) == GateType::kConst0) vals[id] = 0;
+    if (nl.type(id) == GateType::kConst1) vals[id] = 1;
+  }
   vals[f.line] = init;
-  std::vector<std::uint8_t> fanins;
   for (const NodeId id : nl.eval_order()) {
     if (id == f.line) {
       vals[id] = init;
       continue;
     }
-    fanins.clear();
-    for (const NodeId fi : nl.gate(id).fanins) fanins.push_back(vals[fi]);
-    vals[id] = eval_gate2(nl.type(id), fanins);
+    const auto fanins = nl.fanins(id);
+    vals[id] = eval_gate<std::uint8_t>(
+        nl.type(id), fanins.size(),
+        [&](std::size_t k) { return vals[fanins[k]]; });
   }
   for (const NodeId po : nl.outputs()) {
     if (vals[po] != good2.value(po)) return true;
@@ -112,6 +117,27 @@ TEST(FaultSim, MatchesReferenceOnSyntheticCircuit) {
       const bool fast = (matrix[f][t / 64] >> (t % 64)) & 1u;
       const bool ref = reference_detects(nl, tests[t], faults.fault(f));
       ASSERT_EQ(fast, ref) << fault_name(nl, faults.fault(f)) << " test " << t;
+    }
+  }
+}
+
+// Both graders read the good machine from BitSim, so both must see CONST1.
+TEST(FaultSim, BothEnginesMatchReferenceOnConstantTiedCircuit) {
+  const Netlist nl = testing::make_const_circuit();
+  const TransitionFaultList faults = TransitionFaultList::uncollapsed(nl);
+  Pcg32 rng(5);
+  TestSet tests;
+  for (int i = 0; i < 40; ++i) tests.push_back(random_test(nl, rng));
+  for (const auto engine : {BroadsideFaultSim::Engine::kSerial,
+                            BroadsideFaultSim::Engine::kPacked}) {
+    BroadsideFaultSim sim(nl, engine);
+    const auto matrix = sim.detection_matrix(tests, faults);
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      for (std::size_t t = 0; t < tests.size(); ++t) {
+        const bool fast = (matrix[f][t / 64] >> (t % 64)) & 1u;
+        ASSERT_EQ(fast, reference_detects(nl, tests[t], faults.fault(f)))
+            << fault_name(nl, faults.fault(f)) << " test " << t;
+      }
     }
   }
 }
@@ -236,15 +262,16 @@ TEST(FaultSim, TestsGradedCountsOnlyLoadedTests) {
 #endif
 
 TEST(FaultSim, SecondStateMatchesSeqSim) {
-  const Netlist nl = make_s27();
-  Pcg32 rng(81);
-  for (int i = 0; i < 20; ++i) {
-    const BroadsideTest t = random_test(nl, rng);
-    const auto s2 = second_state(nl, t);
-    SeqSim sim(nl);
-    sim.load_state(t.scan_state);
-    sim.step(t.v1);
-    EXPECT_EQ(s2, sim.state());
+  for (const Netlist& nl : {make_s27(), testing::make_const_circuit()}) {
+    Pcg32 rng(81);
+    for (int i = 0; i < 20; ++i) {
+      const BroadsideTest t = random_test(nl, rng);
+      const auto s2 = second_state(nl, t);
+      SeqSim sim(nl);
+      sim.load_state(t.scan_state);
+      sim.step(t.v1);
+      EXPECT_EQ(s2, sim.state()) << nl.name();
+    }
   }
 }
 

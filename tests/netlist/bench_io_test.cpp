@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "circuits/s27.hpp"
+#include "mutate.hpp"
+#include "sim/bitsim.hpp"
+#include "sim/seqsim.hpp"
 #include "util/require.hpp"
+#include "util/rng.hpp"
 
 namespace fbt {
 namespace {
@@ -86,6 +93,48 @@ q2 = INV(a)
   EXPECT_EQ(nl.type(nl.find("o")), GateType::kBuf);
   EXPECT_EQ(nl.type(nl.find("q2")), GateType::kNot);
   EXPECT_EQ(nl.num_flops(), 1u);
+}
+
+// Hostile input: every mutant of the s27 text either parses or throws
+// fbt::Error, and every mutant that parses simulates identically in the
+// scalar and the bit-parallel simulator, node by node.
+TEST(BenchIoFuzz, MutantsParseOrThrowAndSimulatorsAgree) {
+  constexpr int kMutants = 20000;
+  const std::string seed_text(s27_bench_text());
+  Pcg32 rng(0x5eed27);
+  int parsed = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string text =
+        testing::mutate(seed_text, rng, "()=,# \n\tGNOTANDRXBUFCS01");
+    std::optional<Netlist> nl;
+    try {
+      nl.emplace(parse_bench(text, "mutant"));
+    } catch (const Error&) {
+      continue;
+    }
+    ++parsed;
+    std::vector<std::uint8_t> pis(nl->num_inputs());
+    std::vector<std::uint8_t> state(nl->num_flops());
+    for (auto& v : pis) v = rng.chance(1, 2);
+    for (auto& v : state) v = rng.chance(1, 2);
+    SeqSim seq(*nl);
+    seq.load_state(state);
+    seq.step(pis);
+    BitSim bits(*nl);
+    for (std::size_t k = 0; k < pis.size(); ++k) {
+      bits.set_value(nl->inputs()[k], pis[k] ? ~0ULL : 0);
+    }
+    for (std::size_t k = 0; k < state.size(); ++k) {
+      bits.set_value(nl->flops()[k], state[k] ? ~0ULL : 0);
+    }
+    bits.eval();
+    for (NodeId id = 0; id < nl->size(); ++id) {
+      ASSERT_EQ(bits.value(id), seq.value(id) ? ~0ULL : 0)
+          << "mutant " << i << " node " << nl->node_name(id) << "\n"
+          << text;
+    }
+  }
+  EXPECT_GT(parsed, 0);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <string>
 
+#include "mutate.hpp"
+#include "util/rng.hpp"
+
 namespace fbt::serve {
 namespace {
 
@@ -97,6 +100,30 @@ TEST(Protocol, WorkSizeFieldsAreCapped) {
   EXPECT_EQ(req.experiment.config.calibration.sequence_length, kMaxCalLength);
   EXPECT_EQ(req.experiment.config.calibration.num_sequences,
             kMaxCalSequences);
+}
+
+// Hostile input: every mutant of a valid request line is answered true or
+// false, never with an exception.
+TEST(ProtocolFuzz, MutantsAreAcceptedOrRejectedWithoutThrowing) {
+  constexpr int kMutants = 50000;
+  const std::string seed_line =
+      "{\"type\": \"experiment\", \"id\": \"f\", \"target\": \"s298\", "
+      "\"driver\": \"s27\", \"stream_progress\": false, \"config\": "
+      "{\"tpg_lfsr_stages\": 24, \"detect_limit\": 3, "
+      "\"segment_length\": 200, \"cal_length\": 1000, \"rng_seed\": 19}}";
+  Pcg32 rng(0xf022);
+  int accepted = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string line =
+        testing::mutate(seed_line, rng, "{}[]\":,\\ -.+0123456789eEtrufalsn");
+    Request req;
+    std::string error;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = parse_request(line, req, error))
+        << "mutant " << i << ": " << line;
+    accepted += ok ? 1 : 0;
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 }  // namespace

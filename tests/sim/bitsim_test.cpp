@@ -6,6 +6,7 @@
 #include "circuits/synth.hpp"
 #include "sim/seqsim.hpp"
 #include "sim/value.hpp"
+#include "test_circuits.hpp"
 #include "util/rng.hpp"
 
 namespace fbt {
@@ -31,7 +32,8 @@ TEST(BitSim, EvaluatesS27KnownVector) {
 }
 
 // Property: the 64 lanes are independent -- packing 64 random vectors and
-// evaluating once agrees with SeqSim evaluating each vector separately.
+// evaluating once agrees with SeqSim evaluating each vector separately,
+// also on a net tied to CONST1.
 TEST(BitSim, LanesMatchScalarSimulation) {
   SynthParams p;
   p.name = "lanes";
@@ -40,44 +42,45 @@ TEST(BitSim, LanesMatchScalarSimulation) {
   p.num_flops = 7;
   p.num_gates = 160;
   p.seed = 11;
-  const Netlist nl = generate_synthetic(p);
+  for (const Netlist& nl :
+       {generate_synthetic(p), testing::make_const_circuit()}) {
+    Pcg32 rng(123);
+    std::vector<std::vector<std::uint8_t>> pis(64);
+    std::vector<std::vector<std::uint8_t>> states(64);
+    for (int lane = 0; lane < 64; ++lane) {
+      for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
+        pis[lane].push_back(rng.chance(1, 2));
+      }
+      for (std::size_t i = 0; i < nl.num_flops(); ++i) {
+        states[lane].push_back(rng.chance(1, 2));
+      }
+    }
 
-  Pcg32 rng(123);
-  std::vector<std::vector<std::uint8_t>> pis(64);
-  std::vector<std::vector<std::uint8_t>> states(64);
-  for (int lane = 0; lane < 64; ++lane) {
+    BitSim bits(nl);
     for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
-      pis[lane].push_back(rng.chance(1, 2));
+      std::uint64_t w = 0;
+      for (int lane = 0; lane < 64; ++lane) {
+        if (pis[lane][i]) w |= 1ULL << lane;
+      }
+      bits.set_value(nl.inputs()[i], w);
     }
     for (std::size_t i = 0; i < nl.num_flops(); ++i) {
-      states[lane].push_back(rng.chance(1, 2));
+      std::uint64_t w = 0;
+      for (int lane = 0; lane < 64; ++lane) {
+        if (states[lane][i]) w |= 1ULL << lane;
+      }
+      bits.set_value(nl.flops()[i], w);
     }
-  }
+    bits.eval();
 
-  BitSim bits(nl);
-  for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
-    std::uint64_t w = 0;
+    SeqSim scalar(nl);
     for (int lane = 0; lane < 64; ++lane) {
-      if (pis[lane][i]) w |= 1ULL << lane;
-    }
-    bits.set_value(nl.inputs()[i], w);
-  }
-  for (std::size_t i = 0; i < nl.num_flops(); ++i) {
-    std::uint64_t w = 0;
-    for (int lane = 0; lane < 64; ++lane) {
-      if (states[lane][i]) w |= 1ULL << lane;
-    }
-    bits.set_value(nl.flops()[i], w);
-  }
-  bits.eval();
-
-  SeqSim scalar(nl);
-  for (int lane = 0; lane < 64; ++lane) {
-    scalar.load_state(states[lane]);
-    scalar.step(pis[lane]);
-    for (NodeId id = 0; id < nl.size(); ++id) {
-      EXPECT_EQ((bits.value(id) >> lane) & 1u, scalar.value(id))
-          << "node " << nl.gate(id).name << " lane " << lane;
+      scalar.load_state(states[lane]);
+      scalar.step(pis[lane]);
+      for (NodeId id = 0; id < nl.size(); ++id) {
+        EXPECT_EQ((bits.value(id) >> lane) & 1u, scalar.value(id))
+            << nl.name() << " node " << nl.gate(id).name << " lane " << lane;
+      }
     }
   }
 }
@@ -117,15 +120,17 @@ TEST(BitSim, FaultPropagateMatchesBruteForce) {
     ref.eval();
     std::vector<std::uint64_t> forced_vals(nl.size());
     for (NodeId id = 0; id < nl.size(); ++id) forced_vals[id] = ref.value(id);
+    for (NodeId id = 0; id < nl.size(); ++id) {
+      if (nl.type(id) == GateType::kConst0) forced_vals[id] = 0;
+      if (nl.type(id) == GateType::kConst1) forced_vals[id] = ~0ULL;
+    }
     forced_vals[site] = forced;
-    std::vector<std::uint64_t> fanins;
     for (const NodeId id : nl.eval_order()) {
       if (id == site) continue;
-      fanins.clear();
-      for (const NodeId f : nl.gate(id).fanins) {
-        fanins.push_back(forced_vals[f]);
-      }
-      forced_vals[id] = eval_gate64(nl.type(id), fanins);
+      const auto fanins = nl.fanins(id);
+      forced_vals[id] = eval_gate<std::uint64_t>(
+          nl.type(id), fanins.size(),
+          [&](std::size_t k) { return forced_vals[fanins[k]]; });
     }
     std::uint64_t expected = 0;
     for (const NodeId po : nl.outputs()) {

@@ -31,6 +31,24 @@ TEST(CubeSim, ControllingValuePropagates) {
   EXPECT_EQ(sim.value(nl.find("c")), Val3::kX);
 }
 
+TEST(CubeSim, DrivesConstants) {
+  const Netlist nl = testing::make_const_circuit();
+  CubeSim sim(nl);
+  sim.clear();
+  sim.set_value(nl.find("a"), Val3::k1);
+  sim.set_value(nl.find("q"), Val3::k1);
+  sim.eval();
+  EXPECT_EQ(sim.value(nl.find("one")), Val3::k1);
+  EXPECT_EQ(sim.value(nl.find("z")), Val3::k1);
+  EXPECT_EQ(sim.value(nl.find("d")), Val3::k1);
+  EXPECT_EQ(sim.specified_next_state_count(), 1u);
+
+  // The constant is no controlling value for AND: an X fanin stays X.
+  sim.clear();
+  sim.eval();
+  EXPECT_EQ(sim.value(nl.find("z")), Val3::kX);
+}
+
 TEST(CubeSim, SynchronizationCountOnS27) {
   const Netlist nl = make_s27();
   CubeSim sim(nl);

@@ -86,4 +86,19 @@ e = NAND(b, d)
                      "fig21");
 }
 
+/// A constant-tied circuit: one = CONST1; z = AND(a, one); q = DFF(d) with
+/// d = AND(q, one). With a = q = 1, z = 1 and the next state is 1 -- only
+/// if the simulator drives the constant.
+inline Netlist make_const_circuit() {
+  return parse_bench(R"(
+INPUT(a)
+OUTPUT(z)
+q = DFF(d)
+one = CONST1()
+z = AND(a, one)
+d = AND(q, one)
+)",
+                     "const1");
+}
+
 }  // namespace fbt::testing
