@@ -2,7 +2,7 @@
 //
 // Builds deterministic synthetic CUTs at several gate counts (default 2k to
 // 120k gates) and, per size, runs the structures every flow allocates --
-// netlist + FlatFanins CSR, collapsed fault list, bit-parallel simulator --
+// netlist with its eval CSR, collapsed fault list, bit-parallel simulator --
 // through a bounded simulate + grade workload. Records per-size walltime,
 // peak RSS, deterministic content-byte footprints, and bytes-per-gate into
 // BENCH_scale.json (run-report schema v3 "memory" section). CI diffs the
@@ -19,7 +19,6 @@
 #include "circuits/synth.hpp"
 #include "fault/fault_sim.hpp"
 #include "netlist/bench_io.hpp"
-#include "netlist/flat_fanins.hpp"
 #include "obs/instrument.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
@@ -131,10 +130,10 @@ int main(int argc, char** argv) {
 
     // Emit the synthetic CUT to .bench text, drop it, and re-enter through
     // the streaming parser: every sweep point then exercises the full
-    // parse -> finalize -> FlatFanins -> bounded-grade path on arena
-    // storage (the 1M-gate acceptance path), not just the emit path. The
-    // round-trip is id- and structure-preserving, so footprints match the
-    // directly synthesized netlist.
+    // parse -> finalize -> bounded-grade path on arena storage (the 1M-gate
+    // acceptance path), not just the emit path. The round-trip is id- and
+    // structure-preserving, so footprints match the directly synthesized
+    // netlist.
     fbt::Timer build_timer;
     std::string bench_text;
     {
@@ -157,12 +156,6 @@ int main(int argc, char** argv) {
     // size before a later finalize overwrites the shared gauge.
     const double finalize_ms =
         fbt::obs::registry().gauge("netlist.finalize_duration_ms").value();
-    const fbt::FlatFanins flat = [&] {
-      FBT_OBS_PHASE("flatten");
-      fbt::FlatFanins built(nl);
-      FBT_OBS_ALLOC_CHARGE(built.footprint_bytes());
-      return built;
-    }();
     const fbt::TransitionFaultList all_faults = [&] {
       FBT_OBS_PHASE("collapse");
       auto built = fbt::TransitionFaultList::collapsed(nl);
@@ -211,11 +204,10 @@ int main(int argc, char** argv) {
     // registry keeps one entry per name, so after the loop the recorded
     // values -- and the report's bytes_per_gate -- belong to the largest
     // size, which is the one worth gating.
-    footprint = nl.footprint_bytes() + flat.footprint_bytes() +
-                all_faults.footprint_bytes() + sim.footprint_bytes() +
-                grader.footprint_bytes() + fbt::test_set_footprint_bytes(tests);
+    footprint = nl.footprint_bytes() + all_faults.footprint_bytes() +
+                sim.footprint_bytes() + grader.footprint_bytes() +
+                fbt::test_set_footprint_bytes(tests);
     FBT_OBS_FOOTPRINT("scale.netlist", nl.footprint_bytes());
-    FBT_OBS_FOOTPRINT("scale.flat_fanins", flat.footprint_bytes());
     FBT_OBS_FOOTPRINT("scale.fault_list", all_faults.footprint_bytes());
     FBT_OBS_FOOTPRINT("scale.bitsim", sim.footprint_bytes());
     FBT_OBS_FOOTPRINT("scale.fault_sim", grader.footprint_bytes());

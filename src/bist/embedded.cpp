@@ -13,8 +13,7 @@ namespace {
 
 FunctionalProfile run_calibration(
     const Netlist& target, const Netlist& driver,
-    const SwaCalibrationConfig& config, TransitionPatternStore* store,
-    std::shared_ptr<const FlatFanins> target_flat = nullptr) {
+    const SwaCalibrationConfig& config, TransitionPatternStore* store) {
   require(driver.num_outputs() >= target.num_inputs(), "measure_swa_func",
           "driving block has fewer outputs than the target has inputs");
   require(config.num_sequences >= 1 && config.sequence_length >= 2,
@@ -23,9 +22,7 @@ FunctionalProfile run_calibration(
 
   Tpg tpg(driver, config.tpg);
   SeqSim driver_sim(driver);
-  SeqSim target_sim = target_flat != nullptr
-                          ? SeqSim(target, std::move(target_flat))
-                          : SeqSim(target);
+  SeqSim target_sim(target);
   Pcg32 rng(config.rng_seed, 0x6a09e667f3bcc909ULL);
 
   FunctionalProfile profile;
@@ -58,10 +55,8 @@ FunctionalProfile run_calibration(
 SwaCalibration measure_swa_func(
     const Netlist& target, const Netlist& driver,
     const SwaCalibrationConfig& config,
-    std::shared_ptr<const FlatFanins> target_flat) {
-  return {run_calibration(target, driver, config, nullptr,
-                          std::move(target_flat))
-              .peak_percent};
+    std::shared_ptr<const FlatFanins> /*target_flat*/) {
+  return {run_calibration(target, driver, config, nullptr).peak_percent};
 }
 
 FunctionalProfile measure_functional_profile(const Netlist& target,

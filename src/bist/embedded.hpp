@@ -33,9 +33,8 @@ struct SwaCalibration {
 /// driver -> target and returns the peak switching activity observed in the
 /// target. Requires driver.num_outputs() >= target.num_inputs(); the first
 /// num_inputs() driver outputs feed the target's inputs in order.
-/// `target_flat` (optional) shares a pre-built FlatFanins CSR of `target`
-/// with the internal simulator (the serving cache's copy); nullptr rebuilds
-/// one. It never changes the measured value.
+/// `target_flat` is ignored; it remains only so existing callers that pass it
+/// still compile.
 SwaCalibration measure_swa_func(
     const Netlist& target, const Netlist& driver,
     const SwaCalibrationConfig& config,

@@ -11,10 +11,9 @@ namespace fbt {
 
 FunctionalBistGenerator::FunctionalBistGenerator(
     const Netlist& netlist, const FunctionalBistConfig& config,
-    std::shared_ptr<const FlatFanins> flat, jobs::JobSystem* /*jobs*/)
+    std::shared_ptr<const FlatFanins> /*flat*/, jobs::JobSystem* /*jobs*/)
     : netlist_(&netlist),
       config_(config),
-      flat_(std::move(flat)),
       tpg_(netlist, config.tpg),
       rng_(config.rng_seed, 0xb5ad4eceda1ce2a9ULL) {
   require(config.segment_length >= 2 && config.segment_length % 2 == 0,
@@ -123,8 +122,8 @@ FunctionalBistResult FunctionalBistGenerator::run(
 
   FunctionalBistResult result;
   result.first_detect.assign(faults.size(), FaultFirstDetect{});
-  BroadsideFaultSim fsim(*netlist_, BroadsideFaultSim::Engine::kPacked, flat_);
-  SeqSim sim = flat_ != nullptr ? SeqSim(*netlist_, flat_) : SeqSim(*netlist_);
+  BroadsideFaultSim fsim(*netlist_, BroadsideFaultSim::Engine::kPacked);
+  SeqSim sim(*netlist_);
 
   // Provenance bookkeeping: applied-test stream position and the running
   // detected-fault count (faults at the detect limit), both advanced only by

@@ -107,9 +107,8 @@ struct FunctionalBistResult {
 
 class FunctionalBistGenerator {
  public:
-  /// `flat` optionally shares a pre-built FlatFanins CSR of `netlist` with
-  /// the internal simulators (nullptr rebuilds one). `jobs` is ignored; it
-  /// remains only so existing callers that pass it still compile.
+  /// `flat` and `jobs` are ignored; they remain only so existing callers
+  /// that pass them still compile.
   FunctionalBistGenerator(const Netlist& netlist,
                           const FunctionalBistConfig& config,
                           std::shared_ptr<const FlatFanins> flat = nullptr,
@@ -140,7 +139,6 @@ class FunctionalBistGenerator {
 
   const Netlist* netlist_;
   FunctionalBistConfig config_;
-  std::shared_ptr<const FlatFanins> flat_;  ///< shared CSR; may be null
   Tpg tpg_;
   Pcg32 rng_;
   std::vector<std::uint8_t> hold_mask_;  ///< per flop; empty when no holding

@@ -83,13 +83,12 @@ std::vector<std::uint8_t> second_state(const Netlist& netlist,
   return s2;
 }
 
-BroadsideFaultSim::BroadsideFaultSim(const Netlist& netlist, Engine engine,
-                                     std::shared_ptr<const FlatFanins> flat)
+BroadsideFaultSim::BroadsideFaultSim(const Netlist& netlist, Engine engine)
     : netlist_(&netlist), sim_(netlist) {
   v1_values_.assign(netlist.size(), 0);
   state2_.assign(netlist.num_flops(), 0);
   if (engine == Engine::kPacked) {
-    packed_ = std::make_unique<PackedFaultProp>(netlist, std::move(flat));
+    packed_ = std::make_unique<PackedFaultProp>(netlist);
     good2_values_.assign(netlist.size(), 0);
     chunk_sites_.assign(PackedFaultProp::kLanes, 0);
     chunk_fault_.assign(PackedFaultProp::kLanes, 0);

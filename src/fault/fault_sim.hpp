@@ -26,7 +26,6 @@
 
 #include "fault/broadside_test.hpp"
 #include "fault/fault.hpp"
-#include "netlist/flat_fanins.hpp"
 #include "sim/bitsim.hpp"
 #include "sim/packed_faultprop.hpp"
 
@@ -68,11 +67,8 @@ class BroadsideFaultSim {
     kPacked,  ///< PPSFP: up to PackedFaultProp::kLanes faults per word
   };
 
-  /// `flat` optionally shares a pre-built CSR of `netlist` with the packed
-  /// engine (nullptr rebuilds one; ignored when serial).
   explicit BroadsideFaultSim(const Netlist& netlist,
-                             Engine engine = Engine::kSerial,
-                             std::shared_ptr<const FlatFanins> flat = nullptr);
+                             Engine engine = Engine::kSerial);
 
   /// Grades `tests` against `faults` with fault dropping: a fault whose
   /// detection count in `detect_count` reaches `detect_limit` is skipped.

@@ -7,9 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <utility>
 
 #include "fault/fault_sim.hpp"
 
@@ -24,9 +22,8 @@ class ParallelBroadsideFaultSim {
   explicit ParallelBroadsideFaultSim(
       const Netlist& netlist, std::size_t /*num_threads*/ = 0,
       jobs::JobSystem* /*jobs*/ = nullptr,
-      std::uint32_t /*fault_pack_width*/ = 64,
-      std::shared_ptr<const FlatFanins> flat = nullptr)
-      : sim_(netlist, BroadsideFaultSim::Engine::kPacked, std::move(flat)) {}
+      std::uint32_t /*fault_pack_width*/ = 64)
+      : sim_(netlist, BroadsideFaultSim::Engine::kPacked) {}
 
   /// BroadsideFaultSim::grade on the packed engine.
   std::size_t grade(std::span<const BroadsideTest> tests,

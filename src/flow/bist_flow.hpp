@@ -78,8 +78,6 @@ struct ExperimentArtifacts {
   std::optional<double> swa_func_percent;
   /// Collapsed transition-fault list of the target.
   std::shared_ptr<const TransitionFaultList> faults;
-  /// Flattened fanin CSR of the target (shared by the internal simulators).
-  std::shared_ptr<const FlatFanins> flat;
 };
 
 /// Runs calibration + constrained (or unconstrained, when driver is
@@ -87,12 +85,11 @@ struct ExperimentArtifacts {
 BistExperimentResult run_bist_experiment(const BistExperimentConfig& config);
 
 /// Same flow as a task graph on `jobs`: target/driver loading, SWA_func
-/// calibration, CSR flattening, and fault collapsing run as dependency-
-/// ordered tasks, so many experiments share one pool; construction and
-/// reduction then run on the calling thread. `artifacts` short-circuits
-/// tasks whose results the caller already holds (cache hits). Results are
-/// bit-identical to the single-argument overload for any pool size and any
-/// artifacts.
+/// calibration, and fault collapsing run as dependency-ordered tasks, so
+/// many experiments share one pool; construction and reduction then run on
+/// the calling thread. `artifacts` short-circuits tasks whose results the
+/// caller already holds (cache hits). Results are bit-identical to the
+/// single-argument overload for any pool size and any artifacts.
 BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
                                          jobs::JobSystem& jobs,
                                          const ExperimentArtifacts& artifacts);

@@ -1,18 +1,13 @@
-// Flattened fanin view for hot simulation loops.
+// Retired flattened-fanin view.
 //
-// The simulators evaluate every gate every cycle; the eval-order CSR they
-// walk (gate id, type, fanin span, contiguous fanin ids) is built once by
-// Netlist::finalize() and owned by the netlist. FlatFanins is a thin view
-// over those arrays: copying or caching one costs a few pointers, not a
-// duplicate of the circuit. A view constructed from a shared_ptr keeps the
-// owning netlist alive (the serving cache evicts netlists and CSR views
-// independently); the reference constructor relies on the caller keeping the
-// netlist alive, which every simulator in the tree already does.
+// Every settle loop walks the eval-order CSR that Netlist::finalize() builds
+// and the netlist owns (eval_entries() / eval_fanin_ids()), so nothing reads
+// a FlatFanins any more. The type remains only so perfbench/perfbench.cpp,
+// which still builds one and passes it to measure_swa_func and
+// FunctionalBistGenerator (both ignore it), compiles unchanged.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <span>
 
 #include "netlist/netlist.hpp"
 
@@ -20,36 +15,9 @@ namespace fbt {
 
 class FlatFanins {
  public:
-  using Entry = EvalEntry;
+  explicit FlatFanins(const Netlist& /*netlist*/) {}
 
-  explicit FlatFanins(const Netlist& netlist)
-      : entries_(netlist.eval_entries()),
-        fanins_(netlist.eval_fanin_ids()),
-        const0_(netlist.const0_nodes()),
-        const1_(netlist.const1_nodes()) {}
-
-  /// Shares ownership of the netlist so the view can outlive the caller's
-  /// reference (serving-cache path).
-  explicit FlatFanins(std::shared_ptr<const Netlist> netlist)
-      : FlatFanins(*netlist) {
-    owner_ = std::move(netlist);
-  }
-
-  std::span<const Entry> entries() const { return entries_; }
-  const NodeId* fanin_ids() const { return fanins_; }
-  std::span<const NodeId> const0_nodes() const { return const0_; }
-  std::span<const NodeId> const1_nodes() const { return const1_; }
-
-  /// Bytes held by this view itself. The CSR content is owned by the netlist
-  /// and accounted in Netlist::footprint_bytes() exactly once.
   std::uint64_t footprint_bytes() const { return sizeof(*this); }
-
- private:
-  std::span<const Entry> entries_;
-  const NodeId* fanins_;
-  std::span<const NodeId> const0_;
-  std::span<const NodeId> const1_;
-  std::shared_ptr<const Netlist> owner_;
 };
 
 }  // namespace fbt

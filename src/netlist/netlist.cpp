@@ -198,7 +198,7 @@ void Netlist::finalize() {
   require(eval_order_.size() == comb, "Netlist::finalize",
           "combinational cycle detected in '" + name_ + "'");
 
-  // Eval-order simulation CSR (the arrays every FlatFanins view points at).
+  // Eval-order simulation CSR (what every settle loop walks).
   eval_entries_.clear();
   eval_entries_.reserve(comb);
   eval_fanins_.clear();

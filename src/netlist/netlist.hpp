@@ -46,7 +46,7 @@ struct Gate {
 
 /// One eval-order gate of the flattened simulation CSR: gate id, type, and
 /// the span [first, first + count) into eval_fanin_ids(). Built at finalize()
-/// and shared by every FlatFanins view (16 bytes, cache-line friendly).
+/// and walked by every settle loop (16 bytes, cache-line friendly).
 struct EvalEntry {
   NodeId node;
   GateType type;
@@ -143,7 +143,6 @@ class Netlist {
 
   /// Eval-order simulation CSR: one EvalEntry per combinational gate in
   /// eval_order() order, fanins laid out contiguously in eval_fanin_ids().
-  /// FlatFanins is a thin view over exactly these arrays.
   std::span<const EvalEntry> eval_entries() const;
   const NodeId* eval_fanin_ids() const { return eval_fanins_.data(); }
   std::span<const NodeId> const0_nodes() const { return const0_nodes_; }
@@ -204,7 +203,6 @@ class Netlist {
   std::vector<unsigned> levels_;
   unsigned max_level_ = 0;
 
-  // Absorbed eval-order CSR (what FlatFanins used to own per instance).
   std::vector<EvalEntry> eval_entries_;
   std::vector<NodeId> eval_fanins_;
   std::vector<NodeId> const0_nodes_;

@@ -18,7 +18,7 @@
 //
 //  * Footprint registry -- footprints().record("fault_list", bytes) keeps the
 //    latest self-reported byte footprint of each big owned structure (netlist
-//    + FlatFanins CSR, collapsed fault list, detect matrices, packed-sim lane
+//    and its eval-order CSR, collapsed fault list, detect matrices, packed-sim lane
 //    state, journal/trace buffers). Snapshots land in the run report's
 //    "memory" section next to the RSS numbers they should explain.
 //

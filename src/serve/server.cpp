@@ -232,14 +232,6 @@ ExperimentSummary ExperimentService::run_experiment(
     // Derived artifacts, each cached under its own content key.
     artifacts.target = target.netlist;
     artifacts.driver = driver.netlist;
-    artifacts.flat = cache_.get_or_compute<FlatFanins>(
-        "flat_fanins", flat_fanins_cache_key(target.key),
-        // The view constructor taking shared_ptr keeps the netlist alive for
-        // as long as the cached FlatFanins is: the cache may evict the
-        // netlist entry independently, and the view's spans point into
-        // netlist-owned CSR storage.
-        [&] { return std::make_shared<const FlatFanins>(target.netlist); },
-        [](const FlatFanins& f) { return f.footprint_bytes(); });
     artifacts.faults = cache_.get_or_compute<TransitionFaultList>(
         "fault_list", fault_list_cache_key(target.key),
         [&] {
@@ -254,7 +246,7 @@ ExperimentSummary ExperimentService::run_experiment(
             [&] {
               return std::make_shared<const double>(
                   measure_swa_func(*target.netlist, *driver.netlist,
-                                   config.calibration, artifacts.flat)
+                                   config.calibration)
                       .peak_percent);
             },
             [](const double&) { return std::uint64_t{sizeof(double)}; });

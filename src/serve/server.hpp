@@ -7,10 +7,10 @@
 //      name -> key memo makes repeat requests for named benchmarks O(1));
 //   2. look up the experiment key -- a hit renders the stored summary
 //      without touching the flow (the >= 10x warm path);
-//   3. on a miss, fetch the derived artifacts (FlatFanins CSR, collapsed
-//      fault list, SWA_func calibration) through the cache and run the flow
-//      task graph on the shared pool, streaming journal events as progress
-//      lines while it executes;
+//   3. on a miss, fetch the derived artifacts (collapsed fault list, SWA_func
+//      calibration) through the cache and run the flow task graph on the
+//      shared pool, streaming journal events as progress lines while it
+//      executes;
 //   4. store the summary under the experiment key and render it.
 //
 // Progress caveat: the journal is process-wide, so when several experiments

@@ -8,11 +8,8 @@
 
 namespace fbt {
 
-PackedFaultProp::PackedFaultProp(const Netlist& netlist,
-                                 std::shared_ptr<const FlatFanins> flat)
-    : netlist_(&netlist),
-      flat_(flat != nullptr ? std::move(flat)
-                            : std::make_shared<const FlatFanins>(netlist)) {
+PackedFaultProp::PackedFaultProp(const Netlist& netlist)
+    : netlist_(&netlist) {
   require(netlist.finalized(), "PackedFaultProp", "netlist must be finalized");
   const std::size_t n = netlist.size();
 
@@ -210,9 +207,8 @@ std::uint64_t PackedFaultProp::propagate_internal(std::span<const NodeId> sites,
       const NodeId id = static_cast<NodeId>((wi << 6) | b);
       ++evals;
       Node& m = nodes_[id];
-      // One- and two-input gates take the branchless truth-table mux: gate
-      // types are data-dependent, so a switch here is an unpredictable
-      // indirect branch on the hot path.
+      // One- and two-input gates evaluate the truth table stored in their
+      // record; wider gates read their fanin span.
       std::uint64_t out;
       if (m.count == 2) {
         out = eval_truth_table(m.tt, faulty(m.fan0), faulty(m.fan1));
@@ -259,8 +255,7 @@ std::uint64_t PackedFaultProp::propagate_internal(std::span<const NodeId> sites,
 }
 
 std::uint64_t PackedFaultProp::footprint_bytes() const {
-  return sizeof(*this) - sizeof(flat_) + flat_->footprint_bytes() +
-         nodes_.size() * sizeof(Node) +
+  return sizeof(*this) + nodes_.size() * sizeof(Node) +
          (inject_.size() + frontier_bits_.size() + site_bits_.size()) *
              sizeof(std::uint64_t) +
          (perm_.size() + inv_.size() + fanin_ids_.size() + touched_.size() +

@@ -8,13 +8,8 @@
 
 namespace fbt {
 
-SeqSim::SeqSim(const Netlist& netlist)
-    : SeqSim(netlist, std::make_shared<const FlatFanins>(netlist)) {}
-
-SeqSim::SeqSim(const Netlist& netlist, std::shared_ptr<const FlatFanins> flat)
-    : netlist_(&netlist), flat_(std::move(flat)) {
+SeqSim::SeqSim(const Netlist& netlist) : netlist_(&netlist) {
   require(netlist.finalized(), "SeqSim", "netlist must be finalized");
-  require(flat_ != nullptr, "SeqSim", "shared FlatFanins must not be null");
   values_.assign(netlist.size(), 0);
   prev_values_.assign(netlist.size(), 0);
   state_.assign(netlist.num_flops(), 0);

@@ -8,11 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "netlist/flat_fanins.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/metrics.hpp"
 
@@ -29,13 +27,6 @@ struct SeqStep {
 class SeqSim {
  public:
   explicit SeqSim(const Netlist& netlist);
-
-  /// Holds a shared flattened fanin view (CSR) of `netlist`: a view built
-  /// from a shared_ptr keeps the netlist alive while the simulator runs (the
-  /// serving cache evicts netlists and views independently). step() settles
-  /// over the netlist's own CSR, which the view points at. `flat` must
-  /// describe `netlist` exactly.
-  SeqSim(const Netlist& netlist, std::shared_ptr<const FlatFanins> flat);
 
   /// Loads a state (one 0/1 value per flop, in netlist flop order), resets the
   /// cycle counter, and clears switching-activity history (the next step's
@@ -87,17 +78,15 @@ class SeqSim {
   void snapshot_into(Snapshot& out) const;
   void restore(const Snapshot& snap);
 
-  /// Bytes owned by the flattened fanin view and value/state arrays
-  /// (resource telemetry).
+  /// Bytes owned by the value/state arrays (resource telemetry).
   std::uint64_t footprint_bytes() const {
-    return sizeof(*this) - sizeof(flat_) + flat_->footprint_bytes() +
+    return sizeof(*this) +
            (values_.size() + prev_values_.size() + state_.size()) *
                sizeof(std::uint8_t);
   }
 
  private:
   const Netlist* netlist_;
-  std::shared_ptr<const FlatFanins> flat_;  ///< immutable, possibly shared
   std::vector<std::uint8_t> values_;       // settled values, current cycle
   std::vector<std::uint8_t> prev_values_;  // settled values, previous cycle
   std::vector<std::uint8_t> state_;        // per flop

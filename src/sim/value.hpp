@@ -70,8 +70,8 @@ inline Val3 reduce3(Val3 ctrl, std::size_t count, Fanin& fanin) {
 /// BUF and NOT evaluate as one-input AND and NAND, CONST1 and CONST0 as
 /// zero-input AND and NAND (an empty AND is 1). With four switch targets the
 /// compiler dispatches by bit tests instead of an indirect jump and inlines
-/// the whole evaluator into settle(): SeqSim::step on des_perf measured
-/// ~4 ns per gate at -O2, against ~9 ns with one target per gate type.
+/// the whole evaluator into settle() (measured in DESIGN.md, "Gate
+/// evaluation").
 template <class V, class Fanin>
 inline V eval_gate(GateType type, std::size_t count, Fanin&& fanin) {
   V acc;
@@ -141,8 +141,8 @@ constexpr std::uint8_t gate_truth_table(GateType type, std::size_t count) {
 }
 
 namespace detail {
-// gate_truth_table() tabulated by [count - 1][type], so settle's hot loop
-// looks a gate's table up instead of switching on its type.
+// gate_truth_table() tabulated by [count - 1][type] for settle's 64-bit
+// domain (measured in DESIGN.md, "Gate evaluation").
 inline constexpr auto kTruthTables = [] {
   constexpr auto kTypes = static_cast<std::size_t>(GateType::kConst1) + 1;
   std::array<std::array<std::uint8_t, kTypes>, 2> tables{};
@@ -155,8 +155,7 @@ inline constexpr auto kTruthTables = [] {
 }  // namespace detail
 
 /// Branchless 4-entry mux: evaluates truth table `tt` on 64 packed (a, b)
-/// pairs. Gate types are data-dependent, so on the hot path this beats an
-/// unpredictable switch.
+/// pairs.
 inline std::uint64_t eval_truth_table(std::uint8_t tt, std::uint64_t a,
                                       std::uint64_t b) {
   const std::uint64_t t0 = 0 - static_cast<std::uint64_t>(tt & 1);
@@ -173,7 +172,8 @@ inline std::uint64_t eval_truth_table(std::uint8_t tt, std::uint64_t a,
 /// eval-order CSR from the source values already in place. `after_gate(id)`
 /// runs right after gate `id` is evaluated and may overwrite its value
 /// (forced fault sites, case analysis). The 64-bit domain evaluates 1- and
-/// 2-input gates through their truth table.
+/// 2-input gates through their tabulated truth table, which measured faster
+/// than eval_gate there (DESIGN.md, "Gate evaluation").
 template <class V, class AfterGate>
 inline void settle(const Netlist& netlist, V* values, AfterGate&& after_gate) {
   for (const NodeId id : netlist.const0_nodes()) values[id] = kLogic0<V>;

@@ -12,7 +12,6 @@
 #include "circuits/synth.hpp"
 #include "fault/fault_sim.hpp"
 #include "jobs/job_system.hpp"
-#include "netlist/flat_fanins.hpp"
 #include "obs/json.hpp"
 #include "obs/phase.hpp"
 #include "rtl/lockstep.hpp"
@@ -124,7 +123,6 @@ TEST(BistFlow, SuppliedArtifactsAreBitIdenticalToDerived) {
       std::make_shared<const Netlist>(load_benchmark(cfg.target_name));
   artifacts.driver = std::make_shared<const Netlist>(
       make_buffers_block(artifacts.target->num_inputs()));
-  artifacts.flat = std::make_shared<const FlatFanins>(*artifacts.target);
   artifacts.faults = std::make_shared<const TransitionFaultList>(
       TransitionFaultList::collapsed(*artifacts.target));
   artifacts.swa_func_percent = derived.swa_func;

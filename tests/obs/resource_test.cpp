@@ -8,7 +8,6 @@
 
 #include "circuits/synth.hpp"
 #include "fault/fault.hpp"
-#include "netlist/flat_fanins.hpp"
 #include "obs/instrument.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
@@ -153,14 +152,6 @@ TEST(Footprints, StructureFootprintsScaleWithCircuitSize) {
   // gate; the footprint must cover that content.
   EXPECT_GE(nl_small.footprint_bytes(),
             nl_small.eval_entries().size() * sizeof(EvalEntry));
-
-  // FlatFanins is a constant-size view over the netlist-owned CSR: its
-  // footprint is just the view header, independent of circuit size.
-  const FlatFanins flat_small(nl_small);
-  const FlatFanins flat_big(nl_big);
-  EXPECT_EQ(flat_big.footprint_bytes(), flat_small.footprint_bytes());
-  EXPECT_EQ(flat_small.footprint_bytes(), sizeof(FlatFanins));
-  EXPECT_EQ(flat_small.entries().size(), nl_small.eval_entries().size());
 
   const TransitionFaultList faults_small =
       TransitionFaultList::collapsed(nl_small);

@@ -126,10 +126,7 @@ TEST(CacheKey, DerivedArtifactKeysAreDistinctPerKind) {
   const SwaCalibrationConfig cal;
   const CacheKey cal_key = calibration_cache_key(target, driver, cal);
   const CacheKey faults = fault_list_cache_key(target);
-  const CacheKey flat = flat_fanins_cache_key(target);
   EXPECT_NE(cal_key, faults);
-  EXPECT_NE(cal_key, flat);
-  EXPECT_NE(faults, flat);
 }
 
 TEST(CacheKey, CalibrationKeyFlipsOnConfig) {
