@@ -225,15 +225,22 @@ PodemOutcome PodemEngine::solve(std::span<const TransitionFault> goals,
   require(!goals.empty(), "PodemEngine::solve", "need at least one goal");
   FBT_OBS_COUNTER_ADD("atpg.podem_solves_started", 1);
   const std::size_t floor = decisions_.size();
-  Timer timer;
   PodemOutcome outcome;
-  std::size_t decisions_made = 0;
-  const auto record_outcome = [&outcome, &decisions_made]() {
+  // Records the outcome; a failed solve first unwinds its own decisions.
+  const auto finish = [&](PodemStatus status) {
+    if (status != PodemStatus::kDetected) {
+      while (decisions_.size() > floor) {
+        input_val_[idx(decisions_.back().input)] = Val3::kX;
+        decisions_.pop_back();
+      }
+    }
+    outcome.status = status;
     FBT_OBS_COUNTER_ADD("atpg.podem_backtracks", outcome.backtracks);
-    FBT_OBS_COUNTER_ADD("atpg.podem_decisions_made", decisions_made);
-    if (outcome.status == PodemStatus::kAborted) {
+    FBT_OBS_COUNTER_ADD("atpg.podem_decisions_made", outcome.decisions);
+    if (status == PodemStatus::kAborted) {
       FBT_OBS_COUNTER_ADD("atpg.podem_solves_aborted", 1);
     }
+    return outcome;
   };
 
   std::vector<std::vector<Val3>> faulty(goals.size());
@@ -243,115 +250,67 @@ PodemOutcome PodemEngine::solve(std::span<const TransitionFault> goals,
   // iteration.
   constexpr std::size_t kNotDetected = static_cast<std::size_t>(-1);
   std::vector<std::size_t> detected_depth(goals.size(), kNotDetected);
-  auto invalidate_below = [&](std::size_t depth) {
-    for (std::size_t& d : detected_depth) {
-      if (d != kNotDetected && d > depth) d = kNotDetected;
-    }
-  };
-
-  auto unwind_to_floor = [&]() {
-    while (decisions_.size() > floor) {
-      input_val_[idx(decisions_.back().input)] = Val3::kX;
-      decisions_.pop_back();
-    }
-  };
 
   for (;;) {
-    if (outcome.backtracks > config_.backtrack_limit ||
-        timer.seconds() > config_.time_limit_seconds) {
-      unwind_to_floor();
-      outcome.status = PodemStatus::kAborted;
-      record_outcome();
-      return outcome;
+    if (outcome.backtracks > config_.backtrack_limit) {
+      return finish(PodemStatus::kAborted);
     }
 
     simulate();
     std::size_t pending = goals.size();  // index of first pending goal
     bool impossible = false;
-    bool all_detected = true;
     for (std::size_t k = 0; k < goals.size(); ++k) {
       if (detected_depth[k] != kNotDetected) continue;  // cached
       simulate_faulty(goals[k], faulty[k]);
       const GoalState state = goal_state(goals[k], faulty[k]);
       if (state == GoalState::kImpossible) {
         impossible = true;
-        all_detected = false;
         break;
       }
       if (state == GoalState::kDetected) {
         detected_depth[k] = decisions_.size();
+      } else if (pending == goals.size()) {
+        pending = k;
+      }
+    }
+
+    if (!impossible) {
+      if (pending == goals.size()) return finish(PodemStatus::kDetected);
+      // Decide: advance the first pending goal.
+      const auto [input, value] =
+          pick_objective(goals[pending], faulty[pending]);
+      if (input.node != kNoNode) {
+        if (outcome.decisions >= config_.decision_limit) {
+          return finish(PodemStatus::kAborted);
+        }
+        require(input_val_[idx(input)] == Val3::kX, "PodemEngine::solve",
+                "internal: objective chose an assigned input");
+        ++outcome.decisions;
+        decisions_.push_back({input, value, false});
+        input_val_[idx(input)] = value;
         continue;
       }
-      all_detected = false;
-      if (pending == goals.size()) pending = k;
+      // No way to advance this goal: backtrack as on a conflict.
     }
 
-    if (!impossible && all_detected) {
-      outcome.status = PodemStatus::kDetected;
-      record_outcome();
-      return outcome;
+    // Backtrack: flip the deepest unflipped decision above the floor (or
+    // anywhere, when backtracking into earlier decisions).
+    const std::size_t lowest = backtrack_into_earlier ? 0 : floor;
+    while (decisions_.size() > lowest && decisions_.back().flipped) {
+      input_val_[idx(decisions_.back().input)] = Val3::kX;
+      decisions_.pop_back();
     }
-
-    if (impossible || pending == goals.size()) {
-      // Backtrack: flip the deepest unflipped decision above the floor.
-      bool flipped = false;
-      while (decisions_.size() > (backtrack_into_earlier ? 0 : floor)) {
-        Decision& d = decisions_.back();
-        if (d.flipped) {
-          input_val_[idx(d.input)] = Val3::kX;
-          decisions_.pop_back();
-          continue;
-        }
-        d.value = not3(d.value);
-        d.flipped = true;
-        input_val_[idx(d.input)] = d.value;
-        ++outcome.backtracks;
-        flipped = true;
-        invalidate_below(decisions_.size() - 1);
-        break;
+    if (decisions_.size() <= lowest) return finish(PodemStatus::kUndetectable);
+    Decision& d = decisions_.back();
+    d.value = not3(d.value);
+    d.flipped = true;
+    input_val_[idx(d.input)] = d.value;
+    ++outcome.backtracks;
+    for (std::size_t& depth : detected_depth) {
+      if (depth != kNotDetected && depth >= decisions_.size()) {
+        depth = kNotDetected;
       }
-      if (!flipped) {
-        unwind_to_floor();
-        outcome.status = PodemStatus::kUndetectable;
-        record_outcome();
-        return outcome;
-      }
-      continue;
     }
-
-    // Decide: advance the first pending goal.
-    const auto [input, value] = pick_objective(goals[pending], faulty[pending]);
-    if (input.node == kNoNode) {
-      // No way to advance this goal: treat like a conflict.
-      bool flipped = false;
-      while (decisions_.size() > (backtrack_into_earlier ? 0 : floor)) {
-        Decision& d = decisions_.back();
-        if (d.flipped) {
-          input_val_[idx(d.input)] = Val3::kX;
-          decisions_.pop_back();
-          continue;
-        }
-        d.value = not3(d.value);
-        d.flipped = true;
-        input_val_[idx(d.input)] = d.value;
-        ++outcome.backtracks;
-        flipped = true;
-        invalidate_below(decisions_.size() - 1);
-        break;
-      }
-      if (!flipped) {
-        unwind_to_floor();
-        outcome.status = PodemStatus::kUndetectable;
-        record_outcome();
-        return outcome;
-      }
-      continue;
-    }
-    require(input_val_[idx(input)] == Val3::kX, "PodemEngine::solve",
-            "internal: objective chose an assigned input");
-    ++decisions_made;
-    decisions_.push_back({input, value, false});
-    input_val_[idx(input)] = value;
   }
 }
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -25,14 +26,19 @@
 #include "fault/fault.hpp"
 #include "sim/value.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace fbt {
 
 struct PodemConfig {
   std::size_t backtrack_limit = 4000;  ///< per generate / target call
-  double time_limit_seconds = 5.0;
+  /// Decisions per generate / target call: the call aborts instead of making
+  /// one more. Unbounded by default.
+  std::size_t decision_limit = std::numeric_limits<std::size_t>::max();
   std::uint64_t rng_seed = 1;
+  /// No-op that nothing reads: no clock decides a search. It exists only
+  /// because perfbench.cpp assigns it, and is static so that no config
+  /// carries it; delete it at the next benchmark change.
+  static inline double time_limit_seconds = 0;
 };
 
 enum class PodemStatus : std::uint8_t { kDetected, kUndetectable, kAborted };
@@ -40,6 +46,7 @@ enum class PodemStatus : std::uint8_t { kDetected, kUndetectable, kAborted };
 struct PodemOutcome {
   PodemStatus status = PodemStatus::kAborted;
   std::size_t backtracks = 0;
+  std::size_t decisions = 0;
 };
 
 class PodemEngine {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "fault/fault_sim.hpp"
+#include "obs/instrument.hpp"
 #include "util/timer.hpp"
 
 namespace fbt {
@@ -20,6 +21,7 @@ TpdfEngine::TpdfEngine(const Netlist& netlist, const TpdfEngineConfig& config)
 void TpdfEngine::run_transition_fault_atpg(
     const std::vector<std::vector<TransitionFault>>& per_path,
     TpdfRunReport& report) {
+  FBT_OBS_PHASE("tf_atpg");
   Timer timer;
   for (const auto& trs : per_path) {
     for (const TransitionFault& tf : trs) {
@@ -126,6 +128,7 @@ TpdfRunReport TpdfEngine::run(const std::vector<PathDelayFault>& faults) {
   std::vector<std::vector<Assignment>> stored_inputs(faults.size());
   std::vector<std::size_t> pending;
   {
+    FBT_OBS_PHASE("preprocess");
     Timer timer;
     for (std::size_t i = 0; i < faults.size(); ++i) {
       const bool any_undet =
@@ -156,6 +159,7 @@ TpdfRunReport TpdfEngine::run(const std::vector<PathDelayFault>& faults) {
   // pending TPDFs. A test detects the TPDF iff it detects every transition
   // fault along the path.
   {
+    FBT_OBS_PHASE("fsim");
     Timer timer;
     if (!tf_tests_.empty() && !pending.empty()) {
       // Unique transition faults across all pending paths.
@@ -207,6 +211,7 @@ TpdfRunReport TpdfEngine::run(const std::vector<PathDelayFault>& faults) {
 
   // Phase 4: dynamic-compaction heuristic.
   {
+    FBT_OBS_PHASE("heuristic");
     Timer timer;
     std::vector<std::size_t> still_pending;
     for (const std::size_t i : pending) {
@@ -223,6 +228,7 @@ TpdfRunReport TpdfEngine::run(const std::vector<PathDelayFault>& faults) {
 
   // Phase 5: complete branch-and-bound.
   {
+    FBT_OBS_PHASE("bnb");
     Timer timer;
     PodemConfig cfg = config_.branch_and_bound;
     cfg.rng_seed = rng_.next64();

@@ -12,9 +12,7 @@ namespace fbt {
 namespace {
 
 PodemConfig fast_config() {
-  return PodemConfig{.backtrack_limit = 5000,
-                     .time_limit_seconds = 5.0,
-                     .rng_seed = 1};
+  return PodemConfig{.backtrack_limit = 5000, .rng_seed = 1};
 }
 
 TEST(Podem, GeneratesVerifiedTestsForFig1) {
@@ -167,6 +165,55 @@ TEST(Podem, RandomCircuitSweepIsSound) {
       EXPECT_TRUE(fsim.detects(engine.extract_test(), tf))
           << fault_name(nl, tf);
     }
+  }
+}
+
+// No clock decides a search: the no-op time limit, even at zero, leaves
+// every outcome and test unchanged.
+TEST(Podem, OutcomeDoesNotDependOnTimeLimit) {
+  const Netlist nl = make_s27();
+  PodemConfig no_time = fast_config();
+  no_time.time_limit_seconds = 0.0;
+  PodemEngine reference(nl, fast_config());
+  PodemEngine engine(nl, no_time);
+  const TransitionFaultList faults = TransitionFaultList::uncollapsed(nl);
+  for (const TransitionFault& tf : faults.faults()) {
+    const PodemOutcome want = reference.generate(tf);
+    const PodemOutcome got = engine.generate(tf);
+    ASSERT_EQ(got.status, want.status) << fault_name(nl, tf);
+    EXPECT_EQ(got.backtracks, want.backtracks) << fault_name(nl, tf);
+    EXPECT_EQ(got.decisions, want.decisions) << fault_name(nl, tf);
+    if (want.status == PodemStatus::kDetected) {
+      const BroadsideTest got_test = engine.extract_test();
+      const BroadsideTest want_test = reference.extract_test();
+      EXPECT_EQ(got_test.scan_state, want_test.scan_state);
+      EXPECT_EQ(got_test.v1, want_test.v1);
+      EXPECT_EQ(got_test.v2, want_test.v2);
+    }
+  }
+}
+
+// A cap of d decisions leaves a solve that needs d unchanged, and aborts one
+// that needs d + 1 just before its last decision, unwinding what it decided.
+TEST(Podem, AbortsAtDecisionLimit) {
+  const Netlist nl = make_s27();
+  const TransitionFaultList faults = TransitionFaultList::uncollapsed(nl);
+  for (const TransitionFault& tf : faults.faults()) {
+    const PodemOutcome full = PodemEngine(nl, fast_config()).generate(tf);
+    ASSERT_GT(full.decisions, 0u) << fault_name(nl, tf);
+
+    PodemConfig cfg = fast_config();
+    cfg.decision_limit = full.decisions;
+    const PodemOutcome enough = PodemEngine(nl, cfg).generate(tf);
+    EXPECT_EQ(enough.status, full.status) << fault_name(nl, tf);
+    EXPECT_EQ(enough.backtracks, full.backtracks) << fault_name(nl, tf);
+
+    cfg.decision_limit = full.decisions - 1;
+    PodemEngine capped(nl, cfg);
+    const PodemOutcome out = capped.generate(tf);
+    EXPECT_EQ(out.status, PodemStatus::kAborted) << fault_name(nl, tf);
+    EXPECT_EQ(out.decisions, cfg.decision_limit) << fault_name(nl, tf);
+    EXPECT_EQ(capped.decision_depth(), 0u) << fault_name(nl, tf);
   }
 }
 

@@ -31,11 +31,17 @@ TEST(TpdfIncremental, BatchedRunMatchesSingleShot) {
   TpdfEngine single(nl, cfg);
   const TpdfRunReport whole = single.run(faults);
 
+  // Transition-fault tests are the first tests of every report; the rest
+  // are the batch's own TPDF tests.
+  const auto tf_tests = [](const TpdfRunReport& r) {
+    return r.tests.size() - r.detected_heuristic - r.detected_bnb;
+  };
+
   TpdfEngine batched(nl, cfg);
   std::size_t detected = 0;
   std::size_t undetectable = 0;
   std::size_t aborted = 0;
-  double tf_seconds_after_first = 0.0;
+  std::size_t tf_count = 0;
   for (std::size_t start = 0; start < faults.size(); start += 14) {
     const std::size_t end = std::min(faults.size(), start + 14);
     const std::vector<PathDelayFault> batch(faults.begin() + start,
@@ -44,16 +50,26 @@ TEST(TpdfIncremental, BatchedRunMatchesSingleShot) {
     detected += r.detected;
     undetectable += r.undetectable;
     aborted += r.aborted;
-    if (start > 0) tf_seconds_after_first += r.seconds_tf_atpg;
+    // Each transition fault is targeted once, in first-appearance order,
+    // so the batches grow a prefix of the single-shot transition-fault tests.
+    tf_count = tf_tests(r);
+    ASSERT_LE(tf_count, tf_tests(whole));
+    for (std::size_t k = 0; k < tf_count; ++k) {
+      EXPECT_EQ(r.tests[k].scan_state, whole.tests[k].scan_state) << k;
+      EXPECT_EQ(r.tests[k].v1, whole.tests[k].v1) << k;
+      EXPECT_EQ(r.tests[k].v2, whole.tests[k].v2) << k;
+    }
   }
   // s27 resolves fully either way; the verdict totals must agree.
   EXPECT_EQ(detected, whole.detected);
   EXPECT_EQ(undetectable, whole.undetectable);
   EXPECT_EQ(aborted, whole.aborted);
   EXPECT_EQ(aborted, 0u);
-  // Later batches reuse the transition-fault cache: near-zero phase-1 time
-  // (all of s27's lines appear in the early batches' paths).
-  EXPECT_LT(tf_seconds_after_first, 0.05);
+  EXPECT_EQ(tf_count, tf_tests(whole));
+  // A batch whose transition faults were all processed before runs no
+  // transition-fault ATPG: it adds no transition-fault test.
+  const TpdfRunReport again = batched.run({faults.begin(), faults.begin() + 14});
+  EXPECT_EQ(tf_tests(again), tf_count);
 }
 
 TEST(TpdfIncremental, TestsAccumulateAcrossBatches) {

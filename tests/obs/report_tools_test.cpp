@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "mutate.hpp"
 #include "obs/json.hpp"
 #include "obs/run_report.hpp"
+#include "util/rng.hpp"
 
 namespace fbt::obs {
 namespace {
@@ -75,6 +77,30 @@ TEST(JsonParse, HandlesEscapesAndLiterals) {
   EXPECT_TRUE(v.find("t")->boolean);
   EXPECT_TRUE(v.find("n")->is_null());
   EXPECT_DOUBLE_EQ(v.find("d")->as_number(), -150.0);
+}
+
+// Hostile input: every mutant of a report-shaped document parses or fails
+// with an error message, never with an exception.
+TEST(JsonFuzz, MutantsParseOrFailWithoutThrowing) {
+  constexpr int kMutants = 20000;
+  const std::string seed_doc = report_json(91.25, 500, 10.0);
+  Pcg32 rng(0x150f);
+  int parsed = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string text =
+        testing::mutate(seed_doc, rng, "{}[]\":,\\ -.+0123456789eEtrufalsn");
+    JsonValue v;
+    std::string error;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = json_parse(text, v, error))
+        << "mutant " << i << ": " << text;
+    if (ok) {
+      ++parsed;
+    } else {
+      EXPECT_NE(error.find("byte"), std::string::npos) << error;
+    }
+  }
+  EXPECT_GT(parsed, 0);
 }
 
 TEST(DiffRunReports, PassesWhenWithinThresholds) {
