@@ -5,17 +5,15 @@
 // circuit; scaled default 60, or until --max-faults faults were targeted,
 // flags --target-detected / --max-faults). PODEM solves are capped in
 // decisions, so every table but the run times is a function of the flags.
-#include <cstdio>
+// --circuits takes an exact comma list of circuit names.
 #include <string>
 #include <vector>
 
 #include "atpg/tpdf_engine.hpp"
 #include "circuits/registry.hpp"
 #include "paths/path.hpp"
-#include "obs/run_report.hpp"
+#include "rows.hpp"
 #include "util/cli.hpp"
-#include "util/table.hpp"
-#include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   const fbt::Cli cli(argc, argv);
@@ -24,92 +22,60 @@ int main(int argc, char** argv) {
   const auto batch = static_cast<std::size_t>(cli.get_int("batch", 150));
   const auto max_faults =
       static_cast<std::size_t>(cli.get_int("max-faults", 900));
-  const std::string only = cli.get("circuits", "");
-  const std::vector<std::string> circuits = {"s1423", "s5378", "s9234",
-                                             "s13207"};
+  const std::vector<std::string> circuits = fbt::bench::select_rows(
+      cli, "circuits",
+      std::vector<std::string>{"s1423", "s5378", "s9234", "s13207"});
 
-  fbt::Timer total;
-  fbt::Table t22("Table 2.2: Results of test generation (at least " +
-                 std::to_string(target_detected) + " det. faults)");
-  t22.set_header({"Circuit", "No. of faults", "No. of Det.", "No. of Undet.",
-                  "No. of Abr.", "Run time"});
-  fbt::Table t24("Table 2.4: Number of detected faults for sub-procedures");
-  t24.set_header({"Circuit", "Prep. Proc.", "FSim Proc.", "Heur. Proc.",
-                  "Bran. Proc."});
-  fbt::Table t26("Table 2.6: Run time comparison of sub-procedures");
-  t26.set_header({"Circuit", "TG for Tran.", "Prep. Proc.", "FSim Proc.",
-                  "Heur. Proc.", "Bran. Proc."});
+  const auto rows = fbt::bench::run_rows(
+      fbt::jobs::global_jobs(), circuits.size(), [&](std::size_t i) {
+        const fbt::Netlist nl = fbt::load_benchmark(circuits[i]);
+        fbt::TpdfEngineConfig cfg;
+        cfg.rng_seed = 7;
+        cfg.tf_atpg.backtrack_limit = 64;
+        cfg.tf_atpg.decision_limit = 150;
+        cfg.heuristic.decision_limit = 100;
+        cfg.heuristic.backtrack_limit = 150;
+        cfg.heuristic_attempts = 1;
+        cfg.branch_and_bound.decision_limit = 200;
+        cfg.branch_and_bound.backtrack_limit = 1500;
+        fbt::TpdfEngine engine(nl, cfg);
+        fbt::LongestPathEnumerator longest(nl);
 
-  for (const std::string& name : circuits) {
-    if (!only.empty() && only.find(name) == std::string::npos) continue;
-    fbt::Timer timer;
-    const fbt::Netlist nl = fbt::load_benchmark(name);
-
-    fbt::TpdfEngineConfig cfg;
-    cfg.rng_seed = 7;
-    cfg.tf_atpg.backtrack_limit = 64;
-    cfg.tf_atpg.decision_limit = 150;
-    cfg.heuristic.decision_limit = 100;
-    cfg.heuristic.backtrack_limit = 150;
-    cfg.heuristic_attempts = 1;
-    cfg.branch_and_bound.decision_limit = 200;
-    cfg.branch_and_bound.backtrack_limit = 1500;
-    fbt::TpdfEngine engine(nl, cfg);
-    fbt::LongestPathEnumerator longest(nl);
-
-    fbt::TpdfRunReport sum;
-    while (sum.detected < target_detected && sum.num_faults < max_faults) {
-      std::vector<fbt::PathDelayFault> faults;
-      while (faults.size() < 2 * batch) {
-        fbt::Path p = longest.next();
-        if (p.nodes.empty()) break;
-        faults.push_back({p, true});
-        faults.push_back({std::move(p), false});
-      }
-      if (faults.empty()) break;
-      const fbt::TpdfRunReport r = engine.run(faults);
-      sum.num_faults += r.num_faults;
-      sum.detected += r.detected;
-      sum.undetectable += r.undetectable;
-      sum.aborted += r.aborted;
-      sum.detectable_upper_bound += r.detectable_upper_bound;
-      sum.detected_fsim += r.detected_fsim;
-      sum.detected_heuristic += r.detected_heuristic;
-      sum.detected_bnb += r.detected_bnb;
-      sum.seconds_tf_atpg += r.seconds_tf_atpg;
-      sum.seconds_preprocessing += r.seconds_preprocessing;
-      sum.seconds_fsim += r.seconds_fsim;
-      sum.seconds_heuristic += r.seconds_heuristic;
-      sum.seconds_bnb += r.seconds_bnb;
-    }
-
-    t22.add_row({name, std::to_string(sum.num_faults),
-                 std::to_string(sum.detected),
-                 std::to_string(sum.undetectable),
-                 std::to_string(sum.aborted), timer.pretty()});
-    t24.add_row({name, std::to_string(sum.detectable_upper_bound),
-                 std::to_string(sum.detected_fsim),
-                 std::to_string(sum.detected_heuristic),
-                 std::to_string(sum.detected_bnb)});
-    t26.add_row({name, fbt::Timer::format_duration(sum.seconds_tf_atpg),
-                 fbt::Timer::format_duration(sum.seconds_preprocessing),
-                 fbt::Timer::format_duration(sum.seconds_fsim),
-                 fbt::Timer::format_duration(sum.seconds_heuristic),
-                 fbt::Timer::format_duration(sum.seconds_bnb)});
-    std::fprintf(stderr, "[table2_large] %s done in %s\n", name.c_str(),
-                 timer.pretty().c_str());
-  }
-  t22.print();
-  std::printf("\n");
-  t24.print();
-  std::printf("\n");
-  t26.print();
-  std::printf("[bench_table2_2_4_6] done in %s\n", total.pretty().c_str());
-  fbt::obs::write_bench_report(
+        fbt::TpdfRunReport sum;
+        while (sum.detected < target_detected && sum.num_faults < max_faults) {
+          std::vector<fbt::PathDelayFault> faults;
+          while (faults.size() < 2 * batch) {
+            fbt::Path p = longest.next();
+            if (p.nodes.empty()) break;
+            faults.push_back({p, true});
+            faults.push_back({std::move(p), false});
+          }
+          if (faults.empty()) break;
+          const fbt::TpdfRunReport r = engine.run(faults);
+          sum.num_faults += r.num_faults;
+          sum.detected += r.detected;
+          sum.undetectable += r.undetectable;
+          sum.aborted += r.aborted;
+          sum.detectable_upper_bound += r.detectable_upper_bound;
+          sum.detected_fsim += r.detected_fsim;
+          sum.detected_heuristic += r.detected_heuristic;
+          sum.detected_bnb += r.detected_bnb;
+          sum.seconds_tf_atpg += r.seconds_tf_atpg;
+          sum.seconds_preprocessing += r.seconds_preprocessing;
+          sum.seconds_fsim += r.seconds_fsim;
+          sum.seconds_heuristic += r.seconds_heuristic;
+          sum.seconds_bnb += r.seconds_bnb;
+        }
+        return fbt::bench::TpdfRow{sum, std::to_string(sum.num_faults)};
+      });
+  fbt::bench::print_tpdf_tables(
+      2, "at least " + std::to_string(target_detected) + " det. faults",
+      circuits, rows);
+  fbt::bench::finish_bench(
       "table2_2_4_6",
       {{"target-detected", std::to_string(target_detected)},
        {"batch", std::to_string(batch)},
        {"max-faults", std::to_string(max_faults)},
-       {"circuits", only}});
+       {"circuits", cli.get("circuits", "")}});
   return 0;
 }

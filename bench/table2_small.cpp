@@ -10,80 +10,47 @@
 //
 // Scaled defaults: the dissertation enumerates every path; path counts here
 // are capped with --max-paths (rows whose enumeration was truncated are
-// marked '+'). --circuits narrows the circuit list.
-#include <cstdio>
+// marked '+'). --circuits takes an exact comma list of circuit names.
 #include <string>
 #include <vector>
 
 #include "atpg/tpdf_engine.hpp"
 #include "circuits/registry.hpp"
 #include "paths/path.hpp"
-#include "obs/run_report.hpp"
+#include "rows.hpp"
 #include "util/cli.hpp"
-#include "util/table.hpp"
-#include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   const fbt::Cli cli(argc, argv);
   const auto max_paths =
       static_cast<std::size_t>(cli.get_int("max-paths", 400));
-  const std::string only = cli.get("circuits", "");
-  const std::vector<std::string> circuits = {
-      "s27",  "s298", "s344", "s349", "s382", "s386",
-      "s444", "s510", "s526", "s820", "s832", "s953"};
+  const std::vector<std::string> circuits = fbt::bench::select_rows(
+      cli, "circuits",
+      std::vector<std::string>{"s27", "s298", "s344", "s349", "s382", "s386",
+                               "s444", "s510", "s526", "s820", "s832",
+                               "s953"});
 
-  fbt::Timer total;
-  fbt::Table t21("Table 2.1: Results of test generation (enumerate all paths)");
-  t21.set_header({"Circuit", "No. of faults", "No. of Det.", "No. of Undet.",
-                  "No. of Abr.", "Run time"});
-  fbt::Table t23("Table 2.3: Number of detected faults for sub-procedures");
-  t23.set_header({"Circuit", "Prep. Proc.", "FSim Proc.", "Heur. Proc.",
-                  "Bran. Proc."});
-  fbt::Table t25("Table 2.5: Run time comparison of sub-procedures");
-  t25.set_header({"Circuit", "TG for Tran.", "Prep. Proc.", "FSim Proc.",
-                  "Heur. Proc.", "Bran. Proc."});
-
-  for (const std::string& name : circuits) {
-    if (!only.empty() && only.find(name) == std::string::npos) continue;
-    fbt::Timer timer;
-    const fbt::Netlist nl = fbt::load_benchmark(name);
-    const fbt::PathEnumeration paths = fbt::enumerate_all_paths(nl, max_paths);
-    std::vector<fbt::PathDelayFault> faults;
-    for (const fbt::Path& p : paths.paths) {
-      faults.push_back({p, true});
-      faults.push_back({p, false});
-    }
-    fbt::TpdfEngineConfig cfg;
-    cfg.rng_seed = 2024;
-    fbt::TpdfEngine engine(nl, cfg);
-    const fbt::TpdfRunReport report = engine.run(faults);
-
-    const std::string count = std::to_string(report.num_faults) +
-                              (paths.complete ? "" : "+");
-    t21.add_row({name, count, std::to_string(report.detected),
-                 std::to_string(report.undetectable),
-                 std::to_string(report.aborted), timer.pretty()});
-    t23.add_row({name, std::to_string(report.detectable_upper_bound),
-                 std::to_string(report.detected_fsim),
-                 std::to_string(report.detected_heuristic),
-                 std::to_string(report.detected_bnb)});
-    t25.add_row({name, fbt::Timer::format_duration(report.seconds_tf_atpg),
-                 fbt::Timer::format_duration(report.seconds_preprocessing),
-                 fbt::Timer::format_duration(report.seconds_fsim),
-                 fbt::Timer::format_duration(report.seconds_heuristic),
-                 fbt::Timer::format_duration(report.seconds_bnb)});
-    std::fprintf(stderr, "[table2_small] %s done in %s\n", name.c_str(),
-                 timer.pretty().c_str());
-  }
-  t21.print();
-  std::printf("\n");
-  t23.print();
-  std::printf("\n");
-  t25.print();
-  std::printf("[bench_table2_1_3_5] done in %s\n", total.pretty().c_str());
-  fbt::obs::write_bench_report(
-      "table2_1_3_5",
-      {{"max-paths", std::to_string(max_paths)},
-       {"circuits", only}});
+  const auto rows = fbt::bench::run_rows(
+      fbt::jobs::global_jobs(), circuits.size(), [&](std::size_t i) {
+        const fbt::Netlist nl = fbt::load_benchmark(circuits[i]);
+        const fbt::PathEnumeration paths =
+            fbt::enumerate_all_paths(nl, max_paths);
+        std::vector<fbt::PathDelayFault> faults;
+        for (const fbt::Path& p : paths.paths) {
+          faults.push_back({p, true});
+          faults.push_back({p, false});
+        }
+        fbt::TpdfEngineConfig cfg;
+        cfg.rng_seed = 2024;
+        fbt::TpdfEngine engine(nl, cfg);
+        const fbt::TpdfRunReport report = engine.run(faults);
+        return fbt::bench::TpdfRow{
+            report,
+            std::to_string(report.num_faults) + (paths.complete ? "" : "+")};
+      });
+  fbt::bench::print_tpdf_tables(1, "enumerate all paths", circuits, rows);
+  fbt::bench::finish_bench("table2_1_3_5",
+                           {{"max-paths", std::to_string(max_paths)},
+                            {"circuits", cli.get("circuits", "")}});
   return 0;
 }

@@ -17,11 +17,10 @@
 #include "atpg/podem.hpp"
 #include "circuits/registry.hpp"
 #include "fault/fault_sim.hpp"
+#include "rows.hpp"
 #include "sta/path_selection.hpp"
-#include "obs/run_report.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -90,10 +89,8 @@ int main(int argc, char** argv) {
   const std::string detail_circuit = cli.get("circuit", "s1423");
   const auto detail_rows = static_cast<std::size_t>(cli.get_int("rows", 8));
   const auto per_circuit = static_cast<std::size_t>(cli.get_int("N", 20));
-  std::vector<std::string> circuits = {"s1423", "s5378", "b11", "b12"};
 
   const fbt::DelayLibrary lib = fbt::DelayLibrary::standard_018um();
-  fbt::Timer total;
 
   // ---- Table 3.4 ---------------------------------------------------------
   {
@@ -128,49 +125,48 @@ int main(int argc, char** argv) {
   }
 
   // ---- Table 3.5 ---------------------------------------------------------
+  const std::vector<std::string> circuits = {"s1423", "s5378", "b11", "b12"};
+  const auto results = fbt::bench::run_rows(
+      fbt::jobs::global_jobs(), circuits.size(), [&](std::size_t i) {
+        const fbt::Netlist nl = fbt::load_benchmark(circuits[i]);
+        fbt::PathSelectionConfig cfg;
+        cfg.num_target = 4 * per_circuit;
+        cfg.initial_pool = 10 * per_circuit;
+        cfg.expansion_cap = 16;
+        cfg.max_processed = 6 * per_circuit;
+        const fbt::PathSelectionResult sel =
+            fbt::select_critical_paths(nl, lib, cfg);
+        std::size_t with_test = 0;
+        std::size_t orig_differs = 0;
+        std::size_t final_closer = 0;
+        // Scan the whole selection, keeping the faults for which a test was
+        // found (the dissertation compares delays only where tests exist).
+        for (const fbt::SelectedPathFault& fault : sel.target) {
+          if (with_test >= per_circuit) break;
+          const auto tg = after_tg_delay(nl, lib, fault);
+          if (!tg.has_value()) continue;
+          ++with_test;
+          if (std::abs(fault.original_delay - *tg) < 1e-9) continue;
+          ++orig_differs;
+          if (std::abs(fault.final_delay - *tg) <
+              std::abs(fault.original_delay - *tg) - 1e-12) {
+            ++final_closer;
+          }
+        }
+        const double pct1 =
+            with_test == 0 ? 0.0 : 100.0 * orig_differs / with_test;
+        const double pct2 =
+            orig_differs == 0 ? 0.0 : 100.0 * final_closer / orig_differs;
+        return std::vector<std::string>{circuits[i], fbt::Table::num(pct1, 1),
+                                        fbt::Table::num(pct2, 1)};
+      });
   fbt::Table t35("Table 3.5: Path delay comparison");
   t35.set_header({"Circuit", "Pct. 1 %", "Pct. 2 %"});
-  for (const std::string& name : circuits) {
-    fbt::Timer timer;
-    const fbt::Netlist nl = fbt::load_benchmark(name);
-    fbt::PathSelectionConfig cfg;
-    cfg.num_target = 4 * per_circuit;
-    cfg.initial_pool = 10 * per_circuit;
-    cfg.expansion_cap = 16;
-    cfg.max_processed = 6 * per_circuit;
-    const fbt::PathSelectionResult sel = fbt::select_critical_paths(nl, lib,
-                                                                    cfg);
-    std::size_t with_test = 0;
-    std::size_t orig_differs = 0;
-    std::size_t final_closer = 0;
-    // Scan the whole selection, keeping the faults for which a test was
-    // found (the dissertation compares delays only where tests exist).
-    for (const fbt::SelectedPathFault& fault : sel.target) {
-      if (with_test >= per_circuit) break;
-      const auto tg = after_tg_delay(nl, lib, fault);
-      if (!tg.has_value()) continue;
-      ++with_test;
-      if (std::abs(fault.original_delay - *tg) < 1e-9) continue;
-      ++orig_differs;
-      if (std::abs(fault.final_delay - *tg) <
-          std::abs(fault.original_delay - *tg) - 1e-12) {
-        ++final_closer;
-      }
-    }
-    const double pct1 =
-        with_test == 0 ? 0.0 : 100.0 * orig_differs / with_test;
-    const double pct2 =
-        orig_differs == 0 ? 0.0 : 100.0 * final_closer / orig_differs;
-    t35.add_row({name, fbt::Table::num(pct1, 1), fbt::Table::num(pct2, 1)});
-    std::fprintf(stderr, "[table3_4_5] %s done in %s (tests for %zu faults)\n",
-                 name.c_str(), timer.pretty().c_str(), with_test);
-  }
+  for (const auto& result : results) t35.add_row(result.value);
   t35.print();
-  std::printf("[bench_table3_4_5] done in %s\n", total.pretty().c_str());
-  fbt::obs::write_bench_report(
-      "table3_4_5",
-      {{"circuit", detail_circuit},
-       {"rows", std::to_string(detail_rows)},
-       {"N", std::to_string(per_circuit)}});
+  fbt::bench::finish_bench("table3_4_5",
+                           {{"circuit", detail_circuit},
+                            {"rows", std::to_string(detail_rows)},
+                            {"N", std::to_string(per_circuit)}});
   return 0;
 }

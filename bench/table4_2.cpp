@@ -4,14 +4,14 @@
 // N_SV. Columns N_PO/N_in/N_SV come from the registry (matching the published
 // interface counts); N_SP is *computed* by the repeated-synchronization
 // analysis of §4.3 on our synthetic equivalents.
-#include <cstdio>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "bist/input_cube.hpp"
 #include "circuits/registry.hpp"
-#include "obs/run_report.hpp"
-#include "util/cli.hpp"
+#include "rows.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -20,32 +20,24 @@ const char* kTargets[] = {"s35932e",    "s38584e",    "b14",      "b20",
                           "systemcdes", "des_area",   "aes_core",
                           "wb_conmax",  "des_perf"};
 
-const char* display_name(const std::string& name) {
-  if (name == "s35932e") return "s35932";
-  if (name == "s38584e") return "s38584";
-  return name.c_str();
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const fbt::Cli cli(argc, argv);
-  fbt::Timer timer;
+int main() {
+  const auto results = fbt::bench::run_rows(
+      fbt::jobs::global_jobs(), std::size(kTargets), [](std::size_t i) {
+        const fbt::Netlist nl = fbt::load_benchmark(kTargets[i]);
+        const fbt::InputCube cube = fbt::compute_input_cube(nl);
+        return std::vector<std::string>{
+            fbt::bench::display(kTargets[i]), std::to_string(nl.num_outputs()),
+            std::to_string(nl.num_inputs()),
+            std::to_string(cube.specified_count()),
+            std::to_string(nl.num_flops())};
+      });
+
   fbt::Table table("Table 4.2: Parameters for benchmark circuits");
   table.set_header({"Circuit", "NPO", "Nin", "Nsp", "NSV"});
-  for (const char* name : kTargets) {
-    const fbt::Netlist nl = fbt::load_benchmark(name);
-    const fbt::InputCube cube = fbt::compute_input_cube(nl);
-    table.add_row({display_name(name), std::to_string(nl.num_outputs()),
-                   std::to_string(nl.num_inputs()),
-                   std::to_string(cube.specified_count()),
-                   std::to_string(nl.num_flops())});
-  }
+  for (const auto& result : results) table.add_row(result.value);
   table.print();
-  std::printf("[bench_table4_2] done in %s\n", timer.pretty().c_str());
-  (void)cli;
-  fbt::obs::write_bench_report(
-      "table4_2",
-      {});
+  fbt::bench::finish_bench("table4_2", {});
   return 0;
 }

@@ -12,17 +12,15 @@
 // fault coverage, and the hardware cost of the on-chip generator.
 //
 // Scaled defaults (dissertation: L = 6000-18000, 30 calibration sequences of
-// 30000 cycles): --L, --calib-seqs, --calib-len, --targets to adjust.
-#include <cstdio>
-#include <sstream>
+// 30000 cycles): --L, --calib-seqs, --calib-len to adjust. --targets takes
+// an exact comma list of printed circuit names (e.g. s35932,des_perf).
 #include <string>
 #include <vector>
 
 #include "flow/bist_flow.hpp"
-#include "obs/run_report.hpp"
+#include "rows.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -54,12 +52,6 @@ const Row kRows[] = {
     {"des_perf", "s38584e"},
 };
 
-std::string display(const std::string& name) {
-  if (name == "s35932e") return "s35932";
-  if (name == "s38584e") return "s38584";
-  return name;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -69,61 +61,44 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("calib-seqs", 6));
   const auto calib_len =
       static_cast<std::size_t>(cli.get_int("calib-len", 1500));
-  const std::string only = cli.get("targets", "");
+  const std::vector<Row> rows = fbt::bench::select_rows(
+      cli, "targets", kRows,
+      [](const Row& row) { return fbt::bench::display(row.target); });
 
-  fbt::Timer total;
+  const auto results = fbt::bench::run_rows(
+      fbt::jobs::global_jobs(), rows.size(), [&](std::size_t i) {
+        const Row& row = rows[i];
+        const fbt::BistExperimentResult r =
+            fbt::run_bist_experiment(fbt::bench::table4_row_config(
+                row.target, row.driver, L, calib_seqs, calib_len));
+        const bool first_of_target =
+            i == 0 || std::string(rows[i - 1].target) != row.target;
+        return std::vector<std::string>{
+            first_of_target ? fbt::bench::display(row.target) : "",
+            first_of_target ? std::to_string(r.scan.longest_length()) : "",
+            fbt::bench::display(row.driver),
+            std::to_string(r.run.sequences.size()),
+            std::to_string(r.run.nseg_max), std::to_string(r.run.lmax),
+            fbt::Table::num(r.swa_func, 2), std::to_string(r.run.num_seeds),
+            std::to_string(r.run.num_tests),
+            fbt::Table::num(r.run.peak_swa, 2),
+            fbt::Table::num(r.fault_coverage_percent, 2),
+            std::to_string(static_cast<long long>(r.hw_area)),
+            fbt::Table::num(r.overhead_percent, 2)};
+      });
+
   fbt::Table table(
       "Table 4.3: Built-in test generation considering primary input "
       "constraints");
   table.set_header({"Circuit", "Lsc", "Driving block", "Nmulti", "Nsegmax",
                     "Lmax", "SWAfunc%", "Nseeds", "Ntests", "SWA%", "FC%",
                     "HW Area", "Over.%"});
-
-  std::string last_target;
-  for (const Row& row : kRows) {
-    if (!only.empty() &&
-        only.find(display(row.target)) == std::string::npos) {
-      continue;
-    }
-    fbt::Timer timer;
-    fbt::BistExperimentConfig cfg;
-    cfg.target_name = row.target;
-    cfg.driver_name = row.driver;
-    cfg.calibration.num_sequences = calib_seqs;
-    cfg.calibration.sequence_length = calib_len;
-    cfg.generation.segment_length = L;
-    cfg.generation.max_segment_failures = 3;  // R
-    cfg.generation.max_sequence_failures = 3; // Q (dissertation: 5)
-    cfg.generation.rng_seed = 0x51de0u ^ std::hash<std::string>{}(
-                                             std::string(row.target) +
-                                             row.driver);
-    const fbt::BistExperimentResult r = fbt::run_bist_experiment(cfg);
-
-    const bool first_of_target = last_target != row.target;
-    last_target = row.target;
-    table.add_row({first_of_target ? display(row.target) : "",
-                   first_of_target
-                       ? std::to_string(r.scan.longest_length())
-                       : "",
-                   display(row.driver), std::to_string(r.run.sequences.size()),
-                   std::to_string(r.run.nseg_max), std::to_string(r.run.lmax),
-                   fbt::Table::num(r.swa_func, 2),
-                   std::to_string(r.run.num_seeds),
-                   std::to_string(r.run.num_tests),
-                   fbt::Table::num(r.run.peak_swa, 2),
-                   fbt::Table::num(r.fault_coverage_percent, 2),
-                   std::to_string(static_cast<long long>(r.hw_area)),
-                   fbt::Table::num(r.overhead_percent, 2)});
-    std::fprintf(stderr, "[table4_3] %s / %s done in %s\n",
-                 display(row.target).c_str(), row.driver, timer.pretty().c_str());
-  }
+  for (const auto& result : results) table.add_row(result.value);
   table.print();
-  std::printf("[bench_table4_3] done in %s\n", total.pretty().c_str());
-  fbt::obs::write_bench_report(
-      "table4_3",
-      {{"L", std::to_string(L)},
-       {"calib-seqs", std::to_string(calib_seqs)},
-       {"calib-len", std::to_string(calib_len)},
-       {"targets", only}});
+  fbt::bench::finish_bench("table4_3",
+                           {{"L", std::to_string(L)},
+                            {"calib-seqs", std::to_string(calib_seqs)},
+                            {"calib-len", std::to_string(calib_len)},
+                            {"targets", cli.get("targets", "")}});
   return 0;
 }

@@ -4,14 +4,15 @@
 // (binary-tree procedure, Fig. 4.12), holds each set every 2^h = 4 cycles
 // during additional on-chip generation, and reports the coverage recovered,
 // the aggregate sequence statistics, and the (slightly) larger hardware.
-#include <cstdio>
+// --L and --tree-height scale the run; --targets takes an exact comma list of
+// printed circuit names.
 #include <string>
+#include <vector>
 
 #include "flow/bist_flow.hpp"
-#include "obs/run_report.hpp"
+#include "rows.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -30,78 +31,57 @@ const Row kRows[] = {
     {"s35932e", "spi"},        {"b14", "systemcdes"},
 };
 
-std::string display(const std::string& name) {
-  if (name == "s35932e") return "s35932";
-  if (name == "s38584e") return "s38584";
-  return name;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const fbt::Cli cli(argc, argv);
   const auto L = static_cast<std::size_t>(cli.get_int("L", 768));
   const auto height = static_cast<unsigned>(cli.get_int("tree-height", 3));
-  const std::string only = cli.get("targets", "");
+  const std::vector<Row> rows = fbt::bench::select_rows(
+      cli, "targets", kRows,
+      [](const Row& row) { return fbt::bench::display(row.target); });
 
-  fbt::Timer total;
+  const auto results = fbt::bench::run_rows(
+      fbt::jobs::global_jobs(), rows.size(), [&](std::size_t i) {
+        const Row& row = rows[i];
+        // Phase 1: the constrained functional-broadside run of Table 4.3.
+        fbt::BistExperimentResult base = fbt::run_bist_experiment(
+            fbt::bench::table4_row_config(row.target, row.driver, L));
+
+        // Phase 2: state holding (h = 2 -> hold every 4 cycles, §4.6).
+        fbt::HoldSelectionConfig hold;
+        hold.tree_height = height;  // dissertation: 6; scaled default 3
+        hold.hold_period_log2 = 2;
+        hold.eval = base.generation;
+        hold.eval.max_segment_failures = 1;  // R = 1 for Det evaluation
+        hold.eval.max_sequence_failures = 1; // Q = 1
+        hold.commit = base.generation;       // R = 3, Q = 3 for committed sets
+        const fbt::HoldExperimentResult r =
+            fbt::run_hold_experiment(base, hold, /*rng_seed=*/0x401d);
+        return std::vector<std::string>{
+            fbt::bench::display(row.target), fbt::bench::display(row.driver),
+            std::to_string(r.hold.selected.size()),
+            std::to_string(r.hold.total_held_flops),
+            std::to_string(r.hold.num_sequences),
+            std::to_string(r.hold.nseg_max), std::to_string(r.hold.lmax),
+            std::to_string(r.hold.num_seeds),
+            std::to_string(r.hold.num_tests),
+            fbt::Table::num(r.hold.peak_swa, 2),
+            fbt::Table::num(r.coverage_improvement_percent, 2),
+            fbt::Table::num(r.final_coverage_percent, 2),
+            std::to_string(static_cast<long long>(r.hw_area)),
+            fbt::Table::num(r.overhead_percent, 2)};
+      });
+
   fbt::Table table("Table 4.4: Built-in test generation with state holding");
   table.set_header({"Circuit", "Driving block", "Nh", "Nbits", "Nmulti",
                     "Nsegmax", "Lmax", "Nseeds", "Ntests", "SWA%",
                     "FC Imp.%", "Final FC%", "HW Area", "Over.%"});
-
-  for (const Row& row : kRows) {
-    if (!only.empty() &&
-        only.find(display(row.target)) == std::string::npos) {
-      continue;
-    }
-    fbt::Timer timer;
-    // Phase 1: the constrained functional-broadside run of Table 4.3.
-    fbt::BistExperimentConfig cfg;
-    cfg.target_name = row.target;
-    cfg.driver_name = row.driver;
-    cfg.calibration.num_sequences = 6;
-    cfg.calibration.sequence_length = 1500;
-    cfg.generation.segment_length = L;
-    cfg.generation.max_segment_failures = 3;
-    cfg.generation.max_sequence_failures = 3;
-    cfg.generation.rng_seed = 0x51de0u ^ std::hash<std::string>{}(
-                                             std::string(row.target) +
-                                             row.driver);
-    fbt::BistExperimentResult base = fbt::run_bist_experiment(cfg);
-
-    // Phase 2: state holding (h = 2 -> hold every 4 cycles, §4.6).
-    fbt::HoldSelectionConfig hold;
-    hold.tree_height = height;  // dissertation: 6; scaled default 3
-    hold.hold_period_log2 = 2;
-    hold.eval = base.generation;
-    hold.eval.max_segment_failures = 1;  // R = 1 for Det evaluation
-    hold.eval.max_sequence_failures = 1; // Q = 1
-    hold.commit = base.generation;       // R = 3, Q = 3 for committed sets
-    const fbt::HoldExperimentResult r =
-        fbt::run_hold_experiment(base, hold, /*rng_seed=*/0x401d);
-
-    table.add_row(
-        {display(row.target), display(row.driver),
-         std::to_string(r.hold.selected.size()),
-         std::to_string(r.hold.total_held_flops),
-         std::to_string(r.hold.num_sequences),
-         std::to_string(r.hold.nseg_max), std::to_string(r.hold.lmax),
-         std::to_string(r.hold.num_seeds), std::to_string(r.hold.num_tests),
-         fbt::Table::num(r.hold.peak_swa, 2),
-         fbt::Table::num(r.coverage_improvement_percent, 2),
-         fbt::Table::num(r.final_coverage_percent, 2),
-         std::to_string(static_cast<long long>(r.hw_area)),
-         fbt::Table::num(r.overhead_percent, 2)});
-    std::fprintf(stderr, "[table4_4] %s / %s done in %s\n",
-                 display(row.target).c_str(), row.driver, timer.pretty().c_str());
-  }
+  for (const auto& result : results) table.add_row(result.value);
   table.print();
-  std::printf("[bench_table4_4] done in %s\n", total.pretty().c_str());
-  fbt::obs::write_bench_report(
-      "table4_4",
-      {{"L", std::to_string(L)},
-       {"tree-height", std::to_string(height)},
-       {"targets", only}});
+  fbt::bench::finish_bench("table4_4",
+                           {{"L", std::to_string(L)},
+                            {"tree-height", std::to_string(height)},
+                            {"targets", cli.get("targets", "")}});
   return 0;
 }

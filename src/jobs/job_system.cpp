@@ -88,6 +88,7 @@ TaskHandle JobSystem::submit_after(const std::vector<TaskHandle>& deps,
   // untraced submits (no enclosing span) skip the arrow to keep the trace
   // buffer proportional to instrumented work.
   state->trace = obs::current_trace_context();
+  state->journal = &obs::journal();
   if (state->trace.span_id != 0) {
     state->flow_id = obs::detail::next_flow_id();
     state->submit_us = obs::detail::trace_now_us();
@@ -206,10 +207,13 @@ void JobSystem::execute(const std::shared_ptr<detail::TaskState>& state) {
     }
     const auto run_t0 = std::chrono::steady_clock::now();
     try {
-      // Re-enter the submitter's trace position: spans fn opens outside any
-      // local span chain to the submitter instead of fragmenting into
-      // parentless roots (stitched back by PhaseTrace::summarize()).
-      obs::TraceContextScope trace_scope(state->trace);
+      // Re-enter the submitter's trace position and journal: fn's spans
+      // chain to the submitter instead of fragmenting into parentless roots
+      // (stitched back by PhaseTrace::summarize()), and neither its spans
+      // nor its events land in the open spans or JournalScope of a waiter
+      // that runs it while helping.
+      obs::TaskTraceScope trace_scope(state->trace);
+      obs::JournalScope journal_scope(*state->journal);
       state->fn();
     } catch (...) {
       error = std::current_exception();

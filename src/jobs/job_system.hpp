@@ -25,8 +25,10 @@
 //
 // Observability: jobs.submitted / jobs.executed / jobs.steals counters plus,
 // when FBT_OBS is on, cross-worker trace propagation (submit_after captures
-// the submitter's obs::TraceContext and re-enters it on the executing worker,
-// with a Chrome flow arrow from submit site to run site), per-worker busy
+// the submitter's obs::TraceContext and event journal and re-enters both on
+// the executing thread -- shielding the task from the open spans and
+// JournalScope of a waiter that helps by running it -- with a Chrome flow
+// arrow from submit site to run site), per-worker busy
 // time, queue-depth gauges, and steal-latency / run-time histograms. The
 // always-on counters are plain relaxed atomics; everything involving a clock
 // read compiles away under FBT_OBS=OFF.
@@ -49,6 +51,7 @@
 #endif
 
 #if FBT_OBS_ENABLED
+#include "obs/event_journal.hpp"
 #include "obs/phase.hpp"
 #endif
 
@@ -70,10 +73,13 @@ struct TaskState {
   /// this reaches zero.
   std::atomic<int> pending{1};
 #if FBT_OBS_ENABLED
-  /// Submitter's trace position, captured at submit time and re-entered
-  /// (obs::TraceContextScope) around fn() on the executing worker -- written
-  /// before the task becomes reachable by any worker, read-only afterwards.
+  /// Submitter's trace position and event journal, captured at submit time
+  /// and re-entered (obs::TaskTraceScope, obs::JournalScope) around fn() on
+  /// the executing thread -- written before the task becomes reachable by
+  /// any worker, read-only afterwards. The submitter waits for its tasks, so
+  /// the journal outlives them.
   obs::TraceContext trace{};
+  obs::EventJournal* journal = nullptr;
   std::uint64_t flow_id = 0;    ///< Chrome flow-arrow id (submit -> run)
   std::uint64_t submit_us = 0;  ///< trace-epoch time of the submit site
   std::uint32_t submit_tid = 0;  ///< trace tid of the submitting thread

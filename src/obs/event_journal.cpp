@@ -95,6 +95,16 @@ bool EventJournal::write_ndjson(const std::string& path) const {
   return ok;
 }
 
+void EventJournal::append(const EventJournal& other) {
+  std::vector<JournalEvent> copy = other.events();
+  std::lock_guard lock(mutex_);
+  events_.reserve(events_.size() + copy.size());
+  for (JournalEvent& event : copy) {
+    event.seq = next_seq_++;
+    events_.push_back(std::move(event));
+  }
+}
+
 void EventJournal::clear() {
   std::lock_guard lock(mutex_);
   events_.clear();
@@ -113,9 +123,23 @@ std::uint64_t EventJournal::footprint_bytes() const {
   return bytes;
 }
 
+namespace {
+
+// The innermost JournalScope's target on this thread; null selects the
+// process-wide journal.
+thread_local EventJournal* scoped_journal = nullptr;
+
+}  // namespace
+
 EventJournal& journal() {
   static EventJournal instance;
-  return instance;
+  return scoped_journal != nullptr ? *scoped_journal : instance;
 }
+
+JournalScope::JournalScope(EventJournal& target) : saved_(scoped_journal) {
+  scoped_journal = &target;
+}
+
+JournalScope::~JournalScope() { scoped_journal = saved_; }
 
 }  // namespace fbt::obs

@@ -1,7 +1,7 @@
-// Structured event journal: an append-only, process-wide log of typed
-// events emitted by the BIST flow (seed tried/accepted/rejected, per-block
-// grading progress, session milestones). Events render as NDJSON -- one JSON
-// object per line -- so a journal is streamable, greppable, and diffable.
+// Structured event journal: an append-only log of typed events emitted by
+// the BIST flow (seed tried/accepted/rejected, per-block grading progress,
+// session milestones). Events render as NDJSON -- one JSON object per line
+// -- so a journal is streamable, greppable, and diffable.
 //
 // Design constraints, matching the metrics registry:
 //  * cheap on the emitting path -- one mutex-guarded vector push per event;
@@ -10,6 +10,11 @@
 //    loop's single-threaded control flow, so the journal is bit-identical
 //    across job-pool sizes for the deterministic event subset (see
 //    DESIGN.md "Provenance & convergence");
+//  * one journal per concurrent experiment -- journal() is the process-wide
+//    journal unless a JournalScope on the calling thread redirects it, so
+//    experiments running side by side (paper-table rows, serve requests)
+//    each record into their own journal and append it to the enclosing one
+//    when they finish;
 //  * compiled out -- the FBT_OBS_EVENT macro in obs/instrument.hpp is a
 //    no-op when the build sets FBT_OBS_ENABLED=0. The classes here stay
 //    available in both builds so tools and tests can use them directly.
@@ -84,6 +89,12 @@ class EventJournal {
   /// failure.
   bool write_ndjson(const std::string& path) const;
 
+  /// Appends a copy of every event of `other`, in order, renumbering their
+  /// seq to continue this journal's sequence. Appending per-experiment
+  /// journals in a fixed order therefore yields the journal a serial run
+  /// would have recorded, whatever order the experiments finished in.
+  void append(const EventJournal& other);
+
   /// Drops all events and restarts the sequence numbering at 0.
   void clear();
 
@@ -97,7 +108,24 @@ class EventJournal {
   std::uint64_t next_seq_ = 0;
 };
 
-/// The process-wide journal used by the FBT_OBS_EVENT macro.
+/// The journal the FBT_OBS_EVENT macro records into: the innermost live
+/// JournalScope's journal on this thread, else the process-wide one.
 EventJournal& journal();
+
+/// RAII redirection of journal() on the constructing thread to `target`.
+/// Scopes nest; destruction restores the previous journal. `target` must
+/// outlive the scope. The JobSystem re-enters a task's submitter journal
+/// around the task, so a task run by a helping waiter never records into
+/// the waiter's scope.
+class JournalScope {
+ public:
+  explicit JournalScope(EventJournal& target);
+  ~JournalScope();
+  JournalScope(const JournalScope&) = delete;
+  JournalScope& operator=(const JournalScope&) = delete;
+
+ private:
+  EventJournal* saved_;
+};
 
 }  // namespace fbt::obs

@@ -29,14 +29,10 @@ std::uint64_t now_us() {
 // Per-thread stack of open spans. Nodes live in the stack by value until the
 // span closes; a closing span either becomes a child of the span below it or
 // a root of the process-wide trace.
-struct OpenSpan {
-  PhaseNode node;
-};
+thread_local std::vector<PhaseNode> open_spans;
 
-thread_local std::vector<OpenSpan> open_spans;
-
-// Context adopted from another thread via TraceContextScope; consulted only
-// when the local open-span stack is empty.
+// Context adopted from another thread via TraceContextScope or
+// TaskTraceScope; consulted only when the local open-span stack is empty.
 thread_local TraceContext adopted_context;
 
 // Small sequential id per thread, assigned on the thread's first span. The
@@ -147,7 +143,7 @@ double PhaseNode::self_ms() const {
 
 TraceContext current_trace_context() {
   if (!open_spans.empty()) {
-    const PhaseNode& top = open_spans.back().node;
+    const PhaseNode& top = open_spans.back();
     return {top.span_id, top.parent_span_id};
   }
   return adopted_context;
@@ -159,6 +155,17 @@ TraceContextScope::TraceContextScope(TraceContext ctx)
 }
 
 TraceContextScope::~TraceContextScope() { adopted_context = saved_; }
+
+TaskTraceScope::TaskTraceScope(TraceContext ctx)
+    : saved_spans_(std::move(open_spans)), saved_context_(adopted_context) {
+  open_spans.clear();  // a moved-from vector is valid but unspecified
+  adopted_context = ctx;
+}
+
+TaskTraceScope::~TaskTraceScope() {
+  open_spans = std::move(saved_spans_);
+  adopted_context = saved_context_;
+}
 
 PhaseTrace& PhaseTrace::instance() {
   static PhaseTrace trace;
@@ -315,21 +322,20 @@ std::string PhaseTrace::chrome_trace_json() const {
 }
 
 PhaseSpan::PhaseSpan(std::string name) {
-  OpenSpan span;
-  span.node.name = std::move(name);
-  span.node.tid = this_thread_tid();
-  span.node.span_id = next_span_id();
-  span.node.parent_span_id = open_spans.empty()
-                                 ? adopted_context.span_id
-                                 : open_spans.back().node.span_id;
-  span.node.rss_open_bytes = sampled_rss_bytes();
-  span.node.start_us = now_us();
-  open_spans.push_back(std::move(span));
+  PhaseNode node;
+  node.name = std::move(name);
+  node.tid = this_thread_tid();
+  node.span_id = next_span_id();
+  node.parent_span_id = open_spans.empty() ? adopted_context.span_id
+                                           : open_spans.back().span_id;
+  node.rss_open_bytes = sampled_rss_bytes();
+  node.start_us = now_us();
+  open_spans.push_back(std::move(node));
 }
 
 PhaseSpan::~PhaseSpan() {
   if (open_spans.empty()) return;  // defensive; cannot happen with RAII use
-  PhaseNode node = std::move(open_spans.back().node);
+  PhaseNode node = std::move(open_spans.back());
   open_spans.pop_back();
   node.dur_us = now_us() - node.start_us;
   node.rss_close_bytes = sampled_rss_bytes();
@@ -339,7 +345,7 @@ PhaseSpan::~PhaseSpan() {
     // them once both have completed.
     PhaseTrace::instance().add_root(std::move(node));
   } else {
-    open_spans.back().node.children.push_back(std::move(node));
+    open_spans.back().children.push_back(std::move(node));
   }
 }
 
@@ -347,7 +353,7 @@ namespace detail {
 
 bool charge_open_phase(std::uint64_t bytes, std::uint64_t count) {
   if (open_spans.empty()) return false;
-  PhaseNode& node = open_spans.back().node;
+  PhaseNode& node = open_spans.back();
   node.alloc_bytes += bytes;
   node.alloc_count += count;
   return true;

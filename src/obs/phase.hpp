@@ -12,7 +12,9 @@
 // open-span stack as before. Across threads, a submitter captures
 // current_trace_context() and the executing thread re-enters it with a
 // TraceContextScope: spans opened there with an empty local stack adopt the
-// captured span as their parent. Such spans are recorded as *detached*
+// captured span as their parent. (JobSystem tasks use TaskTraceScope, which
+// also sets the executing thread's own open spans aside.) Such spans are
+// recorded as *detached*
 // roots; summarize() re-attaches them under their parent span (stitching),
 // so the phase tree shows the real task graph even when the JobSystem
 // steals work between workers. The Chrome export keeps one complete event
@@ -91,6 +93,24 @@ class TraceContextScope {
 
  private:
   TraceContext saved_;
+};
+
+/// RAII entry into a pool task's own trace position (used by the JobSystem
+/// around every task): sets this thread's open-span stack aside and adopts
+/// `ctx`, so the task's spans parent under its submitter even when a thread
+/// blocked in wait() inside its own spans runs it. Destruction restores the
+/// stack and the adopted context. Unlike TraceContextScope, the local stack
+/// does not win here: the stack belongs to the waiter, not to the task.
+class TaskTraceScope {
+ public:
+  explicit TaskTraceScope(TraceContext ctx);
+  ~TaskTraceScope();
+  TaskTraceScope(const TaskTraceScope&) = delete;
+  TaskTraceScope& operator=(const TaskTraceScope&) = delete;
+
+ private:
+  std::vector<PhaseNode> saved_spans_;
+  TraceContext saved_context_;
 };
 
 /// One submit-site -> execution-site edge for the Chrome flow arrows

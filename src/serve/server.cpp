@@ -13,6 +13,7 @@
 #include "circuits/registry.hpp"
 #include "circuits/synth.hpp"
 #include "netlist/bench_io.hpp"
+#include "obs/event_journal.hpp"
 #include "obs/instrument.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
@@ -42,11 +43,12 @@ LatencyStats latency_from(const obs::MetricsSnapshot& snap,
   return out;
 }
 
-/// Streams journal events in [cursor, size) as progress lines; advances
-/// cursor.
-void drain_journal(std::size_t& cursor, const std::string& id,
+/// Streams the request journal's events in [cursor, size) as progress
+/// lines; advances cursor.
+void drain_journal(const obs::EventJournal& journal, std::size_t& cursor,
+                   const std::string& id,
                    const std::function<void(const std::string&)>& emit) {
-  const std::vector<obs::JournalEvent> events = obs::journal().events();
+  const std::vector<obs::JournalEvent> events = journal.events();
   for (; cursor < events.size(); ++cursor) {
     emit(render_progress(id, events[cursor]));
   }
@@ -254,33 +256,38 @@ ExperimentSummary ExperimentService::run_experiment(
   }
   FBT_OBS_HIST_RECORD_LOG("serve.request_cache_ms", ms_since(cache_t0));
 
-  // Run the flow as a task on the shared pool, streaming journal events
-  // while it executes (see the header's interleaving caveat). queue-wait is
-  // submit -> first instruction of the task (written by the worker, read
-  // only after wait() synchronizes on task completion); compute is the
-  // task's own run time.
+  // Run the flow as a task on the shared pool, recording its events into
+  // the request's own journal and streaming them while it executes. The
+  // request journal joins the caller's journal when the run ends, so the
+  // daemon's --journal output keeps every event, one request after another.
+  // queue-wait is submit -> first instruction of the task (written by the
+  // worker, read only after wait() synchronizes on task completion);
+  // compute is the task's own run time.
   const bool stream = emit != nullptr && request.stream_progress;
-  std::size_t cursor = obs::journal().size();
+  obs::EventJournal request_journal;
+  std::size_t cursor = 0;
   std::optional<BistExperimentResult> result;
   const auto submit_t = std::chrono::steady_clock::now();
   std::chrono::steady_clock::time_point compute_t0 = submit_t;
   const jobs::TaskHandle handle = jobs_.submit([&] {
     compute_t0 = std::chrono::steady_clock::now();
     {
+      obs::JournalScope journal_scope(request_journal);
       FBT_OBS_PHASE("request_compute");
       result.emplace(run_bist_experiment(config, jobs_, artifacts));
     }
     FBT_OBS_HIST_RECORD_LOG("serve.request_compute_ms", ms_since(compute_t0));
   });
   while (!handle.done()) {
-    if (stream) drain_journal(cursor, id, emit);
+    if (stream) drain_journal(request_journal, cursor, id, emit);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+  obs::journal().append(request_journal);
   jobs_.wait(handle);  // rethrows a failed run
   const double queue_ms =
       std::chrono::duration<double, std::milli>(compute_t0 - submit_t).count();
   FBT_OBS_HIST_RECORD_LOG("serve.request_queue_ms", queue_ms);
-  if (stream) drain_journal(cursor, id, emit);
+  if (stream) drain_journal(request_journal, cursor, id, emit);
 
   ExperimentSummary summary;
   summary.target = request.target.empty() ? "inline" : request.target;

@@ -9,13 +9,9 @@
 //      without touching the flow (the >= 10x warm path);
 //   3. on a miss, fetch the derived artifacts (collapsed fault list, SWA_func
 //      calibration) through the cache and run the flow task graph on the
-//      shared pool, streaming journal events as progress lines while it
-//      executes;
+//      shared pool under the request's own event journal, streaming its
+//      events as progress lines while it executes;
 //   4. store the summary under the experiment key and render it.
-//
-// Progress caveat: the journal is process-wide, so when several experiments
-// run concurrently each client's progress stream may interleave events from
-// the others. Result lines are always computed from the request's own run.
 #pragma once
 
 #include <atomic>

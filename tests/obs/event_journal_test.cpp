@@ -98,7 +98,65 @@ TEST(EventJournal, ConcurrentEmitsAreLosslessWithUniqueSeq) {
   }
 }
 
+TEST(EventJournal, AppendRenumbersAndKeepsOrder) {
+  EventJournal first;
+  first.emit("a", {});
+  EventJournal second;
+  second.emit("b", {{"v", 1u}});
+  second.emit("c", {});
+  EventJournal merged;
+  merged.append(first);
+  merged.append(second);
+  merged.emit("d", {});
+  const std::vector<JournalEvent> events = merged.events();
+  ASSERT_EQ(events.size(), 4u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, i);
+    EXPECT_EQ(events[i].type, std::string(1, static_cast<char>('a' + i)));
+  }
+  // Appending yields the journal of emitting everything into one.
+  EventJournal serial;
+  serial.emit("a", {});
+  serial.emit("b", {{"v", 1u}});
+  serial.emit("c", {});
+  serial.emit("d", {});
+  EXPECT_EQ(merged.ndjson(), serial.ndjson());
+  EXPECT_EQ(second.size(), 2u);  // the source is left as it was
+}
+
+TEST(JournalScope, RedirectsThisThreadsJournalAndNests) {
+  EventJournal& process = journal();
+  EventJournal outer;
+  EventJournal inner;
+  {
+    JournalScope outer_scope(outer);
+    EXPECT_EQ(&journal(), &outer);
+    {
+      JournalScope inner_scope(inner);
+      EXPECT_EQ(&journal(), &inner);
+      // Other threads keep the process-wide journal.
+      EventJournal* seen = nullptr;
+      std::thread other([&seen] { seen = &journal(); });
+      other.join();
+      EXPECT_EQ(seen, &process);
+    }
+    EXPECT_EQ(&journal(), &outer);
+  }
+  EXPECT_EQ(&journal(), &process);
+}
+
 #if FBT_OBS_ENABLED
+TEST(EventMacro, RecordsIntoTheScopedJournal) {
+  const std::size_t before = journal().size();
+  EventJournal scoped;
+  {
+    JournalScope scope(scoped);
+    FBT_OBS_EVENT("scoped_event", {{"value", 1u}});
+  }
+  EXPECT_EQ(scoped.size(), 1u);
+  EXPECT_EQ(journal().size(), before);
+}
+
 TEST(EventMacro, AppendsToTheGlobalJournal) {
   const std::size_t before = journal().size();
   FBT_OBS_EVENT("test_event", {{"value", 7u}});

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "jobs/job_system.hpp"
+#include "obs/event_journal.hpp"
 #include "obs/json.hpp"
 
 namespace fbt::obs {
@@ -325,14 +326,69 @@ TEST(JobSystemTracing, ConcurrentStolenJobsKeepEverySpan) {
             static_cast<std::size_t>(kOuter));
   EXPECT_EQ(count_named(stitched, "stress_leaf"),
             static_cast<std::size_t>(kOuter * kInner));
-  // Every mid span lands somewhere in the root's subtree. (A task executed
-  // by a *helping* thread may parent under the helper's open span -- the
-  // local stack wins by design -- but that helper span is itself in the
-  // subtree, so the recursive count is exact.)
+  // Every mid span is a direct child of the root that submitted it, even
+  // when a helping waiter ran it inside one of its own spans.
   const PhaseNode* root = find_named(stitched, "stress_root");
   ASSERT_NE(root, nullptr);
-  EXPECT_EQ(count_named(root->children, "stress_mid"),
-            static_cast<std::size_t>(kOuter));
+  std::size_t direct_mids = 0;
+  for (const PhaseNode& child : root->children) {
+    direct_mids += child.name == "stress_mid" ? 1 : 0;
+  }
+  EXPECT_EQ(direct_mids, static_cast<std::size_t>(kOuter));
+}
+
+TEST(JobSystemTracing, TaskRunByAHelpingWaiterKeepsItsSubmitterContext) {
+  // A one-worker pool whose worker is blocked: the task below can only run
+  // on the thread that waits for it, inside that thread's own span and
+  // journal scope. Its span must still parent under the submit-site span,
+  // and its event must land in the submitter's journal.
+  PhaseTrace::instance().clear();
+  jobs::JobSystem pool(1);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  const jobs::TaskHandle blocker = pool.submit([&] {
+    started.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  EventJournal submitter_journal;
+  EventJournal helper_journal;
+  std::thread::id ran_on;
+  std::uint64_t submitter_id = 0;
+  std::uint64_t helper_id = 0;
+  jobs::TaskHandle task;
+  {
+    JournalScope scope(submitter_journal);
+    PhaseSpan submitter("shield_submitter");
+    submitter_id = current_trace_context().span_id;
+    task = pool.submit([&ran_on] {
+      ran_on = std::this_thread::get_id();
+      PhaseSpan span("shield_task");
+      journal().emit("shield_event", {});
+    });
+  }
+  {
+    JournalScope scope(helper_journal);
+    PhaseSpan helper("shield_helper");
+    helper_id = current_trace_context().span_id;
+    pool.wait(task);
+  }
+  release.store(true, std::memory_order_release);
+  pool.wait(blocker);
+  ASSERT_EQ(ran_on, std::this_thread::get_id());
+
+  const std::vector<PhaseNode> raw = PhaseTrace::instance().roots();
+  const PhaseNode* task_span = find_named(raw, "shield_task");
+  ASSERT_NE(task_span, nullptr);
+  EXPECT_EQ(task_span->parent_span_id, submitter_id);
+  EXPECT_NE(task_span->parent_span_id, helper_id);
+  const std::vector<PhaseNode> stitched = PhaseTrace::instance().stitched_roots();
+  const PhaseNode* helper = find_named(stitched, "shield_helper");
+  ASSERT_NE(helper, nullptr);
+  EXPECT_EQ(find_named(helper->children, "shield_task"), nullptr);
+  EXPECT_EQ(submitter_journal.size(), 1u);
+  EXPECT_EQ(helper_journal.size(), 0u);
 }
 
 #endif  // FBT_OBS_ENABLED

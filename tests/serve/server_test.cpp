@@ -16,6 +16,7 @@
 #include "flow/bist_flow.hpp"
 #include "jobs/job_system.hpp"
 #include "netlist/bench_io.hpp"
+#include "obs/event_journal.hpp"
 #include "serve/protocol.hpp"
 
 namespace fbt::serve {
@@ -222,6 +223,57 @@ TEST(ExperimentService, ConcurrentRequestsMultiplexOnePool) {
     EXPECT_EQ(hash_first_detects(results[c].first_detect), first) << c;
   }
   EXPECT_EQ(fx.service.requests_total(), kClients);
+}
+
+TEST(ExperimentService, ConcurrentStreamsCarryOnlyTheirOwnEvents) {
+  // Two targets with different fault counts stream side by side. Each
+  // request records into its own journal, so every construct_started a
+  // client receives names its own target's fault count, and the process
+  // journal receives every streamed event once the requests end.
+  Fixture fx;
+  const std::vector<std::string> targets = {"s27", "s298", "s27", "s298"};
+  std::vector<ExperimentSummary> results(targets.size());
+  std::vector<std::vector<std::string>> streams(targets.size());
+  const std::size_t journal_before = obs::journal().size();
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < targets.size(); ++c) {
+    clients.emplace_back([&, c] {
+      ExperimentRequest request = small_request();
+      request.target = targets[c];
+      request.config.target_name = targets[c];
+      request.config.generation.rng_seed = 19 + c;
+      request.stream_progress = true;
+      bool hit = true;
+      results[c] = fx.service.run_experiment(
+          request, &hit,
+          [&streams, c](const std::string& l) { streams[c].push_back(l); },
+          "client" + std::to_string(c));
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  ASSERT_NE(results[0].num_faults, results[1].num_faults);
+  std::size_t streamed = 0;
+  for (std::size_t c = 0; c < targets.size(); ++c) {
+    const std::string own_faults =
+        "\"faults\": " + std::to_string(results[c].num_faults) + ",";
+    std::size_t starts = 0;
+    for (const std::string& line : streams[c]) {
+      EXPECT_NE(line.find("\"id\": \"client" + std::to_string(c) + "\""),
+                std::string::npos);
+      if (line.find("\"type\": \"construct_started\"") == std::string::npos) {
+        continue;
+      }
+      ++starts;
+      EXPECT_NE(line.find(own_faults), std::string::npos)
+          << targets[c] << ": " << line;
+    }
+#if FBT_OBS_ENABLED
+    EXPECT_EQ(starts, 1u) << targets[c];
+#endif
+    streamed += streams[c].size();
+  }
+  EXPECT_EQ(obs::journal().size() - journal_before, streamed);
 }
 
 TEST(ExperimentService, HandleLineExperimentEmitsResultWithReport) {
