@@ -12,15 +12,54 @@ PodemEngine::PodemEngine(const Netlist& netlist, const PodemConfig& config)
       config_(config),
       rng_(config.rng_seed, 0x2545f4914f6cdd1dULL) {
   require(netlist.finalized(), "PodemEngine", "netlist must be finalized");
-  input_val_.assign(2 * netlist.size(), Val3::kX);
-  good_.assign(2 * netlist.size(), Val3::kX);
-  faulty_scratch_.assign(netlist.size(), Val3::kX);
+  const std::size_t n = netlist.size();
+  dff_input_.reserve(netlist.num_flops());
+  for (const NodeId ff : netlist.flops()) {
+    dff_input_.push_back(netlist.dff_input(ff));
+  }
+  observe_ = netlist.outputs();
+  observe_.insert(observe_.end(), dff_input_.begin(), dff_input_.end());
+  const std::span<const EvalEntry> gates = netlist.eval_entries();
+  gates_ = gates.data();
+  gate_fanins_ = netlist.eval_fanin_ids();
+  std::vector<std::uint32_t> pos(n, 0);
+  level_begin_.assign(netlist.max_level() + 2, 0);
+  gate_level_.resize(gates.size());
+  for (std::uint32_t p = 0; p < gates.size(); ++p) {
+    pos[gates[p].node] = p;
+    gate_level_[p] = netlist.level(gates[p].node);
+    ++level_begin_[gate_level_[p] + 1];
+  }
+  for (std::size_t l = 1; l < level_begin_.size(); ++l) {
+    level_begin_[l] += level_begin_[l - 1];
+  }
+  level_end_.assign(level_begin_.begin(), level_begin_.end() - 1);
+  queue_.resize(gates.size());
+  queued_.assign(gates.size(), 0);
+  lo_ = static_cast<std::uint32_t>(level_end_.size());
+  fanout_off_.assign(n + 1, 0);
+  for (NodeId id = 0; id < n; ++id) {
+    for (const NodeId fo : netlist.fanouts(id)) {
+      if (is_combinational(netlist.type(fo))) fanout_pos_.push_back(pos[fo]);
+    }
+    fanout_off_[id + 1] = static_cast<std::uint32_t>(fanout_pos_.size());
+  }
+
+  // All-X values are settled for all-X sources, except where constants
+  // drive: set them as sources, then bring frame 2's state up to date.
+  input_val_.assign(2 * n, Val3::kX);
+  good_.assign(2 * n, Val3::kX);
+  for (Val3* vals : {good_.data(), good_.data() + n}) {
+    for (const NodeId c : netlist.const0_nodes()) set_source(vals, c, Val3::k0);
+    for (const NodeId c : netlist.const1_nodes()) set_source(vals, c, Val3::k1);
+    propagate(vals, nullptr);
+  }
+  simulate();
 }
 
 void PodemEngine::reset() {
   std::fill(input_val_.begin(), input_val_.end(), Val3::kX);
   decisions_.clear();
-  fixed_.clear();
 }
 
 bool PodemEngine::preassign(std::span<const Assignment> assignments) {
@@ -31,43 +70,102 @@ bool PodemEngine::preassign(std::span<const Assignment> assignments) {
     Val3& slot = input_val_[idx(a.where)];
     if (slot != Val3::kX && slot != v) return false;
     slot = v;
-    fixed_.push_back(a);
   }
   return true;
 }
 
 void PodemEngine::simulate() {
   const Netlist& nl = *netlist_;
-  for (int f = 0; f < 2; ++f) {
-    const auto frame = static_cast<Frame>(f);
-    Val3* vals = good_.data() + static_cast<std::size_t>(frame) * nl.size();
-    // Sources.
-    for (const NodeId pi : nl.inputs()) {
-      vals[pi] = input_val_[idx({frame, pi})];
-    }
-    for (const NodeId ff : nl.flops()) {
-      if (frame == Frame::k1) {
-        vals[ff] = input_val_[idx({frame, ff})];
-      } else {
-        vals[ff] = good_[idx({Frame::k1, nl.dff_input(ff)})];
-      }
-    }
-    settle(nl, vals);
+  const std::size_t n = nl.size();
+  Val3* const g1 = good_.data();
+  Val3* const g2 = g1 + n;
+  const Val3* const in1 = input_val_.data();
+  const Val3* const in2 = in1 + n;
+  for (const NodeId pi : nl.inputs()) set_source(g1, pi, in1[pi]);
+  for (const NodeId ff : nl.flops()) set_source(g1, ff, in1[ff]);
+  propagate(g1, nullptr);
+  // Frame 2: state variables are the frame-1 next state.
+  for (const NodeId pi : nl.inputs()) set_source(g2, pi, in2[pi]);
+  const std::vector<NodeId>& flops = nl.flops();
+  for (std::size_t i = 0; i < flops.size(); ++i) {
+    set_source(g2, flops[i], g1[dff_input_[i]]);
+  }
+  propagate(g2, nullptr);
+}
+
+void PodemEngine::set_source(Val3* vals, NodeId id, Val3 v) {
+  if (vals[id] == v) return;
+  vals[id] = v;
+  schedule_fanouts(id);
+}
+
+void PodemEngine::schedule_fanouts(NodeId id) {
+  for (std::uint32_t k = fanout_off_[id]; k < fanout_off_[id + 1]; ++k) {
+    const std::uint32_t p = fanout_pos_[k];
+    if (queued_[p] != 0) continue;
+    queued_[p] = 1;
+    const std::uint32_t l = gate_level_[p];
+    queue_[level_end_[l]++] = p;
+    lo_ = std::min(lo_, l);
+    hi_ = std::max(hi_, l);
   }
 }
 
+void PodemEngine::propagate(Val3* vals, std::vector<NodeId>* changed) {
+  std::uint64_t evals = 0;
+  for (std::uint32_t l = lo_; l <= hi_; ++l) {
+    // A gate's fanouts sit on higher levels, so this level's slots do not
+    // grow while it is walked.
+    for (std::uint32_t i = level_begin_[l]; i < level_end_[l]; ++i) {
+      const std::uint32_t p = queue_[i];
+      queued_[p] = 0;
+      const EvalEntry& g = gates_[p];
+      const NodeId* const fan = gate_fanins_ + g.first;
+      const Val3 v = eval_gate<Val3>(
+          g.type, g.count, [vals, fan](std::size_t k) { return vals[fan[k]]; });
+      ++evals;
+      if (v == vals[g.node]) continue;
+      vals[g.node] = v;
+      if (changed != nullptr) changed->push_back(g.node);
+      schedule_fanouts(g.node);
+    }
+    level_end_[l] = level_begin_[l];
+  }
+  gate_evals_ += evals;
+  lo_ = static_cast<std::uint32_t>(level_end_.size());
+  hi_ = 0;
+}
+
 void PodemEngine::simulate_faulty(const TransitionFault& fault,
-                                  std::vector<Val3>& out) const {
-  const Netlist& nl = *netlist_;
-  out.assign(nl.size(), Val3::kX);
+                                  std::vector<Val3>& out,
+                                  std::vector<NodeId>& diff) {
+  const std::size_t n = netlist_->size();
+  const Val3* const g2 = good_.data() + n;
+  // The faulty circuit shares frame 1 and the frame-2 sources with the good
+  // one; it differs only in the cone where forcing the site changes values.
+  out.assign(g2, g2 + n);
+  diff.clear();
   const Val3 forced = fault.rising ? Val3::k0 : Val3::k1;
-  // Frame-2 sources (the faulty circuit shares frame 1 with the good one).
-  for (const NodeId pi : nl.inputs()) out[pi] = good_[idx({Frame::k2, pi})];
-  for (const NodeId ff : nl.flops()) out[ff] = good_[idx({Frame::k2, ff})];
-  if (!is_combinational(nl.type(fault.line))) out[fault.line] = forced;
-  settle(nl, out.data(), [&](NodeId id) {
-    if (id == fault.line) out[id] = forced;
-  });
+  const GateType type = netlist_->type(fault.line);
+  // Constants are never forced (fault lists exclude them), and a site that
+  // already carries the forced value changes nothing.
+  if (type == GateType::kConst0 || type == GateType::kConst1 ||
+      out[fault.line] == forced) {
+    return;
+  }
+  out[fault.line] = forced;
+  diff.push_back(fault.line);
+  schedule_fanouts(fault.line);
+  propagate(out.data(), &diff);
+}
+
+std::span<const Val3> PodemEngine::faulty_frame(const TransitionFault& fault) {
+  if (faulty_.empty()) {
+    faulty_.resize(1);
+    diff_.resize(1);
+  }
+  simulate_faulty(fault, faulty_[0], diff_[0]);
+  return faulty_[0];
 }
 
 PodemEngine::GoalState PodemEngine::goal_state(
@@ -76,26 +174,22 @@ PodemEngine::GoalState PodemEngine::goal_state(
   const Val3 launch = good_[idx({Frame::k1, fault.line})];
   if (launch != Val3::kX && launch != init) return GoalState::kImpossible;
 
-  bool any_binary_diff = false;
+  // Scan the observation points until the state is decided: a binary
+  // difference detects a launched goal, and any possible difference keeps
+  // an unlaunched one pending.
+  const bool launched = launch == init;
+  const Val3* const g2 = good_.data() + netlist_->size();
   bool any_maybe_diff = false;
-  auto inspect = [&](NodeId obs) {
-    const Val3 g = good_[idx({Frame::k2, obs})];
+  for (const NodeId obs : observe_) {
+    const Val3 g = g2[obs];
     const Val3 f = faulty[obs];
-    if (g != Val3::kX && f != Val3::kX) {
-      if (g != f) {
-        any_binary_diff = true;
-        any_maybe_diff = true;
-      }
-    } else {
-      any_maybe_diff = true;
-    }
-  };
-  for (const NodeId po : netlist_->outputs()) inspect(po);
-  for (const NodeId ff : netlist_->flops()) inspect(netlist_->dff_input(ff));
-
-  if (launch == init && any_binary_diff) return GoalState::kDetected;
-  if (!any_maybe_diff) return GoalState::kImpossible;
-  return GoalState::kPending;
+    const bool binary = g != Val3::kX && f != Val3::kX;
+    if (binary && g == f) continue;
+    if (!launched) return GoalState::kPending;
+    if (binary) return GoalState::kDetected;
+    any_maybe_diff = true;
+  }
+  return any_maybe_diff ? GoalState::kPending : GoalState::kImpossible;
 }
 
 std::pair<FrameNode, Val3> PodemEngine::backtrace(FrameNode node, Val3 want) {
@@ -105,8 +199,9 @@ std::pair<FrameNode, Val3> PodemEngine::backtrace(FrameNode node, Val3 want) {
     const GateType type = nl.type(node.node);
     const auto fanins = nl.fanins(node.node);
     if (type == GateType::kDff) {
-      // Frame-2 state variable: justified through the frame-1 next state.
-      node = {Frame::k1, nl.dff_input(node.node)};
+      // Frame-2 state variable: justified through the frame-1 next state
+      // (a flip-flop's one fanin is its D input).
+      node = {Frame::k1, fanins[0]};
       continue;
     }
     if (type == GateType::kConst0 || type == GateType::kConst1) {
@@ -164,7 +259,8 @@ std::pair<FrameNode, Val3> PodemEngine::backtrace(FrameNode node, Val3 want) {
 }
 
 std::pair<FrameNode, Val3> PodemEngine::pick_objective(
-    const TransitionFault& fault, const std::vector<Val3>& faulty) {
+    const TransitionFault& fault, const std::vector<Val3>& faulty,
+    const std::vector<NodeId>& diff) {
   const Netlist& nl = *netlist_;
   const Val3 init = fault.rising ? Val3::k0 : Val3::k1;
   const Val3 final_v = fault.rising ? Val3::k1 : Val3::k0;
@@ -176,25 +272,25 @@ std::pair<FrameNode, Val3> PodemEngine::pick_objective(
     return backtrace({Frame::k2, fault.line}, final_v);
   }
 
-  // Propagation: find a frame-2 D-frontier gate (output unknown, some fanin
-  // carrying a binary good/faulty difference) and drive an unknown side input
-  // non-controlling.
-  for (const NodeId id : nl.eval_order()) {
-    if (good_[idx({Frame::k2, id})] != Val3::kX) continue;
-    const auto fanins = nl.fanins(id);
-    bool carries_diff = false;
-    for (const NodeId fi : fanins) {
-      const Val3 gv = good_[idx({Frame::k2, fi})];
-      const Val3 fv = faulty[fi];
-      if (gv != Val3::kX && fv != Val3::kX && gv != fv) {
-        carries_diff = true;
-        break;
-      }
+  // Propagation: take the first frame-2 D-frontier gate in eval order
+  // (output unknown, some fanin carrying a binary good/faulty difference)
+  // and drive an unknown side input non-controlling. Every fanin carrying a
+  // difference is in `diff`, so the frontier is among their fanouts.
+  const Val3* const g2 = good_.data() + nl.size();
+  constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+  std::uint32_t first = kNone;
+  for (const NodeId d : diff) {
+    if (g2[d] == Val3::kX || faulty[d] == Val3::kX) continue;
+    for (std::uint32_t k = fanout_off_[d]; k < fanout_off_[d + 1]; ++k) {
+      const std::uint32_t p = fanout_pos_[k];
+      if (g2[gates_[p].node] == Val3::kX) first = std::min(first, p);
     }
-    if (!carries_diff) continue;
-    const GateType type = nl.type(id);
-    for (const NodeId fi : fanins) {
-      if (good_[idx({Frame::k2, fi})] != Val3::kX) continue;
+  }
+  if (first != kNone) {
+    // An unknown output has an unknown fanin.
+    const GateType type = gates_[first].type;
+    for (const NodeId fi : nl.fanins(gates_[first].node)) {
+      if (g2[fi] != Val3::kX) continue;
       Val3 want = Val3::k0;
       if (has_controlling_value(type)) {
         want = controlling_value(type) ? Val3::k0 : Val3::k1;
@@ -235,6 +331,8 @@ PodemOutcome PodemEngine::solve(std::span<const TransitionFault> goals,
       }
     }
     outcome.status = status;
+    FBT_OBS_COUNTER_ADD("atpg.podem_gate_evals", gate_evals_);
+    gate_evals_ = 0;
     FBT_OBS_COUNTER_ADD("atpg.podem_backtracks", outcome.backtracks);
     FBT_OBS_COUNTER_ADD("atpg.podem_decisions_made", outcome.decisions);
     if (status == PodemStatus::kAborted) {
@@ -243,13 +341,16 @@ PodemOutcome PodemEngine::solve(std::span<const TransitionFault> goals,
     return outcome;
   };
 
-  std::vector<std::vector<Val3>> faulty(goals.size());
+  if (faulty_.size() < goals.size()) {
+    faulty_.resize(goals.size());
+    diff_.resize(goals.size());
+  }
   // Detection is stable under *added* assignments, so a goal detected at
   // decision depth d stays detected until the search backtracks below d;
   // caching this avoids one faulty-circuit simulation per settled goal per
   // iteration.
   constexpr std::size_t kNotDetected = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> detected_depth(goals.size(), kNotDetected);
+  detected_depth_.assign(goals.size(), kNotDetected);
 
   for (;;) {
     if (outcome.backtracks > config_.backtrack_limit) {
@@ -260,15 +361,15 @@ PodemOutcome PodemEngine::solve(std::span<const TransitionFault> goals,
     std::size_t pending = goals.size();  // index of first pending goal
     bool impossible = false;
     for (std::size_t k = 0; k < goals.size(); ++k) {
-      if (detected_depth[k] != kNotDetected) continue;  // cached
-      simulate_faulty(goals[k], faulty[k]);
-      const GoalState state = goal_state(goals[k], faulty[k]);
+      if (detected_depth_[k] != kNotDetected) continue;  // cached
+      simulate_faulty(goals[k], faulty_[k], diff_[k]);
+      const GoalState state = goal_state(goals[k], faulty_[k]);
       if (state == GoalState::kImpossible) {
         impossible = true;
         break;
       }
       if (state == GoalState::kDetected) {
-        detected_depth[k] = decisions_.size();
+        detected_depth_[k] = decisions_.size();
       } else if (pending == goals.size()) {
         pending = k;
       }
@@ -278,7 +379,7 @@ PodemOutcome PodemEngine::solve(std::span<const TransitionFault> goals,
       if (pending == goals.size()) return finish(PodemStatus::kDetected);
       // Decide: advance the first pending goal.
       const auto [input, value] =
-          pick_objective(goals[pending], faulty[pending]);
+          pick_objective(goals[pending], faulty_[pending], diff_[pending]);
       if (input.node != kNoNode) {
         if (outcome.decisions >= config_.decision_limit) {
           return finish(PodemStatus::kAborted);
@@ -306,7 +407,7 @@ PodemOutcome PodemEngine::solve(std::span<const TransitionFault> goals,
     d.flipped = true;
     input_val_[idx(d.input)] = d.value;
     ++outcome.backtracks;
-    for (std::size_t& depth : detected_depth) {
+    for (std::size_t& depth : detected_depth_) {
       if (depth != kNotDetected && depth >= decisions_.size()) {
         depth = kNotDetected;
       }
@@ -315,7 +416,6 @@ PodemOutcome PodemEngine::solve(std::span<const TransitionFault> goals,
 }
 
 BroadsideTest PodemEngine::extract_test() {
-  simulate();
   BroadsideTest test;
   const Netlist& nl = *netlist_;
   auto fill = [&](Val3 v) -> std::uint8_t {

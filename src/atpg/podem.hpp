@@ -3,7 +3,11 @@
 // Decisions are made only on the free inputs of the two-frame model (PI1,
 // PI2, PPI1); after every decision the engine re-derives all values by
 // three-valued simulation plus, per goal fault, a faulty frame-2 simulation
-// with the fault site forced to its stuck-at-initial value. A goal fault is
+// with the fault site forced to its stuck-at-initial value. Both are
+// event-driven: the good machine re-evaluates only the fanout of the sources
+// that changed since the last simulation, and a faulty frame is the good
+// frame 2 plus the fault site's difference cone (DESIGN.md, "PODEM
+// simulation"). A goal fault is
 // *detected* when its launch condition holds (binary initial value on the
 // site in frame 1) and some observation point has a binary good/faulty
 // difference; it is *impossible* when the launch condition is violated or no
@@ -90,6 +94,22 @@ class PodemEngine {
   /// which decisions belong to which goal).
   std::size_t decision_depth() const { return decisions_.size(); }
 
+  /// Free-input values of both frames, indexed frame * size() + node (kX
+  /// where unassigned and on every node that is not a free input).
+  std::span<const Val3> assignment() const { return input_val_; }
+
+  /// Good-machine values of `frame` as of the last simulation; after a
+  /// kDetected outcome, the values under assignment().
+  std::span<const Val3> values(Frame frame) const {
+    return std::span(good_).subspan(
+        static_cast<std::size_t>(frame) * netlist_->size(), netlist_->size());
+  }
+
+  /// Frame-2 values of the circuit with `fault`'s site forced, derived from
+  /// values() the way solve() derives a goal's faulty frame. The span stays
+  /// valid until the next call into the engine.
+  std::span<const Val3> faulty_frame(const TransitionFault& fault);
+
  private:
   struct Decision {
     FrameNode input;
@@ -103,27 +123,62 @@ class PodemEngine {
     return static_cast<std::size_t>(fn.frame) * netlist_->size() + fn.node;
   }
 
+  /// Brings good_ up to date with input_val_: sets the sources of each
+  /// frame that changed and propagates from them.
   void simulate();
+  /// Sets source `id` of `vals` to `v`, scheduling its fanout on a change.
+  void set_source(Val3* vals, NodeId id, Val3 v);
+  void schedule_fanouts(NodeId id);
+  /// Evaluates the scheduled gates of `vals` in level order; a gate whose
+  /// value changes schedules its fanout and is appended to `changed` (when
+  /// given).
+  void propagate(Val3* vals, std::vector<NodeId>* changed);
+
   GoalState goal_state(const TransitionFault& fault,
                        const std::vector<Val3>& faulty) const;
-  /// Simulates frame 2 with `fault`'s site forced and returns the values.
-  void simulate_faulty(const TransitionFault& fault,
-                       std::vector<Val3>& out) const;
+  /// Computes frame 2 with `fault`'s site forced into `out` (the good frame 2
+  /// plus the site's difference cone) and the nodes where it differs from
+  /// the good frame 2 into `diff`.
+  void simulate_faulty(const TransitionFault& fault, std::vector<Val3>& out,
+                       std::vector<NodeId>& diff);
 
   /// Picks (input, value) advancing the goal; kNoNode input when stuck.
   std::pair<FrameNode, Val3> pick_objective(const TransitionFault& fault,
-                                            const std::vector<Val3>& faulty);
+                                            const std::vector<Val3>& faulty,
+                                            const std::vector<NodeId>& diff);
   std::pair<FrameNode, Val3> backtrace(FrameNode node, Val3 want);
 
   const Netlist* netlist_;
   PodemConfig config_;
   Pcg32 rng_;
 
+  // Structure the simulation loops read, precomputed per engine. Gates are
+  // addressed by their eval-order position p (netlist.eval_entries()[p]).
+  const EvalEntry* gates_ = nullptr;
+  const NodeId* gate_fanins_ = nullptr;
+  std::vector<NodeId> dff_input_;          ///< D input of flops()[i]
+  std::vector<NodeId> observe_;            ///< outputs, then D inputs
+  std::vector<std::uint32_t> gate_level_;  ///< logic level of gate p
+  std::vector<std::uint32_t> fanout_off_;  ///< per node: its gate fanouts,
+  std::vector<std::uint32_t> fanout_pos_;  ///< as positions (no flop D pins)
+
+  // Event queue: the gates scheduled on level l sit in
+  // queue_[level_begin_[l], level_end_[l]); scheduled levels are [lo_, hi_].
+  std::vector<std::uint32_t> queue_;
+  std::vector<std::uint32_t> level_begin_;
+  std::vector<std::uint32_t> level_end_;
+  std::vector<std::uint8_t> queued_;  ///< per gate
+  std::uint32_t lo_ = 0;
+  std::uint32_t hi_ = 0;
+  std::uint64_t gate_evals_ = 0;  ///< added to the counter once per solve
+
   std::vector<Val3> input_val_;  ///< free-input assignments (2 * size)
   std::vector<Val3> good_;       ///< simulated values (2 * size)
-  std::vector<Val3> faulty_scratch_;
+  // Per-goal buffers of solve(), kept across calls.
+  std::vector<std::vector<Val3>> faulty_;   ///< faulty frame 2
+  std::vector<std::vector<NodeId>> diff_;   ///< nodes where faulty != good
+  std::vector<std::size_t> detected_depth_;
   std::vector<Decision> decisions_;
-  std::vector<Assignment> fixed_;  ///< preassignments
 };
 
 }  // namespace fbt
