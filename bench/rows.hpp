@@ -5,20 +5,18 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "atpg/tpdf_engine.hpp"
 #include "flow/bist_flow.hpp"
+#include "jobs/in_order.hpp"
 #include "jobs/job_system.hpp"
-#include "obs/event_journal.hpp"
 #include "obs/run_report.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -66,39 +64,17 @@ struct RowResult {
   double seconds = 0.0;  ///< the row's wall time
 };
 
-/// Runs fn(i) for every row i < n on the pool, each under its own
-/// obs::JournalScope, and returns the results in row order after appending
-/// the row journals to the caller's journal in row order.
-///
-/// parallel_for runs one lane per worker, and each lane takes the next
-/// unstarted row until none is left. One task per row would leave rows
-/// queued, and a thread waiting inside a row's flow task graph helps by
-/// running queued tasks: it would start a queued row nested inside its own,
-/// and the suspended row could only finish after the nested one (Table 4.3
-/// took 50 s that way against 80 s serially on 4 vCPUs). Lanes take rows
-/// from the last one backwards: the tables list circuits roughly by size,
-/// so the longest rows start first and do not form the tail.
+/// Runs fn(i) for every row i < n on the pool through jobs::run_in_order,
+/// which returns the results, and appends the row journals, in row order.
+/// Its lanes start from the last row: the tables list circuits roughly by
+/// size, so the longest rows start first and do not form the tail.
 template <typename Fn>
 auto run_rows(jobs::JobSystem& pool, std::size_t n, Fn fn) {
-  using R = std::invoke_result_t<Fn&, std::size_t>;
-  std::vector<std::optional<RowResult<R>>> slots(n);
-  std::vector<obs::EventJournal> journals(n);
-  std::atomic<std::size_t> started{0};
-  pool.parallel_for(std::min(n, pool.size()), [&](std::size_t) {
-    for (std::size_t k; (k = started.fetch_add(1)) < n;) {
-      const std::size_t i = n - 1 - k;
-      const Timer timer;
-      const obs::JournalScope scope(journals[i]);
-      R value = fn(i);
-      slots[i].emplace(RowResult<R>{std::move(value), timer.seconds()});
-    }
+  return jobs::run_in_order(pool, n, [&fn](std::size_t i) {
+    const Timer timer;
+    auto value = fn(i);
+    return RowResult<decltype(value)>{std::move(value), timer.seconds()};
   });
-  std::vector<RowResult<R>> results;
-  for (std::size_t i = 0; i < n; ++i) {
-    obs::journal().append(journals[i]);
-    results.push_back(std::move(*slots[i]));
-  }
-  return results;
 }
 
 /// Prints "[bench_<name>] done in <time since start>" and writes

@@ -18,6 +18,10 @@
 
 namespace fbt {
 
+namespace jobs {
+class JobSystem;
+}
+
 struct SwaCalibrationConfig {
   std::size_t num_sequences = 16;    ///< dissertation: 30
   std::size_t sequence_length = 4096;  ///< dissertation: 30000
@@ -32,9 +36,15 @@ struct SwaCalibration {
 /// Simulates `config.num_sequences` functional input sequences through
 /// driver -> target and returns the peak switching activity observed in the
 /// target. Requires driver.num_outputs() >= target.num_inputs(); the first
-/// num_inputs() driver outputs feed the target's inputs in order.
-/// `target_flat` is ignored; it remains only so existing callers that pass it
-/// still compile.
+/// num_inputs() driver outputs feed the target's inputs in order. The
+/// sequences are independent and run on `pool`; the peak does not depend on
+/// the pool's size.
+SwaCalibration measure_swa_func(const Netlist& target, const Netlist& driver,
+                                const SwaCalibrationConfig& config,
+                                jobs::JobSystem& pool);
+
+/// Same, on the process-wide pool (jobs::global_jobs()). `target_flat` is
+/// ignored; it remains only so existing callers that pass it still compile.
 SwaCalibration measure_swa_func(
     const Netlist& target, const Netlist& driver,
     const SwaCalibrationConfig& config,

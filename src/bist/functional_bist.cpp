@@ -116,12 +116,26 @@ FunctionalBistGenerator::evaluate_candidate(
 FunctionalBistResult FunctionalBistGenerator::run(
     const TransitionFaultList& faults,
     std::vector<std::uint32_t>& detect_count) {
+  return construct(faults, detect_count, /*keep_tests=*/true);
+}
+
+std::size_t FunctionalBistGenerator::count_new_detections(
+    const TransitionFaultList& faults,
+    std::vector<std::uint32_t>& detect_count) {
+  return construct(faults, detect_count, /*keep_tests=*/false).newly_detected;
+}
+
+FunctionalBistResult FunctionalBistGenerator::construct(
+    const TransitionFaultList& faults, std::vector<std::uint32_t>& detect_count,
+    bool keep_tests) {
   require(detect_count.size() == faults.size(), "FunctionalBistGenerator::run",
           "detect_count size must equal the fault count");
   FBT_OBS_PHASE("construct");
 
   FunctionalBistResult result;
-  result.first_detect.assign(faults.size(), FaultFirstDetect{});
+  if (keep_tests) {
+    result.first_detect.assign(faults.size(), FaultFirstDetect{});
+  }
   BroadsideFaultSim fsim(*netlist_, BroadsideFaultSim::Engine::kPacked);
   SeqSim sim(*netlist_);
 
@@ -146,6 +160,7 @@ FunctionalBistResult FunctionalBistGenerator::run(
     sim.load_reset_state();
     SequenceRecord sequence;
     TestSet sequence_tests;
+    std::size_t sequence_num_tests = 0;
     double sequence_peak = 0.0;
     std::size_t segment_failures = 0;
     std::vector<std::uint32_t> committed = detect_count;
@@ -188,10 +203,12 @@ FunctionalBistResult FunctionalBistGenerator::run(
               result.sequences.size());
           const auto seg_idx = static_cast<std::int32_t>(
               sequence.segments.size());
-          for (const FirstDetectHit& hit : prov.first_hits) {
-            result.first_detect[hit.fault] = {
-                seq_idx, seg_idx,
-                static_cast<std::int64_t>(applied_tests + hit.test), seed};
+          if (keep_tests) {
+            for (const FirstDetectHit& hit : prov.first_hits) {
+              result.first_detect[hit.fault] = {
+                  seq_idx, seg_idx,
+                  static_cast<std::int64_t>(applied_tests + hit.test), seed};
+            }
           }
           for (const GradeBlockStat& block : prov.blocks) {
             cumulative_detected += block.newly_at_limit;
@@ -215,8 +232,11 @@ FunctionalBistResult FunctionalBistGenerator::run(
                                        candidate.tests.size(), fresh,
                                        candidate.peak_swa});
           sequence_peak = std::max(sequence_peak, candidate.peak_swa);
-          for (auto& t : candidate.tests) {
-            sequence_tests.push_back(std::move(t));
+          sequence_num_tests += candidate.tests.size();
+          if (keep_tests) {
+            for (auto& t : candidate.tests) {
+              sequence_tests.push_back(std::move(t));
+            }
           }
         }
       }
@@ -253,7 +273,7 @@ FunctionalBistResult FunctionalBistGenerator::run(
     FBT_OBS_EVENT("sequence_committed",
                   {{"sequence", result.sequences.size()},
                    {"segments", sequence.segments.size()},
-                   {"tests", sequence_tests.size()},
+                   {"tests", sequence_num_tests},
                    {"detected", cumulative_detected},
                    {"peak_swa", sequence_peak}});
     detect_count = committed;
@@ -267,7 +287,7 @@ FunctionalBistResult FunctionalBistGenerator::run(
     result.sequences.push_back(std::move(sequence));
   }
 
-  result.num_tests = result.tests.size();
+  result.num_tests = applied_tests;
   FBT_OBS_EVENT("construct_finished",
                 {{"sequences", result.sequences.size()},
                  {"tests", result.num_tests},

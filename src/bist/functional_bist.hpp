@@ -123,7 +123,21 @@ class FunctionalBistGenerator {
   FunctionalBistResult run(const TransitionFaultList& faults,
                            std::vector<std::uint32_t>& detect_count);
 
+  /// run() without its test set: the same construction, detection credit
+  /// and event journal, but each accepted segment's tests are dropped once
+  /// graded and no first-detect attribution is kept. Returns the number of
+  /// newly detected faults (run().newly_detected). For callers that only
+  /// score a configuration, such as the Det measure of state holding.
+  std::size_t count_new_detections(const TransitionFaultList& faults,
+                                   std::vector<std::uint32_t>& detect_count);
+
  private:
+  /// The construction loop of run() and count_new_detections(); with
+  /// `keep_tests` false, result.tests and result.first_detect stay empty.
+  FunctionalBistResult construct(const TransitionFaultList& faults,
+                                 std::vector<std::uint32_t>& detect_count,
+                                 bool keep_tests);
+
   /// One evaluated candidate segment: the usable (SWA-clean, even-length)
   /// prefix length, its extracted broadside tests, and the peak SWA over the
   /// prefix.

@@ -1,7 +1,10 @@
 #include "bist/state_holding.hpp"
 
 #include <algorithm>
+#include <string>
 
+#include "jobs/in_order.hpp"
+#include "jobs/job_system.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -18,7 +21,8 @@ struct TreeNode {
 };
 
 /// Measures Det(set): number of residual faults detected by a cheap
-/// construction run holding `set`. Works on a scratch copy of detect_count.
+/// construction run holding `set`. Works on a scratch copy of detect_count
+/// and keeps no tests, so concurrent measures hold little memory.
 std::size_t measure_det(const Netlist& netlist,
                         const TransitionFaultList& faults,
                         const std::vector<std::uint32_t>& baseline,
@@ -32,8 +36,7 @@ std::size_t measure_det(const Netlist& netlist,
   cfg.rng_seed = rng_seed;
   std::vector<std::uint32_t> scratch = baseline;
   FunctionalBistGenerator generator(netlist, cfg);
-  const FunctionalBistResult result = generator.run(faults, scratch);
-  return result.newly_detected;
+  return generator.count_new_detections(faults, scratch);
 }
 
 }  // namespace
@@ -42,8 +45,18 @@ HoldSelectionResult select_and_run_hold_sets(
     const Netlist& netlist, const TransitionFaultList& faults,
     std::vector<std::uint32_t>& detect_count, const HoldSelectionConfig& config,
     std::uint64_t rng_seed) {
+  return select_and_run_hold_sets(netlist, faults, detect_count, config,
+                                  rng_seed, jobs::global_jobs());
+}
+
+HoldSelectionResult select_and_run_hold_sets(
+    const Netlist& netlist, const TransitionFaultList& faults,
+    std::vector<std::uint32_t>& detect_count, const HoldSelectionConfig& config,
+    std::uint64_t rng_seed, jobs::JobSystem& pool) {
   require(config.hold_period_log2 >= 1, "select_and_run_hold_sets",
           "h must be >= 1");
+  require(config.tree_height <= kMaxHoldTreeHeight, "select_and_run_hold_sets",
+          "tree height H must be <= " + std::to_string(kMaxHoldTreeHeight));
   require(detect_count.size() == faults.size(), "select_and_run_hold_sets",
           "detect_count size must equal the fault count");
 
@@ -78,15 +91,26 @@ HoldSelectionResult select_and_run_hold_sets(
     }
   }
 
-  // Det for every node, measured against the residual fault set.
+  // Det for every node, measured against the residual fault set. The seeds
+  // are drawn in (level, node) order, as a serial loop over the nodes would
+  // draw them; the runs then share only read-only inputs, so they go to the
+  // pool, and their results and journals come back in that order.
   const std::vector<std::uint32_t> baseline = detect_count;
+  std::vector<TreeNode*> nodes;
+  std::vector<std::uint64_t> det_seeds;
   for (unsigned l = 0; l <= height; ++l) {
-    for (std::size_t j = 0; j < tree[l].size(); ++j) {
-      tree[l][j].det =
-          measure_det(netlist, faults, baseline, config.eval,
-                      config.hold_period_log2, tree[l][j].set, rng.next64());
+    for (TreeNode& node : tree[l]) {
+      nodes.push_back(&node);
+      det_seeds.push_back(rng.next64());
     }
   }
+  const std::vector<std::size_t> dets =
+      jobs::run_in_order(pool, nodes.size(), [&](std::size_t i) {
+        return measure_det(netlist, faults, baseline, config.eval,
+                           config.hold_period_log2, nodes[i]->set,
+                           det_seeds[i]);
+      });
+  for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i]->det = dets[i];
 
   // Bottom-up partition decision: split a node when holding its halves
   // separately detects at least as much as holding it whole.

@@ -22,8 +22,17 @@
 
 namespace fbt {
 
+namespace jobs {
+class JobSystem;
+}
+
+/// Largest accepted tree height H. The tree has 2^(H+1) - 1 nodes and each
+/// one costs a construction run, so H = 16 already means 131071 runs
+/// (dissertation: H = 6); a taller tree is rejected with fbt::Error.
+inline constexpr unsigned kMaxHoldTreeHeight = 16;
+
 struct HoldSelectionConfig {
-  unsigned tree_height = 4;      ///< H (dissertation: 6; scaled by default)
+  unsigned tree_height = 4;      ///< H <= kMaxHoldTreeHeight (dissertation: 6)
   unsigned hold_period_log2 = 2; ///< h: hold every 4 cycles (§4.6)
   /// Construction parameters for Det evaluation (R = Q = 1 per §4.6).
   FunctionalBistConfig eval;
@@ -51,6 +60,14 @@ struct HoldSelectionResult {
 /// Runs set selection + committed generation. `detect_count` carries the
 /// phase-1 (functional-only) detection state in and the final state out; the
 /// residual set Fr is exactly the faults below the detect limit on entry.
+/// The Det runs of the tree's nodes are independent and run on `pool`; the
+/// result and the event journal do not depend on the pool's size.
+HoldSelectionResult select_and_run_hold_sets(
+    const Netlist& netlist, const TransitionFaultList& faults,
+    std::vector<std::uint32_t>& detect_count, const HoldSelectionConfig& config,
+    std::uint64_t rng_seed, jobs::JobSystem& pool);
+
+/// Same, on the process-wide pool (jobs::global_jobs()).
 HoldSelectionResult select_and_run_hold_sets(
     const Netlist& netlist, const TransitionFaultList& faults,
     std::vector<std::uint32_t>& detect_count, const HoldSelectionConfig& config,

@@ -248,7 +248,7 @@ ExperimentSummary ExperimentService::run_experiment(
             [&] {
               return std::make_shared<const double>(
                   measure_swa_func(*target.netlist, *driver.netlist,
-                                   config.calibration)
+                                   config.calibration, jobs_)
                       .peak_percent);
             },
             [](const double&) { return std::uint64_t{sizeof(double)}; });

@@ -13,6 +13,10 @@ SeqSim::SeqSim(const Netlist& netlist) : netlist_(&netlist) {
   values_.assign(netlist.size(), 0);
   prev_values_.assign(netlist.size(), 0);
   state_.assign(netlist.num_flops(), 0);
+  flop_d_.reserve(netlist.num_flops());
+  for (const NodeId flop : netlist.flops()) {
+    flop_d_.push_back(netlist.dff_input(flop));
+  }
 }
 
 void SeqSim::load_state(std::span<const std::uint8_t> state) {
@@ -37,15 +41,18 @@ SeqStep SeqSim::step(std::span<const std::uint8_t> pi_values,
           "SeqSim::step", "held mask size mismatch");
 
   values_.swap(prev_values_);
+  std::uint8_t* const values = values_.data();
+  std::uint8_t* const state = state_.data();
+  const std::size_t num_flops = state_.size();
 
   // Sources.
+  const NodeId* const inputs = netlist_->inputs().data();
   for (std::size_t i = 0; i < pi_values.size(); ++i) {
-    values_[netlist_->inputs()[i]] = pi_values[i] ? 1 : 0;
+    values[inputs[i]] = pi_values[i] ? 1 : 0;
   }
-  for (std::size_t i = 0; i < state_.size(); ++i) {
-    values_[netlist_->flops()[i]] = state_[i];
-  }
-  settle(*netlist_, values_.data());
+  const NodeId* const flops = netlist_->flops().data();
+  for (std::size_t i = 0; i < num_flops; ++i) values[flops[i]] = state[i];
+  settle(*netlist_, values);
 #if FBT_OBS_ENABLED
   gates_evaluated_.add(netlist_->num_gates());
   cycles_stepped_.add(1);
@@ -54,9 +61,13 @@ SeqStep SeqSim::step(std::span<const std::uint8_t> pi_values,
   // Switching activity vs. the previous settled cycle.
   SeqStep result;
   if (have_prev_) {
-    for (NodeId id = 0; id < netlist_->size(); ++id) {
-      result.toggled_lines += (values_[id] != prev_values_[id]) ? 1 : 0;
+    const std::uint8_t* const prev = prev_values_.data();
+    const std::size_t num_nodes = values_.size();
+    std::size_t toggled = 0;
+    for (std::size_t id = 0; id < num_nodes; ++id) {
+      toggled += values[id] != prev[id];
     }
+    result.toggled_lines = toggled;
     result.switching_percent = netlist_->num_lines() == 0
                                    ? 0.0
                                    : 100.0 * result.toggled_lines /
@@ -66,9 +77,13 @@ SeqStep SeqSim::step(std::span<const std::uint8_t> pi_values,
   have_prev_ = true;
 
   // State update (with optional per-flop hold).
-  for (std::size_t i = 0; i < state_.size(); ++i) {
-    if (!held.empty() && held[i]) continue;
-    state_[i] = values_[netlist_->dff_input(netlist_->flops()[i])];
+  const NodeId* const flop_d = flop_d_.data();
+  if (held.empty()) {
+    for (std::size_t i = 0; i < num_flops; ++i) state[i] = values[flop_d[i]];
+  } else {
+    for (std::size_t i = 0; i < num_flops; ++i) {
+      if (!held[i]) state[i] = values[flop_d[i]];
+    }
   }
   ++cycle_;
   return result;

@@ -90,6 +90,7 @@ class SeqSim {
   std::vector<std::uint8_t> values_;       // settled values, current cycle
   std::vector<std::uint8_t> prev_values_;  // settled values, previous cycle
   std::vector<std::uint8_t> state_;        // per flop
+  std::vector<NodeId> flop_d_;             // per flop: its D input
   std::size_t cycle_ = 0;
   bool have_prev_ = false;
   // Batched per-cycle counters: one atomic RMW per simulated cycle is the

@@ -7,6 +7,7 @@
 #include "circuits/registry.hpp"
 #include "circuits/synth.hpp"
 #include "circuits/s27.hpp"
+#include "util/require.hpp"
 
 namespace fbt {
 namespace {
@@ -87,6 +88,21 @@ TEST(StateHolding, FullyDetectedResidualSelectsNothing) {
       nl, faults, detect, small_hold_config(), 9);
   EXPECT_TRUE(result.selected.empty());
   EXPECT_EQ(result.newly_detected, 0u);
+}
+
+TEST(StateHolding, TreeHeightAboveTheCapIsRejected) {
+  // The tree has 2^(H+1) - 1 nodes; past the cap the work explodes, and at
+  // H >= 63 the level sizes would overflow.
+  const Netlist nl = make_s27();
+  const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
+  std::vector<std::uint32_t> detect(faults.size(), 0);
+  for (const unsigned height : {kMaxHoldTreeHeight + 1, 63u, 64u, ~0u}) {
+    HoldSelectionConfig cfg = small_hold_config();
+    cfg.tree_height = height;
+    EXPECT_THROW(select_and_run_hold_sets(nl, faults, detect, cfg, 1), Error)
+        << "H = " << height;
+  }
+  EXPECT_EQ(detect, std::vector<std::uint32_t>(faults.size(), 0));
 }
 
 TEST(StateHolding, AggregatesAreConsistent) {
