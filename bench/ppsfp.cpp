@@ -1,16 +1,23 @@
 // Serial vs PPSFP packed fault-grading throughput on one registry circuit.
 //
 // Grades the same random broadside test set against the full collapsed fault
-// list with the serial engine (one fault at a time, 64 tests per word) and
-// with the PPSFP engine (up to 64 faults per word against the shared
-// good-machine trace), verifying bit-identical detect counts and first-detect
-// provenance. The realistic grade mode (fault dropping at --detect-limit,
-// default 1) is the gated measurement: the gauge fault.pack_speedup_64
-// (serial ms / packed ms) feeds the fbt_report diff --min-pack-speedup CI
-// gate. A no-drop pass is reported alongside as the raw-propagation bound.
-// Writes BENCH_ppsfp.json with the timings, speedups, and pack-efficiency
-// gauges (groups simulated, lanes wasted, diff words propagated).
+// list with the serial test oracle (tests/fault/serial_fault_sim.hpp: one
+// fault at a time, 64 tests per word) and with BroadsideFaultSim's PPSFP
+// engine (up to 64 faults per word against the shared good-machine trace),
+// verifying bit-identical detect counts and first-detect provenance. The
+// realistic grade mode (fault dropping at --detect-limit, default 1) is the
+// gated measurement: the gauge fault.pack_speedup_64 (serial ms / packed ms)
+// feeds the fbt_report diff --min-pack-speedup CI gate. A no-drop pass is
+// reported alongside as the raw-propagation bound. Writes BENCH_ppsfp.json
+// with the timings, speedups, and pack-efficiency gauges (groups simulated,
+// lanes wasted, diff words propagated).
+//
+// Flags: --target (registry circuit, default des_perf), --tests (1..65536,
+// default 256), --repeats (1..1000, default 5), --detect-limit
+// (1..1073741824, default 1). A value out of range exits with status 2
+// before anything is built.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -18,6 +25,7 @@
 
 #include "circuits/registry.hpp"
 #include "fault/fault_sim.hpp"
+#include "fault/serial_fault_sim.hpp"
 #include "obs/instrument.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
@@ -52,9 +60,26 @@ struct GradeRun {
   fbt::GradeProvenance provenance;
 };
 
+constexpr std::uint32_t kNoDrop = 1u << 30;  // keep every fault active
+
+// Integer flag --name, default `fallback`; a value outside [1, max] exits
+// with status 2.
+std::int64_t bounded_flag(const fbt::Cli& cli, const char* name,
+                          std::int64_t fallback, std::int64_t max) {
+  const std::int64_t value = cli.get_int(name, fallback);
+  if (value < 1 || value > max) {
+    std::fprintf(stderr, "%s: --%s must be in [1, %lld], got %lld\n",
+                 cli.program().c_str(), name, static_cast<long long>(max),
+                 static_cast<long long>(value));
+    std::exit(2);
+  }
+  return value;
+}
+
 // One timed repeat: the pure grade, no provenance -- provenance collection
 // is optional telemetry, off on the flow's hot path.
-double timed_grade(fbt::BroadsideFaultSim& sim,
+template <typename Sim>
+double timed_grade(Sim& sim,
                    const fbt::TestSet& tests,
                    const fbt::TransitionFaultList& faults,
                    std::uint32_t detect_limit) {
@@ -66,7 +91,8 @@ double timed_grade(fbt::BroadsideFaultSim& sim,
 
 // Untimed pass collecting the counts and provenance the identity check
 // compares.
-GradeRun identity_grade(fbt::BroadsideFaultSim& sim,
+template <typename Sim>
+GradeRun identity_grade(Sim& sim,
                         const fbt::TestSet& tests,
                         const fbt::TransitionFaultList& faults,
                         std::uint32_t detect_limit) {
@@ -88,12 +114,12 @@ int main(int argc, char** argv) {
   const fbt::Cli cli(argc, argv);
   // des_perf is the largest registry circuit (4800 gates, 1200 flops).
   const std::string target_name = cli.get("target", "des_perf");
-  const auto num_tests = static_cast<std::size_t>(cli.get_int("tests", 256));
-  const auto repeats = static_cast<std::size_t>(cli.get_int("repeats", 5));
+  const auto num_tests =
+      static_cast<std::size_t>(bounded_flag(cli, "tests", 256, 65536));
+  const auto repeats =
+      static_cast<std::size_t>(bounded_flag(cli, "repeats", 5, 1000));
   const auto detect_limit =
-      static_cast<std::uint32_t>(cli.get_int("detect-limit", 1));
-  constexpr std::uint32_t kNoDrop = 1u << 30;  // keep every fault active
-  using Engine = fbt::BroadsideFaultSim::Engine;
+      static_cast<std::uint32_t>(bounded_flag(cli, "detect-limit", 1, kNoDrop));
 
   // On SIGINT/SIGTERM: flush the journal + write the (partial) bench
   // report before exiting with the conventional 128+signum status.
@@ -119,10 +145,10 @@ int main(int argc, char** argv) {
                    std::to_string(detect_limit) + ")");
   table.set_header({"engine", "grade ms", "speedup", "identical"});
 
-  fbt::BroadsideFaultSim serial(nl, Engine::kSerial);
-  fbt::BroadsideFaultSim packed(nl, Engine::kPacked);
+  fbt::testing::SerialFaultSim serial(nl);
+  fbt::BroadsideFaultSim packed(nl);
 
-  // Timed repeats run interleaved across the engines: a noisy phase of a
+  // Timed repeats run interleaved across the two graders: a noisy phase of a
   // shared host hits both instead of whichever one happened to be running,
   // so the best-of ratio stays comparable.
   double serial_best = 1e300;

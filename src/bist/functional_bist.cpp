@@ -136,7 +136,7 @@ FunctionalBistResult FunctionalBistGenerator::construct(
   if (keep_tests) {
     result.first_detect.assign(faults.size(), FaultFirstDetect{});
   }
-  BroadsideFaultSim fsim(*netlist_, BroadsideFaultSim::Engine::kPacked);
+  BroadsideFaultSim fsim(*netlist_);
   SeqSim sim(*netlist_);
 
   // Provenance bookkeeping: applied-test stream position and the running

@@ -33,7 +33,7 @@ std::vector<std::size_t> reduce_groups(const Netlist& netlist,
     end[g] = t + 1;
   }
 
-  BroadsideFaultSim sim(netlist, BroadsideFaultSim::Engine::kPacked);
+  BroadsideFaultSim sim(netlist);
   std::vector<std::uint32_t> detect_count(faults.size(), 0);
   std::vector<std::size_t> kept;
   for (std::size_t g = num_groups; g-- > 0;) {

@@ -1,9 +1,9 @@
 // Compatibility name for the retired thread-sharded grader.
 //
-// Grading runs on one PPSFP BroadsideFaultSim per loop (DESIGN.md "One
-// grader per loop"). ParallelBroadsideFaultSim forwards to one, so code that
-// still names it compiles unchanged; the shard count, job system, and pack
-// width arguments are ignored.
+// Grading runs on one BroadsideFaultSim per loop (DESIGN.md "One grader per
+// loop"). ParallelBroadsideFaultSim forwards to one, so code that still names
+// it compiles unchanged; the shard count, job system, and pack width
+// arguments are ignored.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +23,9 @@ class ParallelBroadsideFaultSim {
       const Netlist& netlist, std::size_t /*num_threads*/ = 0,
       jobs::JobSystem* /*jobs*/ = nullptr,
       std::uint32_t /*fault_pack_width*/ = 64)
-      : sim_(netlist, BroadsideFaultSim::Engine::kPacked) {}
+      : sim_(netlist) {}
 
-  /// BroadsideFaultSim::grade on the packed engine.
+  /// BroadsideFaultSim::grade.
   std::size_t grade(std::span<const BroadsideTest> tests,
                     const TransitionFaultList& faults,
                     std::span<std::uint32_t> detect_count,

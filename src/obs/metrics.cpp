@@ -124,7 +124,7 @@ void register_core_counters() {
   reg.counter("fault.faults_dropped");
   reg.counter("flow.faults_detected");
   // PPSFP packed fault grading: pack-efficiency counters, registered so
-  // runs that never grade (or grade serially) still report them as zeros.
+  // runs that never grade still report them as zeros.
   reg.counter("fault.pack_groups_simulated");
   reg.counter("fault.pack_lanes_wasted");
   reg.counter("fault.pack_diff_words_propagated");

@@ -1,8 +1,8 @@
 // 64-way bit-parallel combinational simulator.
 //
 // Each node holds one 64-bit word; bit k of every word belongs to pattern k.
-// The fault simulator uses eval() for fault-free values and fault_propagate()
-// for event-driven single-fault propagation over the same pattern block.
+// The fault simulator evaluates both frames of a 64-test block with eval()
+// and binds the frame-2 words (values()) to the packed fault kernel.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +25,9 @@ class BitSim {
 
   std::uint64_t value(NodeId id) const { return values_[id]; }
 
+  /// Every node's word, indexed by NodeId.
+  std::span<const std::uint64_t> values() const { return values_; }
+
   /// Evaluates the full combinational core in topological order from the
   /// current source words.
   void eval();
@@ -33,49 +36,14 @@ class BitSim {
   /// one word per flop in netlist().flops() order. Call after eval().
   void next_state(std::span<std::uint64_t> next_state) const;
 
-  /// Marks the observation points used by fault_propagate(): all primary
-  /// outputs plus all flip-flop D inputs (broadside capture points).
-  void use_default_observation_points();
-
-  /// Replaces the observation-point set.
-  void set_observation_points(std::span<const NodeId> points);
-
-  /// Event-driven propagation of a forced word at `site` through its fanout
-  /// cone, on top of the current eval() result (which is left untouched).
-  /// Returns the pattern mask on which any observation point differs from its
-  /// fault-free value.
-  std::uint64_t fault_propagate(NodeId site, std::uint64_t faulty_word);
-
-  /// Bytes owned by the value/scratch arrays (resource telemetry).
+  /// Bytes owned by the value array (resource telemetry).
   std::uint64_t footprint_bytes() const {
-    std::uint64_t bytes =
-        sizeof(*this) +
-        (values_.size() + faulty_.size()) * sizeof(std::uint64_t) +
-        (stamp_.size() + queued_stamp_.size()) * sizeof(std::uint32_t) +
-        observe_.size() * sizeof(std::uint8_t) +
-        level_queue_.size() * sizeof(std::vector<NodeId>);
-    for (const std::vector<NodeId>& q : level_queue_) {
-      bytes += q.size() * sizeof(NodeId);
-    }
-    return bytes;
+    return sizeof(*this) + values_.size() * sizeof(std::uint64_t);
   }
 
  private:
-  std::uint64_t faulty_value(NodeId id) const {
-    return stamp_[id] == current_stamp_ ? faulty_[id] : values_[id];
-  }
-  void enqueue_fanouts(NodeId id);
-
   const Netlist* netlist_;
   std::vector<std::uint64_t> values_;
-
-  // Fault propagation scratch.
-  std::vector<std::uint64_t> faulty_;
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t current_stamp_ = 0;
-  std::vector<std::uint8_t> observe_;
-  std::vector<std::vector<NodeId>> level_queue_;
-  std::vector<std::uint32_t> queued_stamp_;
 };
 
 }  // namespace fbt

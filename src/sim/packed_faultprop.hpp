@@ -1,19 +1,20 @@
-// Fault-parallel broadside diff-word propagator (classic PPSFP).
+// Fault-parallel broadside diff-word propagator (classic PPSFP), the
+// kernel of BroadsideFaultSim.
 //
-// The serial grading engine (BitSim::fault_propagate) packs 64 *tests* per
-// word and walks one fault at a time. This kernel flips the packing: bit k of
-// every word belongs to fault lane k, and one event-driven pass propagates up
-// to 64 faults' XOR-diff words through the combinational netlist for a
-// single test, against a shared fault-free two-frame trace that is simulated
-// once per 64-test block. A node's faulty word is reconstructed on the fly
-// as broadcast(good bit) XOR diff, so only nodes inside some lane's fault
-// cone are ever touched, and a lane is pruned the moment it reaches an
-// observation point -- per-test detection is boolean, so the rest of that
-// lane's cone is provably irrelevant (the serial engine cannot prune this
-// way: its word lanes are tests and the full per-test mask feeds popcount /
-// ctz). Detection at the default broadside observe set (primary outputs +
-// flip-flop D inputs) is returned as a per-lane word, bit-identical to
-// running BitSim::fault_propagate once per fault and reading the test's bit.
+// Bit k of every word belongs to fault lane k, and one event-driven pass
+// propagates up to 64 faults' XOR-diff words through the combinational
+// netlist for a single test, against a shared fault-free two-frame trace that
+// is simulated once per 64-test block. A node's faulty word is reconstructed
+// on the fly as broadcast(good bit) XOR diff, so only nodes inside some
+// lane's fault cone are ever touched, and a lane is pruned the moment it
+// reaches an observation point -- per-test detection is boolean, so the rest
+// of that lane's cone is provably irrelevant (a serial propagator, whose word
+// lanes are 64 tests of one fault, cannot prune this way: its full per-test
+// mask feeds popcount / ctz). Detection at the default broadside observe set
+// (primary outputs + flip-flop D inputs) is returned as a per-lane word,
+// bit-identical to running the serial test oracle
+// (tests/fault/serial_fault_sim.hpp) once per fault and reading the test's
+// bit.
 //
 // Internally nodes are renumbered level-major, which collapses the event
 // queue to one frontier bitmap scanned front to back: every fanout has a
@@ -51,8 +52,8 @@ class PackedFaultProp {
   /// Injects fault lane k (k < sites.size() <= 64) stuck at its launch-time
   /// initial value at node sites[k] and propagates all lanes' diff words for
   /// one test of the bound block. `active` bit k = lane k is launched by
-  /// `test` (a non-launched lane is left fault-free, matching the serial
-  /// engine's launch masking). Returns the word of lanes whose effect
+  /// `test` (a non-launched lane is left fault-free: a fault without a
+  /// launch has no effect). Returns the word of lanes whose effect
   /// reached an observation point.
   std::uint64_t propagate(std::span<const NodeId> sites, std::uint64_t active,
                           unsigned test);

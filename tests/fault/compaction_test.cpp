@@ -9,6 +9,7 @@
 #include "circuits/registry.hpp"
 #include "circuits/s27.hpp"
 #include "fault/fault_sim.hpp"
+#include "fault/serial_fault_sim.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -49,13 +50,13 @@ std::vector<std::size_t> singleton_groups(std::size_t num_tests) {
 }
 
 // Reference: the no-drop matrix sweep. Simulates the full per-test detection
-// matrix with the serial engine, unions each group's detected faults, then
+// matrix with the serial oracle, unions each group's detected faults, then
 // walks the groups last to first keeping a group when it detects a fault no
 // later kept group detects.
 std::vector<std::size_t> matrix_reduce_groups(
     const Netlist& nl, const TestSet& tests, const TransitionFaultList& faults,
     const std::vector<std::size_t>& group_of, std::size_t num_groups) {
-  BroadsideFaultSim sim(nl, BroadsideFaultSim::Engine::kSerial);
+  testing::SerialFaultSim sim(nl);
   const auto matrix = sim.detection_matrix(tests, faults);
   std::vector<std::vector<std::uint32_t>> per_group(num_groups);
   for (std::size_t f = 0; f < faults.size(); ++f) {

@@ -9,6 +9,7 @@
 #include "sim/seqsim.hpp"
 #include "sim/value.hpp"
 #include "test_circuits.hpp"
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace fbt {
@@ -121,25 +122,47 @@ TEST(FaultSim, MatchesReferenceOnSyntheticCircuit) {
   }
 }
 
-// Both graders read the good machine from BitSim, so both must see CONST1.
-TEST(FaultSim, BothEnginesMatchReferenceOnConstantTiedCircuit) {
+// The grader reads the good machine from BitSim, so it must see CONST1.
+TEST(FaultSim, MatchesReferenceOnConstantTiedCircuit) {
   const Netlist nl = testing::make_const_circuit();
   const TransitionFaultList faults = TransitionFaultList::uncollapsed(nl);
   Pcg32 rng(5);
   TestSet tests;
   for (int i = 0; i < 40; ++i) tests.push_back(random_test(nl, rng));
-  for (const auto engine : {BroadsideFaultSim::Engine::kSerial,
-                            BroadsideFaultSim::Engine::kPacked}) {
-    BroadsideFaultSim sim(nl, engine);
-    const auto matrix = sim.detection_matrix(tests, faults);
-    for (std::size_t f = 0; f < faults.size(); ++f) {
-      for (std::size_t t = 0; t < tests.size(); ++t) {
-        const bool fast = (matrix[f][t / 64] >> (t % 64)) & 1u;
-        ASSERT_EQ(fast, reference_detects(nl, tests[t], faults.fault(f)))
-            << fault_name(nl, faults.fault(f)) << " test " << t;
-      }
+  BroadsideFaultSim sim(nl);
+  const auto matrix = sim.detection_matrix(tests, faults);
+  for (std::size_t f = 0; f < faults.size(); ++f) {
+    for (std::size_t t = 0; t < tests.size(); ++t) {
+      const bool fast = (matrix[f][t / 64] >> (t % 64)) & 1u;
+      ASSERT_EQ(fast, reference_detects(nl, tests[t], faults.fault(f)))
+          << fault_name(nl, faults.fault(f)) << " test " << t;
     }
   }
+}
+
+// A test whose vectors do not fit the netlist is refused before it is
+// packed, in every entry point and whichever vector is short.
+TEST(FaultSim, RejectsTestsOfTheWrongSize) {
+  const Netlist nl = make_s27();
+  const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
+  BroadsideFaultSim sim(nl);
+  Pcg32 rng(82);
+  TestSet tests;
+  for (int i = 0; i < 3; ++i) tests.push_back(random_test(nl, rng));
+  tests[1].v1.pop_back();
+  std::vector<std::uint32_t> counts(faults.size(), 0);
+  EXPECT_THROW(sim.grade(tests, faults, counts, 1), Error);
+  EXPECT_THROW(sim.detection_matrix(tests, faults), Error);
+  EXPECT_THROW(sim.detects(tests[1], faults.fault(0)), Error);
+
+  tests[1] = random_test(nl, rng);
+  tests[1].v2.pop_back();
+  EXPECT_THROW(sim.grade(tests, faults, counts, 1), Error);
+  tests[1] = random_test(nl, rng);
+  tests[1].scan_state.pop_back();
+  EXPECT_THROW(sim.grade(tests, faults, counts, 1), Error);
+  tests[1] = random_test(nl, rng);
+  EXPECT_NO_THROW(sim.grade(tests, faults, counts, 1));
 }
 
 TEST(FaultSim, GradeMatchesDetectionMatrix) {
@@ -245,19 +268,14 @@ TEST(FaultSim, TestsGradedCountsOnlyLoadedTests) {
 
   // Fresh grade at limit 1 on 256 random tests: s27's collapsed faults all
   // drop well before the last block, so the counter must advance by full
-  // 64-test blocks but stay short of the whole set -- and by the identical
-  // amount for the serial and the packed engine (same block walk).
-  for (const bool packed : {false, true}) {
-    BroadsideFaultSim engine(nl, packed ? BroadsideFaultSim::Engine::kPacked
-                                        : BroadsideFaultSim::Engine::kSerial);
-    std::fill(counts.begin(), counts.end(), 0);
-    before = graded.value();
-    engine.grade(tests, faults, counts, 1);
-    const std::uint64_t loaded = graded.value() - before;
-    EXPECT_GT(loaded, 0u) << "packed=" << packed;
-    EXPECT_LT(loaded, tests.size()) << "packed=" << packed;
-    EXPECT_EQ(loaded % 64, 0u) << "packed=" << packed;
-  }
+  // 64-test blocks but stay short of the whole set.
+  std::fill(counts.begin(), counts.end(), 0);
+  before = graded.value();
+  sim.grade(tests, faults, counts, 1);
+  const std::uint64_t loaded = graded.value() - before;
+  EXPECT_GT(loaded, 0u);
+  EXPECT_LT(loaded, tests.size());
+  EXPECT_EQ(loaded % 64, 0u);
 }
 #endif
 

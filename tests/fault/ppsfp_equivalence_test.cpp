@@ -1,10 +1,10 @@
 // PPSFP packed-grading equivalence suite.
 //
-// The serial engine (one fault at a time, 64 tests per word) is the
-// reference; the PPSFP engine (up to 64 faults per word against the shared
-// good-machine trace) must reproduce its detect counts, detection matrices,
-// and first-detect provenance bit for bit, on every registry benchmark and
-// at every block boundary.
+// The serial oracle (one fault at a time, 64 tests per word;
+// serial_fault_sim.hpp) is the reference; BroadsideFaultSim (up to 64 faults
+// per word against the shared good-machine trace) must reproduce its detect
+// counts, detection matrices, and first-detect provenance bit for bit, on
+// every registry benchmark and at every block boundary.
 #include <string>
 #include <vector>
 
@@ -13,6 +13,7 @@
 #include "circuits/registry.hpp"
 #include "circuits/s27.hpp"
 #include "fault/fault_sim.hpp"
+#include "fault/serial_fault_sim.hpp"
 #include "obs/instrument.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
@@ -20,8 +21,7 @@
 namespace fbt {
 namespace {
 
-constexpr auto kSerial = BroadsideFaultSim::Engine::kSerial;
-constexpr auto kPacked = BroadsideFaultSim::Engine::kPacked;
+using testing::SerialFaultSim;
 
 TestSet random_tests(const Netlist& nl, std::size_t count, std::uint64_t seed) {
   Pcg32 rng(seed);
@@ -47,24 +47,27 @@ struct GradeRun {
   GradeProvenance prov;
 };
 
-GradeRun grade_with(BroadsideFaultSim::Engine engine, const Netlist& nl,
-                    const TestSet& tests, const TransitionFaultList& faults,
+template <typename Sim>
+GradeRun grade_with(const Netlist& nl, const TestSet& tests,
+                    const TransitionFaultList& faults,
                     std::vector<std::uint32_t> counts, std::uint32_t limit) {
-  BroadsideFaultSim sim(nl, engine);
+  Sim sim(nl);
   GradeRun out;
   out.counts = std::move(counts);
   out.fresh = sim.grade(tests, faults, out.counts, limit, &out.prov);
   return out;
 }
 
-/// Grades with both engines from the same initial credit and expects
-/// identical results; returns the serial run.
+/// Grades with the engine and the oracle from the same initial credit and
+/// expects identical results; returns the serial run.
 GradeRun expect_engines_agree(const Netlist& nl, const TestSet& tests,
                               const TransitionFaultList& faults,
                               const std::vector<std::uint32_t>& init,
                               std::uint32_t limit, const std::string& what) {
-  const GradeRun serial = grade_with(kSerial, nl, tests, faults, init, limit);
-  const GradeRun packed = grade_with(kPacked, nl, tests, faults, init, limit);
+  const GradeRun serial =
+      grade_with<SerialFaultSim>(nl, tests, faults, init, limit);
+  const GradeRun packed =
+      grade_with<BroadsideFaultSim>(nl, tests, faults, init, limit);
   EXPECT_EQ(packed.fresh, serial.fresh) << what;
   EXPECT_EQ(packed.counts, serial.counts) << what;
   EXPECT_EQ(packed.prov.first_hits, serial.prov.first_hits) << what;
@@ -99,8 +102,8 @@ TEST(PpsfpEquivalence, DetectionMatrixMatchesSerialOnEveryRegistryBenchmark) {
     const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
     const std::size_t num_tests = spec.num_gates <= 1000 ? 130 : 64;
     const TestSet tests = random_tests(nl, num_tests, spec.seed + 10);
-    BroadsideFaultSim serial(nl, kSerial);
-    BroadsideFaultSim packed(nl, kPacked);
+    SerialFaultSim serial(nl);
+    BroadsideFaultSim packed(nl);
     EXPECT_EQ(packed.detection_matrix(tests, faults),
               serial.detection_matrix(tests, faults))
         << spec.name;
@@ -123,8 +126,8 @@ TEST(PpsfpEquivalence, State2OverrideMatchesSerial) {
   expect_engines_agree(nl, tests, faults,
                        std::vector<std::uint32_t>(faults.size(), 0), 3,
                        "state2_override");
-  BroadsideFaultSim serial(nl, kSerial);
-  BroadsideFaultSim packed(nl, kPacked);
+  SerialFaultSim serial(nl);
+  BroadsideFaultSim packed(nl);
   EXPECT_EQ(packed.detection_matrix(tests, faults),
             serial.detection_matrix(tests, faults));
 }
@@ -135,8 +138,8 @@ TEST(PpsfpEquivalence, DetectsAgreesWithSerial) {
   const TransitionFaultList faults = TransitionFaultList::uncollapsed(nl);
   const TestSet tests = random_tests(nl, 24, 47);
 
-  BroadsideFaultSim serial(nl, kSerial);
-  BroadsideFaultSim packed(nl, kPacked);
+  SerialFaultSim serial(nl);
+  BroadsideFaultSim packed(nl);
   for (const BroadsideTest& t : tests) {
     for (std::size_t f = 0; f < faults.size(); ++f) {
       EXPECT_EQ(packed.detects(t, faults.fault(f)),
@@ -170,12 +173,11 @@ TEST(GradeEdgeCases, AllFaultsSaturatedUpFrontLoadsNothing) {
   const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
   const TestSet tests = random_tests(nl, 256, 13);
   const std::vector<std::uint32_t> saturated(faults.size(), 1);
-  for (const auto engine : {kSerial, kPacked}) {
-    const GradeRun run = grade_with(engine, nl, tests, faults, saturated, 1);
-    EXPECT_EQ(run.fresh, 0u);
-    EXPECT_EQ(run.counts, saturated);
-    EXPECT_TRUE(run.prov.blocks.empty());
-  }
+  const GradeRun run =
+      grade_with<BroadsideFaultSim>(nl, tests, faults, saturated, 1);
+  EXPECT_EQ(run.fresh, 0u);
+  EXPECT_EQ(run.counts, saturated);
+  EXPECT_TRUE(run.prov.blocks.empty());
 }
 
 TEST(GradeEdgeCases, HalfSaturatedUpFrontMatchesSerial) {
@@ -247,13 +249,13 @@ TEST(PpsfpEquivalence, PackEfficiencyCountersTrackThePackedEngineOnly) {
     return obs::registry().counter("fault.pack_lanes_wasted").value();
   };
 
-  BroadsideFaultSim serial(nl, kSerial);
+  SerialFaultSim serial(nl);
   std::vector<std::uint32_t> counts(faults.size(), 0);
   const std::uint64_t groups0 = groups();
   serial.grade(tests, faults, counts, 3);
-  EXPECT_EQ(groups(), groups0);  // serial engine never packs
+  EXPECT_EQ(groups(), groups0);  // the serial oracle never packs
 
-  BroadsideFaultSim packed(nl, kPacked);
+  BroadsideFaultSim packed(nl);
   std::fill(counts.begin(), counts.end(), 0);
   const std::uint64_t groups1 = groups();
   const std::uint64_t wasted1 = wasted();

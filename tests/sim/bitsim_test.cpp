@@ -4,6 +4,7 @@
 
 #include "circuits/s27.hpp"
 #include "circuits/synth.hpp"
+#include "fault/serial_fault_sim.hpp"
 #include "sim/seqsim.hpp"
 #include "sim/value.hpp"
 #include "test_circuits.hpp"
@@ -85,9 +86,9 @@ TEST(BitSim, LanesMatchScalarSimulation) {
   }
 }
 
-// Property: fault_propagate agrees with brute-force re-evaluation under the
-// forced value.
-TEST(BitSim, FaultPropagateMatchesBruteForce) {
+// Property: the serial oracle's event-driven propagation over BitSim's
+// words agrees with brute-force re-evaluation under the forced value.
+TEST(BitSim, SerialFaultPropMatchesBruteForce) {
   SynthParams p;
   p.name = "prop";
   p.num_inputs = 8;
@@ -99,6 +100,7 @@ TEST(BitSim, FaultPropagateMatchesBruteForce) {
 
   Pcg32 rng(55);
   BitSim sim(nl);
+  testing::SerialFaultProp prop(nl);
   for (int trial = 0; trial < 40; ++trial) {
     for (const NodeId pi : nl.inputs()) sim.set_value(pi, rng.next64());
     for (const NodeId ff : nl.flops()) sim.set_value(ff, rng.next64());
@@ -111,7 +113,7 @@ TEST(BitSim, FaultPropagateMatchesBruteForce) {
       continue;
     }
     const std::uint64_t forced = rng.next64();
-    const std::uint64_t detect = sim.fault_propagate(site, forced);
+    const std::uint64_t detect = prop.propagate(sim.values(), site, forced);
 
     // Brute force: re-evaluate a fresh simulator with the site forced.
     BitSim ref(nl);
