@@ -62,20 +62,6 @@ struct GradeRun {
 
 constexpr std::uint32_t kNoDrop = 1u << 30;  // keep every fault active
 
-// Integer flag --name, default `fallback`; a value outside [1, max] exits
-// with status 2.
-std::int64_t bounded_flag(const fbt::Cli& cli, const char* name,
-                          std::int64_t fallback, std::int64_t max) {
-  const std::int64_t value = cli.get_int(name, fallback);
-  if (value < 1 || value > max) {
-    std::fprintf(stderr, "%s: --%s must be in [1, %lld], got %lld\n",
-                 cli.program().c_str(), name, static_cast<long long>(max),
-                 static_cast<long long>(value));
-    std::exit(2);
-  }
-  return value;
-}
-
 // One timed repeat: the pure grade, no provenance -- provenance collection
 // is optional telemetry, off on the flow's hot path.
 template <typename Sim>
@@ -115,11 +101,11 @@ int main(int argc, char** argv) {
   // des_perf is the largest registry circuit (4800 gates, 1200 flops).
   const std::string target_name = cli.get("target", "des_perf");
   const auto num_tests =
-      static_cast<std::size_t>(bounded_flag(cli, "tests", 256, 65536));
+      static_cast<std::size_t>(cli.get_int_in("tests", 256, 1, 65536));
   const auto repeats =
-      static_cast<std::size_t>(bounded_flag(cli, "repeats", 5, 1000));
+      static_cast<std::size_t>(cli.get_int_in("repeats", 5, 1, 1000));
   const auto detect_limit =
-      static_cast<std::uint32_t>(bounded_flag(cli, "detect-limit", 1, kNoDrop));
+      static_cast<std::uint32_t>(cli.get_int_in("detect-limit", 1, 1, kNoDrop));
 
   // On SIGINT/SIGTERM: flush the journal + write the (partial) bench
   // report before exiting with the conventional 128+signum status.

@@ -140,6 +140,19 @@ inline std::string display(const std::string& name) {
   return name;
 }
 
+/// --L of Tables 4.3 and 4.4, the segment length (default 768): even, as
+/// FunctionalBistGenerator requires, and in [2, 65536]. Anything else exits
+/// with status 2 before a row runs.
+inline std::size_t segment_length_flag(const Cli& cli) {
+  const std::int64_t L = cli.get_int_in("L", 768, 2, 65536);
+  if (L % 2 != 0) {
+    std::fprintf(stderr, "%s: --L must be even, got %lld\n",
+                 cli.program().c_str(), static_cast<long long>(L));
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(L);
+}
+
 /// One Table 4.3 row's experiment, re-run by Table 4.4 as its phase 1:
 /// calibration over calib_seqs x calib_len cycles, R = Q = 3 (dissertation
 /// Q: 5), and an LFSR seed hashed from the row's names.

@@ -5,7 +5,7 @@
 // netlist with its eval CSR, collapsed fault list, bit-parallel simulator --
 // through a bounded simulate + grade workload. Records per-size walltime,
 // peak RSS, deterministic content-byte footprints, and bytes-per-gate into
-// BENCH_scale.json (run-report schema v3 "memory" section). CI diffs the
+// BENCH_scale.json (the run report's "memory" section). CI diffs the
 // report against bench/baselines/BENCH_scale.json with a tight
 // bytes-per-gate gate: a data-structure growth regression fails the build
 // even when walltime noise hides it.
@@ -145,9 +145,7 @@ int main(int argc, char** argv) {
     fbt::Timer parse_timer;
     fbt::Netlist nl = [&] {
       FBT_OBS_PHASE("parse");
-      fbt::Netlist parsed = fbt::parse_bench(bench_text, params.name);
-      FBT_OBS_ALLOC_CHARGE(parsed.footprint_bytes());
-      return parsed;
+      return fbt::parse_bench(bench_text, params.name);
     }();
     parse_ms = parse_timer.ms();
     bench_text.clear();
@@ -158,9 +156,7 @@ int main(int argc, char** argv) {
         fbt::obs::registry().gauge("netlist.finalize_duration_ms").value();
     const fbt::TransitionFaultList all_faults = [&] {
       FBT_OBS_PHASE("collapse");
-      auto built = fbt::TransitionFaultList::collapsed(nl);
-      FBT_OBS_ALLOC_CHARGE(built.footprint_bytes());
-      return built;
+      return fbt::TransitionFaultList::collapsed(nl);
     }();
 
     // Cap the graded fault list so grading stays O(tests * cap) while the

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("target-detected", 60));
   const auto batch = static_cast<std::size_t>(cli.get_int("batch", 150));
   const auto max_faults =
-      static_cast<std::size_t>(cli.get_int("max-faults", 900));
+      static_cast<std::size_t>(cli.get_int_in("max-faults", 900, 1, 1 << 20));
   const std::vector<std::string> circuits = fbt::bench::select_rows(
       cli, "circuits",
       std::vector<std::string>{"s1423", "s5378", "s9234", "s13207"});

@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
   const fbt::Cli cli(argc, argv);
   const std::string target_name = cli.get("target", "spi");
   const std::string driver_name = cli.get("driver", "wb_dma");
-  const auto length = static_cast<std::size_t>(cli.get_int("length", 48));
+  const auto length =
+      static_cast<std::size_t>(cli.get_int_in("length", 48, 1, 1 << 20));
 
   fbt::Timer total;
   const fbt::Netlist target = fbt::load_benchmark(target_name);

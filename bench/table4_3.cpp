@@ -12,7 +12,8 @@
 // fault coverage, and the hardware cost of the on-chip generator.
 //
 // Scaled defaults (dissertation: L = 6000-18000, 30 calibration sequences of
-// 30000 cycles): --L, --calib-seqs, --calib-len to adjust. --targets takes
+// 30000 cycles): --L (even, 2..65536), --calib-seqs (1..1024), --calib-len
+// (2..2^20) to adjust; a value outside exits with status 2. --targets takes
 // an exact comma list of printed circuit names (e.g. s35932,des_perf).
 #include <string>
 #include <vector>
@@ -56,11 +57,11 @@ const Row kRows[] = {
 
 int main(int argc, char** argv) {
   const fbt::Cli cli(argc, argv);
-  const auto L = static_cast<std::size_t>(cli.get_int("L", 768));
+  const std::size_t L = fbt::bench::segment_length_flag(cli);
   const auto calib_seqs =
-      static_cast<std::size_t>(cli.get_int("calib-seqs", 6));
+      static_cast<std::size_t>(cli.get_int_in("calib-seqs", 6, 1, 1024));
   const auto calib_len =
-      static_cast<std::size_t>(cli.get_int("calib-len", 1500));
+      static_cast<std::size_t>(cli.get_int_in("calib-len", 1500, 2, 1 << 20));
   const std::vector<Row> rows = fbt::bench::select_rows(
       cli, "targets", kRows,
       [](const Row& row) { return fbt::bench::display(row.target); });

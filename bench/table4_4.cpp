@@ -4,11 +4,9 @@
 // (binary-tree procedure, Fig. 4.12), holds each set every 2^h = 4 cycles
 // during additional on-chip generation, and reports the coverage recovered,
 // the aggregate sequence statistics, and the (slightly) larger hardware.
-// --L and --tree-height scale the run (a negative height, or one above
-// fbt::kMaxHoldTreeHeight, exits with status 2); --targets takes an exact
-// comma list of printed circuit names.
-#include <cstdint>
-#include <cstdio>
+// --L and --tree-height scale the run (an odd or out-of-range L, a negative
+// height, or one above fbt::kMaxHoldTreeHeight, exits with status 2);
+// --targets takes an exact comma list of printed circuit names.
 #include <string>
 #include <vector>
 
@@ -38,15 +36,9 @@ const Row kRows[] = {
 
 int main(int argc, char** argv) {
   const fbt::Cli cli(argc, argv);
-  const auto L = static_cast<std::size_t>(cli.get_int("L", 768));
-  const std::int64_t height_flag = cli.get_int("tree-height", 3);
-  if (height_flag < 0 || height_flag > fbt::kMaxHoldTreeHeight) {
-    std::fprintf(stderr, "%s: --tree-height must be in [0, %u], got %lld\n",
-                 cli.program().c_str(), fbt::kMaxHoldTreeHeight,
-                 static_cast<long long>(height_flag));
-    return 2;
-  }
-  const auto height = static_cast<unsigned>(height_flag);
+  const std::size_t L = fbt::bench::segment_length_flag(cli);
+  const auto height = static_cast<unsigned>(
+      cli.get_int_in("tree-height", 3, 0, fbt::kMaxHoldTreeHeight));
   const std::vector<Row> rows = fbt::bench::select_rows(
       cli, "targets", kRows,
       [](const Row& row) { return fbt::bench::display(row.target); });

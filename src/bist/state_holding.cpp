@@ -5,6 +5,7 @@
 
 #include "jobs/in_order.hpp"
 #include "jobs/job_system.hpp"
+#include "obs/instrument.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -63,6 +64,7 @@ HoldSelectionResult select_and_run_hold_sets(
   HoldSelectionResult out;
   const std::size_t nff = netlist.num_flops();
   if (nff == 0) return out;
+  FBT_OBS_PHASE("hold");
 
   Pcg32 rng(rng_seed, 0x14057b7ef767814fULL);
 
@@ -104,13 +106,16 @@ HoldSelectionResult select_and_run_hold_sets(
       det_seeds.push_back(rng.next64());
     }
   }
-  const std::vector<std::size_t> dets =
-      jobs::run_in_order(pool, nodes.size(), [&](std::size_t i) {
-        return measure_det(netlist, faults, baseline, config.eval,
-                           config.hold_period_log2, nodes[i]->set,
-                           det_seeds[i]);
-      });
-  for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i]->det = dets[i];
+  {
+    FBT_OBS_PHASE("select");
+    const std::vector<std::size_t> dets =
+        jobs::run_in_order(pool, nodes.size(), [&](std::size_t i) {
+          return measure_det(netlist, faults, baseline, config.eval,
+                             config.hold_period_log2, nodes[i]->set,
+                             det_seeds[i]);
+        });
+    for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i]->det = dets[i];
+  }
 
   // Bottom-up partition decision: split a node when holding its halves
   // separately detects at least as much as holding it whole.
@@ -137,6 +142,7 @@ HoldSelectionResult select_and_run_hold_sets(
 
   // Final selection: commit each candidate subset whose full construction run
   // detects additional residual faults, accumulating detection credit.
+  FBT_OBS_PHASE("commit");
   for (const auto& subset : tree[0][0].partition) {
     FunctionalBistConfig cfg = config.commit;
     cfg.hold_period_log2 = config.hold_period_log2;

@@ -325,7 +325,7 @@ std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
   FBT_OBS_COUNTER_ADD("fault.pack_lanes_wasted", stats.lanes_wasted);
   FBT_OBS_COUNTER_ADD("fault.pack_diff_words_propagated",
                       packed_.diff_words_propagated() - diff_words_before);
-  FBT_OBS_HIST_RECORD("fault.grade_duration_ms", grade_timer.ms());
+  FBT_OBS_HIST_RECORD_LOG("fault.grade_duration_ms", grade_timer.ms());
   return newly_complete;
 }
 

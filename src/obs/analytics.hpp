@@ -2,7 +2,7 @@
 // provenance events into the summaries a human (or the fbt_report
 // dashboard) actually reads -- the coverage-over-tests convergence curve and
 // the per-segment yield table. Rendered into every run report under the
-// "analytics" key (schema version 2).
+// "analytics" key.
 #pragma once
 
 #include <cstdint>

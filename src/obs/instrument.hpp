@@ -40,14 +40,6 @@
     fbt_obs_gauge_.set(static_cast<double>(value));                  \
   } while (0)
 
-/// Records `sample` into the named histogram (default latency-ms buckets).
-#define FBT_OBS_HIST_RECORD(name, sample)                            \
-  do {                                                               \
-    static ::fbt::obs::Histogram& fbt_obs_hist_ =                    \
-        ::fbt::obs::registry().histogram(name);                      \
-    fbt_obs_hist_.record(static_cast<double>(sample));               \
-  } while (0)
-
 /// Records `sample` into the named histogram with explicit bucket bounds
 /// (used on first registration only), e.g.
 /// FBT_OBS_HIST_RECORD_WITH("bist.faults_dropped_per_segment", n,
@@ -61,9 +53,8 @@
   } while (0)
 
 /// Records `sample` into the named histogram with the log-scale 1 µs..10 s
-/// latency bounds (see Histogram::log_latency_ms_bounds) -- for quantities
-/// with a wide dynamic range such as job run times and per-request serve
-/// latencies.
+/// latency bounds (see Histogram::log_latency_ms_bounds) -- the one bucket
+/// layout for durations, from warm cache hits to cold experiment runs.
 #define FBT_OBS_HIST_RECORD_LOG(name, sample)                         \
   do {                                                                \
     static ::fbt::obs::Histogram& fbt_obs_hist_ =                     \
@@ -75,12 +66,6 @@
 /// Opens a phase span covering the rest of the enclosing scope.
 #define FBT_OBS_PHASE(name) \
   ::fbt::obs::PhaseSpan FBT_OBS_CONCAT(fbt_obs_phase_, __LINE__)(name)
-
-/// Charges `bytes` (one allocation) to the process allocation totals and the
-/// innermost open phase on this thread (see obs/resource.hpp). Call after
-/// building a large owned structure, passing its footprint.
-#define FBT_OBS_ALLOC_CHARGE(bytes) \
-  ::fbt::obs::charge_allocation(static_cast<std::uint64_t>(bytes))
 
 /// Records the current byte footprint of a named owned structure into the
 /// process-wide footprint registry (overwrites the previous value), e.g.
@@ -102,15 +87,11 @@
   do { (void)sizeof(name); (void)sizeof(delta); } while (0)
 #define FBT_OBS_GAUGE_SET(name, value) \
   do { (void)sizeof(name); (void)sizeof(value); } while (0)
-#define FBT_OBS_HIST_RECORD(name, sample) \
-  do { (void)sizeof(name); (void)sizeof(sample); } while (0)
 #define FBT_OBS_HIST_RECORD_WITH(name, sample, ...) \
   do { (void)sizeof(name); (void)sizeof(sample); } while (0)
 #define FBT_OBS_HIST_RECORD_LOG(name, sample) \
   do { (void)sizeof(name); (void)sizeof(sample); } while (0)
 #define FBT_OBS_PHASE(name) do { (void)sizeof(name); } while (0)
-#define FBT_OBS_ALLOC_CHARGE(bytes) \
-  do { (void)sizeof(bytes); } while (0)
 #define FBT_OBS_FOOTPRINT(name, bytes) \
   do { (void)sizeof(name); (void)sizeof(bytes); } while (0)
 // The field list's braces defeat the sizeof trick, so the arguments are

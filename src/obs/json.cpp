@@ -14,16 +14,6 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return nullptr;
 }
 
-const JsonValue* JsonValue::find_path(
-    const std::vector<std::string>& path) const {
-  const JsonValue* cur = this;
-  for (const std::string& key : path) {
-    cur = cur->find(key);
-    if (cur == nullptr) return nullptr;
-  }
-  return cur;
-}
-
 namespace {
 
 /// Recursive-descent parser over the raw text. Position-based so error

@@ -35,11 +35,6 @@ struct JsonValue {
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(const std::string& key) const;
 
-  /// Dotted-path lookup through nested objects ("gauges.flow.num_tests"
-  /// would NOT work since metric names contain dots -- use find() twice for
-  /// those; this is for fixed schema paths like "analytics.convergence").
-  const JsonValue* find_path(const std::vector<std::string>& path) const;
-
   /// number when kNumber, `fallback` otherwise.
   double as_number(double fallback = 0.0) const {
     return kind == Kind::kNumber ? number : fallback;

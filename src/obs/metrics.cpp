@@ -35,11 +35,6 @@ void Histogram::reset() {
   sum_.store(0.0, std::memory_order_relaxed);
 }
 
-std::vector<double> Histogram::latency_ms_bounds() {
-  return {0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000,
-          5000, 10000};
-}
-
 std::vector<double> Histogram::log_latency_ms_bounds() {
   return {0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1,
           2,     5,     10,    20,   50,   100,  200, 500, 1000, 2000,
@@ -112,62 +107,6 @@ MetricsRegistry& registry() {
   return instance;
 }
 
-void register_core_counters() {
-  // The run-report acceptance set: these appear in every report even when
-  // the corresponding phase never ran in this process.
-  MetricsRegistry& reg = registry();
-  reg.counter("sim.seqsim_gates_evaluated");
-  reg.counter("sim.bitsim_gates_evaluated");
-  reg.counter("bist.lfsr_cycles");
-  reg.counter("bist.tests_extracted");
-  reg.counter("atpg.podem_backtracks");
-  reg.counter("fault.faults_dropped");
-  reg.counter("flow.faults_detected");
-  // PPSFP packed fault grading: pack-efficiency counters, registered so
-  // runs that never grade still report them as zeros.
-  reg.counter("fault.pack_groups_simulated");
-  reg.counter("fault.pack_lanes_wasted");
-  reg.counter("fault.pack_diff_words_propagated");
-  // Serving layer (fbt_serve daemon + work-stealing job system): registered
-  // so batch runs report them as zeros and dashboards can always render the
-  // Serving panel from a uniform metric set.
-  reg.counter("serve.requests_total");
-  reg.counter("serve.cache_hits");
-  reg.counter("serve.cache_misses");
-  reg.counter("serve.cache_evictions");
-  reg.counter("jobs.submitted");
-  reg.counter("jobs.executed");
-  reg.counter("jobs.steals");
-  // Scheduler telemetry (trace propagation + utilization, PR 10): worker
-  // busy time feeds the run report's "jobs" section; the histograms use
-  // log-scale bounds because job run times span microseconds to seconds.
-  reg.counter("jobs.busy_us");
-  reg.gauge("jobs.workers");
-  reg.gauge("jobs.queue_depth");
-  reg.histogram("jobs.run_ms", Histogram::log_latency_ms_bounds());
-  reg.histogram("jobs.steal_latency_ms", Histogram::log_latency_ms_bounds());
-  // Per-request serve latency, decomposed into segments and keyed cold
-  // (experiment-cache miss) vs warm (hit). Pre-registered so the stats
-  // response and dashboards always see the full set, zero-valued when the
-  // daemon never ran.
-  reg.histogram("serve.request_queue_ms", Histogram::log_latency_ms_bounds());
-  reg.histogram("serve.request_cache_ms", Histogram::log_latency_ms_bounds());
-  reg.histogram("serve.request_compute_ms",
-                Histogram::log_latency_ms_bounds());
-  reg.histogram("serve.request_render_ms", Histogram::log_latency_ms_bounds());
-  reg.histogram("serve.request_total_cold_ms",
-                Histogram::log_latency_ms_bounds());
-  reg.histogram("serve.request_total_warm_ms",
-                Histogram::log_latency_ms_bounds());
-  reg.gauge("flow.fault_coverage_percent");
-  reg.gauge("flow.num_tests");
-  reg.gauge("flow.num_seeds");
-  // Denominators for the memory section's bytes-per-gate / bytes-per-fault
-  // analytics (resource telemetry, schema v3).
-  reg.gauge("flow.num_gates");
-  reg.gauge("flow.num_faults");
-}
-
 double histogram_mean(const HistogramSample& h) {
   if (h.count == 0) return 0.0;
   return h.sum / static_cast<double>(h.count);
@@ -180,8 +119,7 @@ double histogram_quantile(const HistogramSample& h, double q, bool* clamped) {
   const double rank = q * static_cast<double>(h.count);
   std::uint64_t cumulative = 0;
   for (std::size_t i = 0; i < h.bucket_counts.size(); ++i) {
-    const std::uint64_t in_bucket =
-        i < h.bucket_counts.size() ? h.bucket_counts[i] : 0;
+    const std::uint64_t in_bucket = h.bucket_counts[i];
     if (in_bucket == 0) continue;
     const double lo = static_cast<double>(cumulative);
     cumulative += in_bucket;

@@ -106,9 +106,6 @@ class Histogram {
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   void reset();
 
-  /// Default bounds for latencies in milliseconds.
-  static std::vector<double> latency_ms_bounds();
-
   /// Log-scale (1-2-5 per decade) latency bounds spanning 1 µs .. 10 s in
   /// milliseconds, for quantities with a wide dynamic range (warm cache hits
   /// are microseconds, cold experiment runs are seconds).
@@ -196,9 +193,6 @@ class MetricsRegistry {
   /// Registers with `bounds` on first use; later calls (with any bounds)
   /// return the existing histogram unchanged.
   Histogram& histogram(std::string_view name, std::vector<double> bounds);
-  Histogram& histogram(std::string_view name) {
-    return histogram(name, Histogram::latency_ms_bounds());
-  }
 
   MetricsSnapshot snapshot() const;
 
@@ -215,10 +209,6 @@ class MetricsRegistry {
 
 /// The process-wide registry used by the FBT_OBS_* instrumentation macros.
 MetricsRegistry& registry();
-
-/// Pre-registers the core domain counters and gauges so run reports always
-/// carry them (zero-valued when the corresponding code path never ran).
-void register_core_counters();
 
 /// Mean of a histogram's samples; 0 when it holds no samples (never NaN --
 /// summary values feed straight into JSON).

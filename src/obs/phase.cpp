@@ -31,8 +31,8 @@ std::uint64_t now_us() {
 // a root of the process-wide trace.
 thread_local std::vector<PhaseNode> open_spans;
 
-// Context adopted from another thread via TraceContextScope or
-// TaskTraceScope; consulted only when the local open-span stack is empty.
+// Context adopted from the submitting thread via TaskTraceScope; consulted
+// only when the local open-span stack is empty.
 thread_local TraceContext adopted_context;
 
 // Small sequential id per thread, assigned on the thread's first span. The
@@ -91,11 +91,10 @@ void render_events(const PhaseNode& node, bool& first, std::string& out) {
                 ", \"args\": {\"span_id\": %" PRIu64
                 ", \"parent_span_id\": %" PRIu64
                 ", \"rss_open_bytes\": %" PRIu64
-                ", \"rss_close_bytes\": %" PRIu64
-                ", \"alloc_bytes\": %" PRIu64 "}}",
+                ", \"rss_close_bytes\": %" PRIu64 "}}",
                 node.start_us, node.dur_us, node.tid, node.span_id,
                 node.parent_span_id, node.rss_open_bytes,
-                node.rss_close_bytes, node.alloc_bytes);
+                node.rss_close_bytes);
   out += buf;
   for (const PhaseNode& child : node.children) {
     render_events(child, first, out);
@@ -148,13 +147,6 @@ TraceContext current_trace_context() {
   }
   return adopted_context;
 }
-
-TraceContextScope::TraceContextScope(TraceContext ctx)
-    : saved_(adopted_context) {
-  adopted_context = ctx;
-}
-
-TraceContextScope::~TraceContextScope() { adopted_context = saved_; }
 
 TaskTraceScope::TaskTraceScope(TraceContext ctx)
     : saved_spans_(std::move(open_spans)), saved_context_(adopted_context) {
@@ -275,15 +267,13 @@ std::vector<PhaseSummary> summarize_phases(
       }
     }
     if (slot == out.size()) {
-      out.push_back({n.name, 0, 0.0, 0.0, 0, 0, 0, {}});
+      out.push_back({n.name, 0, 0.0, 0.0, 0, {}});
       grouped_children.emplace_back();
     }
     out[slot].count += 1;
     out[slot].total_ms += n.total_ms();
     out[slot].self_ms += n.self_ms();
     out[slot].rss_delta_bytes += n.rss_delta_bytes();
-    out[slot].alloc_bytes += n.alloc_bytes;
-    out[slot].alloc_count += n.alloc_count;
     for (const PhaseNode& c : n.children) {
       grouped_children[slot].push_back(c);
     }
@@ -350,14 +340,6 @@ PhaseSpan::~PhaseSpan() {
 }
 
 namespace detail {
-
-bool charge_open_phase(std::uint64_t bytes, std::uint64_t count) {
-  if (open_spans.empty()) return false;
-  PhaseNode& node = open_spans.back();
-  node.alloc_bytes += bytes;
-  node.alloc_count += count;
-  return true;
-}
 
 std::uint64_t trace_now_us() { return now_us(); }
 

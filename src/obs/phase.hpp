@@ -9,17 +9,15 @@
 //
 // Cross-worker propagation: every span carries a process-unique span_id and
 // the span_id of its logical parent. On one thread, parenthood follows the
-// open-span stack as before. Across threads, a submitter captures
-// current_trace_context() and the executing thread re-enters it with a
-// TraceContextScope: spans opened there with an empty local stack adopt the
-// captured span as their parent. (JobSystem tasks use TaskTraceScope, which
-// also sets the executing thread's own open spans aside.) Such spans are
-// recorded as *detached*
-// roots; summarize() re-attaches them under their parent span (stitching),
-// so the phase tree shows the real task graph even when the JobSystem
-// steals work between workers. The Chrome export keeps one complete event
-// per span (args carry span_id/parent_span_id) plus flow arrows
-// ("ph":"s"/"f") from each submit site to the execution site.
+// open-span stack. Across threads, the JobSystem captures
+// current_trace_context() at each submit site and runs the task inside a
+// TaskTraceScope, which sets the executing thread's own open spans aside and
+// adopts the captured span as the parent of the task's spans. Such spans are
+// recorded as *detached* roots; summarize() re-attaches them under their
+// parent span (stitching), so the phase tree shows the real task graph even
+// when the JobSystem steals work between workers. The Chrome export keeps
+// one complete event per span (args carry span_id/parent_span_id) plus flow
+// arrows ("ph":"s"/"f") from each submit site to the execution site.
 //
 // Thread safety: the open-span stack and the adopted context are
 // thread_local, the completed-span sink (PhaseTrace::instance()) is
@@ -38,8 +36,7 @@ namespace fbt::obs {
 
 /// One completed span. Times are microseconds relative to the trace epoch
 /// (first use of the trace in this process). RSS is sampled (throttled, see
-/// obs/resource.hpp) when the span opens and closes; allocation charges land
-/// on the span that was innermost when charge_allocation ran.
+/// obs/resource.hpp) when the span opens and closes.
 struct PhaseNode {
   std::string name;
   std::uint64_t start_us = 0;
@@ -49,8 +46,6 @@ struct PhaseNode {
   std::uint64_t parent_span_id = 0;  ///< 0 = root (no logical parent)
   std::uint64_t rss_open_bytes = 0;   ///< sampled RSS when the span opened
   std::uint64_t rss_close_bytes = 0;  ///< sampled RSS when the span closed
-  std::uint64_t alloc_bytes = 0;  ///< bytes charged while innermost
-  std::uint64_t alloc_count = 0;  ///< charges while innermost
   std::vector<PhaseNode> children;
 
   double total_ms() const { return static_cast<double>(dur_us) / 1000.0; }
@@ -65,42 +60,26 @@ struct PhaseNode {
 
 /// Copyable handle to a position in the span tree: the innermost open span
 /// (span_id) and its parent. Capture with current_trace_context() at a task's
-/// submit site; re-enter with TraceContextScope on the thread that executes
-/// it. A zero span_id means "no enclosing span" and propagating it is a
-/// no-op, so the scheduler can capture unconditionally.
+/// submit site; re-enter with TaskTraceScope on the thread that executes it.
+/// A zero span_id means "no enclosing span" and propagating it is a no-op,
+/// so the scheduler can capture unconditionally.
 struct TraceContext {
   std::uint64_t span_id = 0;
   std::uint64_t parent_id = 0;
 };
 
 /// The context of the innermost open span on this thread; falls back to the
-/// context adopted via TraceContextScope (so a task that submits subtasks
+/// context adopted via TaskTraceScope (so a task that submits subtasks
 /// outside any local span still chains them to its own submitter), and to
 /// {0, 0} when neither exists.
 TraceContext current_trace_context();
 
-/// RAII adoption of a captured TraceContext: while alive, spans opened on
-/// this thread with an empty open-span stack record ctx.span_id as their
-/// parent_span_id (and are stitched under it by summarize()). Scopes nest;
-/// destruction restores the previous adopted context. Spans opened inside a
-/// local enclosing span are unaffected -- the local stack wins.
-class TraceContextScope {
- public:
-  explicit TraceContextScope(TraceContext ctx);
-  ~TraceContextScope();
-  TraceContextScope(const TraceContextScope&) = delete;
-  TraceContextScope& operator=(const TraceContextScope&) = delete;
-
- private:
-  TraceContext saved_;
-};
-
 /// RAII entry into a pool task's own trace position (used by the JobSystem
 /// around every task): sets this thread's open-span stack aside and adopts
 /// `ctx`, so the task's spans parent under its submitter even when a thread
-/// blocked in wait() inside its own spans runs it. Destruction restores the
-/// stack and the adopted context. Unlike TraceContextScope, the local stack
-/// does not win here: the stack belongs to the waiter, not to the task.
+/// blocked in wait() inside its own spans runs it: the stack belongs to the
+/// waiter, not to the task. Scopes nest; destruction restores the stack and
+/// the adopted context.
 class TaskTraceScope {
  public:
   explicit TaskTraceScope(TraceContext ctx);
@@ -123,17 +102,14 @@ struct FlowArrow {
   std::uint32_t dst_tid = 0;
 };
 
-/// Same-name siblings merged: `total_ms`, `rss_delta_bytes`, and the
-/// allocation charges sum over `count` spans. Allocation charges are "self"
-/// quantities: a child's charges are not included in its parent's.
+/// Same-name siblings merged: `total_ms`, `self_ms` and `rss_delta_bytes` sum
+/// over `count` spans.
 struct PhaseSummary {
   std::string name;
   std::uint64_t count = 0;
   double total_ms = 0.0;
   double self_ms = 0.0;
   std::int64_t rss_delta_bytes = 0;
-  std::uint64_t alloc_bytes = 0;
-  std::uint64_t alloc_count = 0;
   std::vector<PhaseSummary> children;
 };
 
@@ -213,11 +189,6 @@ class PhaseSpan {
 };
 
 namespace detail {
-
-/// Adds an allocation charge to the innermost open span on this thread.
-/// Returns false when no span is open (the process totals in obs/resource
-/// still record the charge). Called by charge_allocation; not a public API.
-bool charge_open_phase(std::uint64_t bytes, std::uint64_t count);
 
 /// Microseconds since the trace epoch (the clock spans and flow arrows use).
 std::uint64_t trace_now_us();

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/run_report.hpp"
+
 namespace fbt::obs {
 
 namespace {
@@ -15,50 +17,47 @@ std::string num(double v) {
   return buf;
 }
 
-/// Value of a named entry in a top-level "gauges"/"counters" object; 0 when
-/// the section or entry is missing so old-schema baselines stay diffable.
-double metric_value(const JsonValue& report, const char* section,
-                    const std::string& name) {
-  const JsonValue* sec = report.find(section);
-  if (sec == nullptr) return 0.0;
-  const JsonValue* entry = sec->find(name);
-  return entry == nullptr ? 0.0 : entry->as_number();
+/// A top-level section of a report that passed check_report_schema.
+const JsonValue& section(const JsonValue& report, const char* name) {
+  return *report.find(name);
 }
 
-/// Scalar from the top-level "memory" section; 0 when the section or entry
-/// is missing (schema v2 reports have no memory section and cannot regress).
-double memory_value(const JsonValue& report, const std::string& name) {
-  const JsonValue* mem = report.find("memory");
-  if (mem == nullptr) return 0.0;
-  const JsonValue* entry = mem->find(name);
-  return entry == nullptr ? 0.0 : entry->as_number();
+/// Number of a named member of `obj`; 0 when the member is absent (a metric
+/// appears only once code has touched it, so absent means zero).
+double field(const JsonValue& obj, const std::string& key) {
+  const JsonValue* v = obj.find(key);
+  return v == nullptr ? 0.0 : v->as_number();
+}
+
+/// String member of `obj`; `fallback` when absent or not a string.
+std::string text_field(const JsonValue& obj, const std::string& key,
+                       const std::string& fallback) {
+  const JsonValue* v = obj.find(key);
+  return v == nullptr ? fallback : v->as_string(fallback);
+}
+
+double entry_value(const JsonValue& report, const char* section_name,
+                   const std::string& name) {
+  return field(section(report, section_name), name);
 }
 
 /// Summed total_ms across top-level phases (children are already included
 /// in their parent's total).
 double total_walltime_ms(const JsonValue& report) {
-  const JsonValue* phases = report.find("phases");
-  if (phases == nullptr || !phases->is_array()) return 0.0;
   double total = 0.0;
-  for (const JsonValue& p : phases->array) {
-    if (const JsonValue* ms = p.find("total_ms")) total += ms->as_number();
+  for (const JsonValue& p : section(report, "phases").array) {
+    total += field(p, "total_ms");
   }
   return total;
 }
 
 void append_metric_deltas(const JsonValue& baseline, const JsonValue& current,
-                          const char* section, std::ostringstream& out) {
-  const JsonValue* base_sec = baseline.find(section);
-  const JsonValue* cur_sec = current.find(section);
-  if (cur_sec == nullptr || !cur_sec->is_object()) return;
-  for (const auto& [name, value] : cur_sec->object) {
+                          const char* section_name, std::ostringstream& out) {
+  for (const auto& [name, value] : section(current, section_name).object) {
     if (!value.is_number()) continue;
-    const double before =
-        base_sec != nullptr && base_sec->find(name) != nullptr
-            ? base_sec->find(name)->as_number()
-            : 0.0;
+    const double before = entry_value(baseline, section_name, name);
     if (before == value.number) continue;
-    out << "  " << section << "." << name << ": " << num(before) << " -> "
+    out << "  " << section_name << "." << name << ": " << num(before) << " -> "
         << num(value.number) << "\n";
   }
 }
@@ -79,18 +78,16 @@ std::string html_escape(const std::string& s) {
 }
 
 /// Two-column name/value table from a JSON object of scalars.
-void html_kv_table(const JsonValue* obj, std::ostringstream& out) {
+void html_kv_table(const JsonValue& obj, std::ostringstream& out) {
   out << "<table><tr><th>name</th><th>value</th></tr>\n";
-  if (obj != nullptr && obj->is_object()) {
-    for (const auto& [name, value] : obj->object) {
-      out << "<tr><td>" << html_escape(name) << "</td><td>";
-      if (value.is_number()) {
-        out << num(value.number);
-      } else if (value.is_string()) {
-        out << html_escape(value.string);
-      }
-      out << "</td></tr>\n";
+  for (const auto& [name, value] : obj.object) {
+    out << "<tr><td>" << html_escape(name) << "</td><td>";
+    if (value.is_number()) {
+      out << num(value.number);
+    } else if (value.is_string()) {
+      out << html_escape(value.string);
     }
+    out << "</td></tr>\n";
   }
   out << "</table>\n";
 }
@@ -98,9 +95,7 @@ void html_kv_table(const JsonValue* obj, std::ostringstream& out) {
 /// The coverage convergence curve as an inline SVG polyline; nothing when
 /// fewer than two points exist.
 void html_convergence_svg(const JsonValue& report, std::ostringstream& out) {
-  const JsonValue* analytics = report.find("analytics");
-  const JsonValue* curve =
-      analytics != nullptr ? analytics->find("convergence") : nullptr;
+  const JsonValue* curve = section(report, "analytics").find("convergence");
   if (curve == nullptr || !curve->is_array() || curve->array.size() < 2) {
     out << "<p class=\"dim\">no convergence data</p>\n";
     return;
@@ -108,12 +103,8 @@ void html_convergence_svg(const JsonValue& report, std::ostringstream& out) {
   double max_tests = 1.0;
   double max_detected = 1.0;
   for (const JsonValue& p : curve->array) {
-    if (const JsonValue* t = p.find("tests")) {
-      max_tests = std::max(max_tests, t->as_number());
-    }
-    if (const JsonValue* d = p.find("detected")) {
-      max_detected = std::max(max_detected, d->as_number());
-    }
+    max_tests = std::max(max_tests, field(p, "tests"));
+    max_detected = std::max(max_detected, field(p, "detected"));
   }
   const double w = 640.0;
   const double h = 240.0;
@@ -126,14 +117,9 @@ void html_convergence_svg(const JsonValue& report, std::ostringstream& out) {
   out << "<polyline fill=\"none\" stroke=\"#0a6\" stroke-width=\"2\" "
          "points=\"";
   for (const JsonValue& p : curve->array) {
-    const double t = p.find("tests") != nullptr
-                         ? p.find("tests")->as_number()
-                         : 0.0;
-    const double d = p.find("detected") != nullptr
-                         ? p.find("detected")->as_number()
-                         : 0.0;
-    const double x = pad + (t / max_tests) * (w - pad - 8);
-    const double y = (h - pad) - (d / max_detected) * (h - pad - 16);
+    const double x = pad + (field(p, "tests") / max_tests) * (w - pad - 8);
+    const double y =
+        (h - pad) - (field(p, "detected") / max_detected) * (h - pad - 16);
     out << num(x) << "," << num(y) << " ";
   }
   out << "\"/>\n";
@@ -148,9 +134,7 @@ void html_convergence_svg(const JsonValue& report, std::ostringstream& out) {
 }
 
 void html_segment_yield(const JsonValue& report, std::ostringstream& out) {
-  const JsonValue* analytics = report.find("analytics");
-  const JsonValue* rows =
-      analytics != nullptr ? analytics->find("segment_yield") : nullptr;
+  const JsonValue* rows = section(report, "analytics").find("segment_yield");
   if (rows == nullptr || !rows->is_array() || rows->array.empty()) {
     out << "<p class=\"dim\">no segment yield data</p>\n";
     return;
@@ -194,33 +178,25 @@ void html_bar_row(const std::string& label, double value, double max_value,
       << num(pct) << "%\"></div></td></tr>\n";
 }
 
-/// Memory panel: RSS/allocation scalars, structure footprints as bars, and
-/// per-top-level-phase RSS deltas as bars. Schema v2 reports have no
-/// "memory" section; the panel degrades to a note so old reports render.
+/// Memory panel: RSS scalars, structure footprints as bars, and
+/// per-top-level-phase RSS deltas as bars.
 void html_memory_panel(const JsonValue& report, std::ostringstream& out) {
-  const JsonValue* mem = report.find("memory");
-  if (mem == nullptr || !mem->is_object()) {
-    out << "<p class=\"dim\">no memory data (schema v2 report)</p>\n";
-    return;
-  }
+  const JsonValue& mem = section(report, "memory");
   out << "<table><tr><th>name</th><th>value</th></tr>\n";
-  static const char* kScalars[] = {"peak_rss_bytes",   "current_rss_bytes",
-                                   "allocated_bytes",  "allocation_count",
-                                   "bytes_per_gate",   "bytes_per_fault"};
+  static const char* kScalars[] = {"peak_rss_bytes", "current_rss_bytes",
+                                   "bytes_per_gate", "bytes_per_fault"};
   for (const char* name : kScalars) {
-    const JsonValue* v = mem->find(name);
+    const JsonValue* v = mem.find(name);
     if (v == nullptr || !v->is_number()) continue;
     out << "<tr><td>" << name << "</td><td>" << num(v->number);
-    if (std::string(name).find("bytes") != std::string::npos &&
-        std::string(name) != "bytes_per_gate" &&
-        std::string(name) != "bytes_per_fault") {
+    if (std::string(name).find("rss") != std::string::npos) {
       out << " (" << bytes_human(v->number) << ")";
     }
     out << "</td></tr>\n";
   }
   out << "</table>\n";
 
-  const JsonValue* footprints = mem->find("footprints");
+  const JsonValue* footprints = mem.find("footprints");
   if (footprints != nullptr && footprints->is_object() &&
       !footprints->object.empty()) {
     double max_bytes = 0.0;
@@ -240,52 +216,43 @@ void html_memory_panel(const JsonValue& report, std::ostringstream& out) {
   // bench_scale sweep records (scale.gN.netlist_arena_bytes /
   // scale.gN.netlist_finalize_ms). Reports without the gauges (tools that
   // never finalize a netlist) skip the section.
-  const JsonValue* gauges = report.find("gauges");
-  if (gauges != nullptr && gauges->is_object()) {
-    std::vector<std::pair<std::string, double>> rows;
-    for (const auto& [name, value] : gauges->object) {
-      if (!value.is_number()) continue;
-      const bool arena_pair = name == "netlist.arena_bytes" ||
-                              name == "netlist.finalize_duration_ms";
-      const bool scale_pair =
-          name.rfind("scale.", 0) == 0 &&
-          (name.find(".netlist_arena_bytes") != std::string::npos ||
-           name.find(".netlist_finalize_ms") != std::string::npos ||
-           name.find(".parse_ms") != std::string::npos);
-      if (arena_pair || scale_pair) rows.emplace_back(name, value.number);
-    }
-    if (!rows.empty()) {
-      out << "<h3>Netlist arena</h3>\n<table>"
-             "<tr><th>gauge</th><th>value</th></tr>\n";
-      for (const auto& [name, value] : rows) {
-        out << "<tr><td>" << html_escape(name) << "</td><td>" << num(value);
-        if (name.find("bytes") != std::string::npos) {
-          out << " (" << bytes_human(value) << ")";
-        }
-        out << "</td></tr>\n";
+  std::vector<std::pair<std::string, double>> arena_rows;
+  for (const auto& [name, value] : section(report, "gauges").object) {
+    if (!value.is_number()) continue;
+    const bool arena_pair = name == "netlist.arena_bytes" ||
+                            name == "netlist.finalize_duration_ms";
+    const bool scale_pair =
+        name.rfind("scale.", 0) == 0 &&
+        (name.find(".netlist_arena_bytes") != std::string::npos ||
+         name.find(".netlist_finalize_ms") != std::string::npos ||
+         name.find(".parse_ms") != std::string::npos);
+    if (arena_pair || scale_pair) arena_rows.emplace_back(name, value.number);
+  }
+  if (!arena_rows.empty()) {
+    out << "<h3>Netlist arena</h3>\n<table>"
+           "<tr><th>gauge</th><th>value</th></tr>\n";
+    for (const auto& [name, value] : arena_rows) {
+      out << "<tr><td>" << html_escape(name) << "</td><td>" << num(value);
+      if (name.find("bytes") != std::string::npos) {
+        out << " (" << bytes_human(value) << ")";
       }
-      out << "</table>\n";
+      out << "</td></tr>\n";
     }
+    out << "</table>\n";
   }
 
-  const JsonValue* phases = report.find("phases");
-  if (phases != nullptr && phases->is_array() && !phases->array.empty()) {
+  const JsonValue& phases = section(report, "phases");
+  if (!phases.array.empty()) {
     double max_delta = 0.0;
-    for (const JsonValue& p : phases->array) {
-      if (const JsonValue* d = p.find("rss_delta_bytes")) {
-        max_delta = std::max(max_delta, std::abs(d->as_number()));
-      }
+    for (const JsonValue& p : phases.array) {
+      max_delta = std::max(max_delta, std::abs(field(p, "rss_delta_bytes")));
     }
     if (max_delta > 0.0) {
       out << "<h3>Per-phase RSS delta</h3>\n<table>"
              "<tr><th>phase</th><th>delta</th><th></th></tr>\n";
-      for (const JsonValue& p : phases->array) {
-        const JsonValue* d = p.find("rss_delta_bytes");
-        if (d == nullptr) continue;
-        const std::string name = p.find("name") != nullptr
-                                     ? p.find("name")->as_string("")
-                                     : "";
-        html_bar_row(name, d->as_number(), max_delta, out);
+      for (const JsonValue& p : phases.array) {
+        html_bar_row(text_field(p, "name", ""), field(p, "rss_delta_bytes"),
+                     max_delta, out);
       }
       out << "</table>\n";
     }
@@ -297,18 +264,9 @@ void html_phases(const JsonValue* phases, int depth, std::ostringstream& out) {
   for (const JsonValue& p : phases->array) {
     out << "<tr><td>";
     for (int i = 0; i < depth; ++i) out << "&nbsp;&nbsp;";
-    out << html_escape(p.find("name") != nullptr
-                           ? p.find("name")->as_string("")
-                           : "");
-    out << "</td><td>"
-        << num(p.find("count") != nullptr ? p.find("count")->as_number() : 0)
-        << "</td><td>"
-        << num(p.find("total_ms") != nullptr ? p.find("total_ms")->as_number()
-                                             : 0)
-        << "</td><td>"
-        << num(p.find("self_ms") != nullptr ? p.find("self_ms")->as_number()
-                                            : 0)
-        << "</td></tr>\n";
+    out << html_escape(text_field(p, "name", "")) << "</td><td>"
+        << num(field(p, "count")) << "</td><td>" << num(field(p, "total_ms"))
+        << "</td><td>" << num(field(p, "self_ms")) << "</td></tr>\n";
     html_phases(p.find("children"), depth + 1, out);
   }
 }
@@ -316,37 +274,27 @@ void html_phases(const JsonValue* phases, int depth, std::ostringstream& out) {
 /// One histogram-summary row (count/mean/p50/p99) from the "histograms"
 /// section; skipped when absent. A clamped p99 is marked with "+" (the true
 /// tail exceeded the last bucket).
-void html_histogram_row(const JsonValue* histograms, const std::string& name,
+void html_histogram_row(const JsonValue& histograms, const std::string& name,
                         std::ostringstream& out) {
-  const JsonValue* h =
-      histograms != nullptr ? histograms->find(name) : nullptr;
+  const JsonValue* h = histograms.find(name);
   if (h == nullptr || !h->is_object()) return;
   const JsonValue* clamped = h->find("p99_clamped");
   const bool is_clamped = clamped != nullptr &&
                           clamped->kind == JsonValue::Kind::kBool &&
                           clamped->boolean;
   out << "<tr><td>" << html_escape(name) << "</td><td>"
-      << num(h->find("count") != nullptr ? h->find("count")->as_number() : 0)
-      << "</td><td>"
-      << num(h->find("mean") != nullptr ? h->find("mean")->as_number() : 0)
-      << "</td><td>"
-      << num(h->find("p50") != nullptr ? h->find("p50")->as_number() : 0)
-      << "</td><td>"
-      << num(h->find("p99") != nullptr ? h->find("p99")->as_number() : 0)
-      << (is_clamped ? "+" : "") << "</td></tr>\n";
+      << num(field(*h, "count")) << "</td><td>" << num(field(*h, "mean"))
+      << "</td><td>" << num(field(*h, "p50")) << "</td><td>"
+      << num(field(*h, "p99")) << (is_clamped ? "+" : "") << "</td></tr>\n";
 }
 
-/// Scheduler panel: the schema-v4 "jobs" utilization section plus the
-/// jobs.run_ms / jobs.steal_latency_ms histogram summaries. Reports
-/// predating v4 (or with no scheduler activity) degrade to a note.
+/// Scheduler panel: the "jobs" utilization section plus the jobs.run_ms /
+/// jobs.steal_latency_ms histogram summaries. A run with no scheduler
+/// activity degrades to a note.
 void html_scheduler_panel(const JsonValue& report, std::ostringstream& out) {
-  const JsonValue* jobs = report.find("jobs");
-  if (jobs == nullptr || !jobs->is_object()) {
-    out << "<p class=\"dim\">no scheduler data (pre-v4 report)</p>\n";
-    return;
-  }
+  const JsonValue& jobs = section(report, "jobs");
   bool any_nonzero = false;
-  for (const auto& [name, value] : jobs->object) {
+  for (const auto& [name, value] : jobs.object) {
     any_nonzero |= value.is_number() && value.number != 0.0;
   }
   if (!any_nonzero) {
@@ -354,7 +302,7 @@ void html_scheduler_panel(const JsonValue& report, std::ostringstream& out) {
     return;
   }
   html_kv_table(jobs, out);
-  const JsonValue* histograms = report.find("histograms");
+  const JsonValue& histograms = section(report, "histograms");
   std::ostringstream rows;
   html_histogram_row(histograms, "jobs.run_ms", rows);
   html_histogram_row(histograms, "jobs.steal_latency_ms", rows);
@@ -374,13 +322,11 @@ void html_request_latency_panel(const JsonValue& report,
       "serve.request_total_cold_ms", "serve.request_total_warm_ms",
       "serve.request_queue_ms",      "serve.request_cache_ms",
       "serve.request_compute_ms",    "serve.request_render_ms"};
-  const JsonValue* histograms = report.find("histograms");
+  const JsonValue& histograms = section(report, "histograms");
   bool any_samples = false;
   for (const char* name : kNames) {
-    const JsonValue* h =
-        histograms != nullptr ? histograms->find(name) : nullptr;
-    const JsonValue* count = h != nullptr ? h->find("count") : nullptr;
-    any_samples |= count != nullptr && count->as_number() > 0.0;
+    const JsonValue* h = histograms.find(name);
+    any_samples |= h != nullptr && field(*h, "count") > 0.0;
   }
   if (!any_samples) {
     out << "<p class=\"dim\">no request latency data in this run</p>\n";
@@ -396,18 +342,13 @@ void html_request_latency_panel(const JsonValue& report,
          "(true tail is larger)</p>\n";
 }
 
-}  // namespace
-
 /// Serving panel: every serve.* / jobs.* counter and gauge, so a daemon or
 /// bench_serve report shows request volume, cache effectiveness, and steal
-/// traffic at a glance. Reports with no serving activity (batch tools, or a
-/// v3 report predating the serving layer) degrade to a note.
+/// traffic at a glance. Reports with no serving activity degrade to a note.
 void html_serving_panel(const JsonValue& report, std::ostringstream& out) {
   std::vector<std::pair<std::string, double>> rows;
-  for (const char* section : {"counters", "gauges"}) {
-    const JsonValue* sec = report.find(section);
-    if (sec == nullptr || !sec->is_object()) continue;
-    for (const auto& [name, value] : sec->object) {
+  for (const char* section_name : {"counters", "gauges"}) {
+    for (const auto& [name, value] : section(report, section_name).object) {
       if (!value.is_number()) continue;
       if (name.rfind("serve.", 0) != 0 && name.rfind("jobs.", 0) != 0) {
         continue;
@@ -429,15 +370,52 @@ void html_serving_panel(const JsonValue& report, std::ostringstream& out) {
   out << "</table>\n";
 }
 
+}  // namespace
+
+bool check_report_schema(const JsonValue& report, std::string& error) {
+  const std::string expected = std::to_string(kRunReportSchemaVersion);
+  const JsonValue* version = report.find("schema_version");
+  if (version == nullptr) {
+    error = "no schema_version, expected " + expected;
+    return false;
+  }
+  if (!version->is_number()) {
+    error = "schema_version is not a number, expected " + expected;
+    return false;
+  }
+  if (version->number != kRunReportSchemaVersion) {
+    error = "schema_version " + num(version->number) + ", expected " +
+            expected + " (regenerate the report with this build)";
+    return false;
+  }
+  static const std::pair<const char*, JsonValue::Kind> kSections[] = {
+      {"config", JsonValue::Kind::kObject},
+      {"phases", JsonValue::Kind::kArray},
+      {"counters", JsonValue::Kind::kObject},
+      {"gauges", JsonValue::Kind::kObject},
+      {"histograms", JsonValue::Kind::kObject},
+      {"analytics", JsonValue::Kind::kObject},
+      {"jobs", JsonValue::Kind::kObject},
+      {"memory", JsonValue::Kind::kObject}};
+  for (const auto& [name, kind] : kSections) {
+    const JsonValue* sec = report.find(name);
+    if (sec == nullptr || sec->kind != kind) {
+      error = std::string("section \"") + name + "\" is missing or malformed";
+      return false;
+    }
+  }
+  return true;
+}
+
 DiffResult diff_run_reports(const JsonValue& baseline, const JsonValue& current,
                             const DiffThresholds& thresholds) {
   DiffResult result;
   std::ostringstream summary;
 
   const double cov_before =
-      metric_value(baseline, "gauges", "flow.fault_coverage_percent");
+      entry_value(baseline, "gauges", "flow.fault_coverage_percent");
   const double cov_after =
-      metric_value(current, "gauges", "flow.fault_coverage_percent");
+      entry_value(current, "gauges", "flow.fault_coverage_percent");
   const double cov_drop = cov_before - cov_after;
   summary << "coverage: " << num(cov_before) << "% -> " << num(cov_after)
           << "%\n";
@@ -449,8 +427,8 @@ DiffResult diff_run_reports(const JsonValue& baseline, const JsonValue& current,
         num(thresholds.max_coverage_drop));
   }
 
-  const double tests_before = metric_value(baseline, "gauges", "flow.num_tests");
-  const double tests_after = metric_value(current, "gauges", "flow.num_tests");
+  const double tests_before = entry_value(baseline, "gauges", "flow.num_tests");
+  const double tests_after = entry_value(current, "gauges", "flow.num_tests");
   summary << "tests: " << num(tests_before) << " -> " << num(tests_after)
           << "\n";
   if (thresholds.max_tests_increase_percent >= 0.0 && tests_before > 0.0) {
@@ -478,8 +456,8 @@ DiffResult diff_run_reports(const JsonValue& baseline, const JsonValue& current,
     }
   }
 
-  const double rss_before = memory_value(baseline, "peak_rss_bytes");
-  const double rss_after = memory_value(current, "peak_rss_bytes");
+  const double rss_before = entry_value(baseline, "memory", "peak_rss_bytes");
+  const double rss_after = entry_value(current, "memory", "peak_rss_bytes");
   summary << "peak_rss_bytes: " << num(rss_before) << " -> " << num(rss_after)
           << "\n";
   if (thresholds.max_peak_rss_increase_percent >= 0.0 && rss_before > 0.0) {
@@ -492,8 +470,8 @@ DiffResult diff_run_reports(const JsonValue& baseline, const JsonValue& current,
     }
   }
 
-  const double bpg_before = memory_value(baseline, "bytes_per_gate");
-  const double bpg_after = memory_value(current, "bytes_per_gate");
+  const double bpg_before = entry_value(baseline, "memory", "bytes_per_gate");
+  const double bpg_after = entry_value(current, "memory", "bytes_per_gate");
   summary << "bytes_per_gate: " << num(bpg_before) << " -> " << num(bpg_after)
           << "\n";
   if (thresholds.max_bytes_per_gate_increase_percent >= 0.0 &&
@@ -508,10 +486,10 @@ DiffResult diff_run_reports(const JsonValue& baseline, const JsonValue& current,
   }
 
   const double warm_speedup =
-      metric_value(current, "gauges", "serve.warm_speedup");
+      entry_value(current, "gauges", "serve.warm_speedup");
   if (thresholds.min_warm_speedup >= 0.0) {
     summary << "warm_speedup: "
-            << num(metric_value(baseline, "gauges", "serve.warm_speedup"))
+            << num(entry_value(baseline, "gauges", "serve.warm_speedup"))
             << " -> " << num(warm_speedup) << "\n";
     if (warm_speedup < thresholds.min_warm_speedup) {
       result.violations.push_back(
@@ -521,10 +499,10 @@ DiffResult diff_run_reports(const JsonValue& baseline, const JsonValue& current,
   }
 
   const double pack_speedup =
-      metric_value(current, "gauges", "fault.pack_speedup_64");
+      entry_value(current, "gauges", "fault.pack_speedup_64");
   if (thresholds.min_pack_speedup >= 0.0) {
     summary << "pack_speedup_64: "
-            << num(metric_value(baseline, "gauges", "fault.pack_speedup_64"))
+            << num(entry_value(baseline, "gauges", "fault.pack_speedup_64"))
             << " -> " << num(pack_speedup) << "\n";
     if (pack_speedup < thresholds.min_pack_speedup) {
       result.violations.push_back(
@@ -537,8 +515,8 @@ DiffResult diff_run_reports(const JsonValue& baseline, const JsonValue& current,
     // Instrumentation-overhead gate: baseline is the FBT_OBS=OFF
     // bench_obs_overhead report, current the ON report; both publish the
     // min-of-N flow walltime as the obs.flow_run_ms gauge.
-    const double off_ms = metric_value(baseline, "gauges", "obs.flow_run_ms");
-    const double on_ms = metric_value(current, "gauges", "obs.flow_run_ms");
+    const double off_ms = entry_value(baseline, "gauges", "obs.flow_run_ms");
+    const double on_ms = entry_value(current, "gauges", "obs.flow_run_ms");
     summary << "obs_flow_run_ms: " << num(off_ms) << " -> " << num(on_ms)
             << "\n";
     if (off_ms > 0.0) {
@@ -564,14 +542,9 @@ DiffResult diff_run_reports(const JsonValue& baseline, const JsonValue& current,
 std::string render_html_dashboard(const JsonValue& report,
                                   const std::string& journal_ndjson) {
   std::ostringstream out;
-  const std::string tool =
-      report.find("tool") != nullptr ? report.find("tool")->as_string("?") : "?";
-  const std::string sha = report.find("git_sha") != nullptr
-                              ? report.find("git_sha")->as_string("?")
-                              : "?";
-  const std::string stamp = report.find("timestamp_utc") != nullptr
-                                ? report.find("timestamp_utc")->as_string("?")
-                                : "?";
+  const std::string tool = text_field(report, "tool", "?");
+  const std::string sha = text_field(report, "git_sha", "?");
+  const std::string stamp = text_field(report, "timestamp_utc", "?");
 
   out << "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n"
       << "<title>fbt run report: " << html_escape(tool) << "</title>\n"
@@ -599,7 +572,7 @@ std::string render_html_dashboard(const JsonValue& report,
       << html_escape(stamp) << "</p>\n";
 
   out << "<h2>Configuration</h2>\n";
-  html_kv_table(report.find("config"), out);
+  html_kv_table(section(report, "config"), out);
 
   out << "<h2>Coverage convergence</h2>\n";
   html_convergence_svg(report, out);
@@ -620,15 +593,15 @@ std::string render_html_dashboard(const JsonValue& report,
   html_memory_panel(report, out);
 
   out << "<h2>Gauges</h2>\n";
-  html_kv_table(report.find("gauges"), out);
+  html_kv_table(section(report, "gauges"), out);
 
   out << "<h2>Counters</h2>\n";
-  html_kv_table(report.find("counters"), out);
+  html_kv_table(section(report, "counters"), out);
 
   out << "<h2>Phases</h2>\n";
   out << "<table><tr><th>phase</th><th>count</th><th>total_ms</th>"
          "<th>self_ms</th></tr>\n";
-  html_phases(report.find("phases"), 0, out);
+  html_phases(&section(report, "phases"), 0, out);
   out << "</table>\n";
 
   out << "<h2>Event journal</h2>\n";

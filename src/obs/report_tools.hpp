@@ -56,12 +56,19 @@ struct DiffResult {
   std::string summary_text;
 };
 
-/// Compares two parsed run reports. Never throws; missing fields are treated
-/// as 0 (a baseline without coverage gauges simply cannot regress).
+/// Accepts a parsed run report of the schema this build writes
+/// (kRunReportSchemaVersion) with every section present; otherwise returns
+/// false and names the problem in `error` (for a wrong version, both
+/// versions). diff_run_reports and render_html_dashboard read only reports
+/// that passed this check.
+bool check_report_schema(const JsonValue& report, std::string& error);
+
+/// Compares two checked run reports. Never throws; an absent metric reads as
+/// 0 (a baseline without coverage gauges simply cannot regress).
 DiffResult diff_run_reports(const JsonValue& baseline, const JsonValue& current,
                             const DiffThresholds& thresholds);
 
-/// Renders a parsed run report (plus the raw NDJSON journal text, may be
+/// Renders a checked run report (plus the raw NDJSON journal text, may be
 /// empty) into a single self-contained HTML page: config/gauge/counter
 /// tables, the convergence curve as an inline SVG, the segment-yield table,
 /// phase timings, and a capped tail of the journal.

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "obs/phase.hpp"
-
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #include <unistd.h>
@@ -54,9 +52,6 @@ std::uint64_t statm_resident_bytes() {
   return resident * 4096ull;
 #endif
 }
-
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-std::atomic<std::uint64_t> g_alloc_count{0};
 
 }  // namespace
 
@@ -109,22 +104,6 @@ std::uint64_t sampled_rss_bytes() {
   return cached.load(std::memory_order_relaxed);
 }
 
-void charge_allocation(std::uint64_t bytes, std::uint64_t count) {
-  g_alloc_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  g_alloc_count.fetch_add(count, std::memory_order_relaxed);
-  detail::charge_open_phase(bytes, count);
-}
-
-AllocationTotals allocation_totals() {
-  return {g_alloc_bytes.load(std::memory_order_relaxed),
-          g_alloc_count.load(std::memory_order_relaxed)};
-}
-
-void reset_allocation_totals() {
-  g_alloc_bytes.store(0, std::memory_order_relaxed);
-  g_alloc_count.store(0, std::memory_order_relaxed);
-}
-
 void FootprintRegistry::record(std::string_view name, std::uint64_t bytes) {
   std::lock_guard lock(mutex_);
   auto it = entries_.find(name);
@@ -164,9 +143,6 @@ MemoryReport collect_memory_report() {
   MemoryReport report;
   report.peak_rss_bytes = peak_rss_bytes();
   report.current_rss_bytes = current_rss_bytes();
-  const AllocationTotals totals = allocation_totals();
-  report.allocated_bytes = totals.bytes;
-  report.allocation_count = totals.count;
   report.footprints = footprints().snapshot();
   return report;
 }

@@ -30,10 +30,7 @@ std::string fmt(const char* format, ...) {
 
 /// Compact float rendering: up to 6 significant digits, no trailing zeros
 /// ("12.345", "0.1", "4096").
-std::string json_number(double v) {
-  std::string s = fmt("%.6g", v);
-  return s;
-}
+std::string json_number(double v) { return fmt("%.6g", v); }
 
 std::string ms_number(double ms) { return fmt("%.3f", ms); }
 
@@ -43,8 +40,6 @@ void render_phase(const PhaseSummary& p, int indent, std::string& out) {
          fmt("%" PRIu64, p.count) + ", \"total_ms\": " + ms_number(p.total_ms) +
          ", \"self_ms\": " + ms_number(p.self_ms) +
          ", \"rss_delta_bytes\": " + fmt("%" PRId64, p.rss_delta_bytes) +
-         ", \"alloc_bytes\": " + fmt("%" PRIu64, p.alloc_bytes) +
-         ", \"alloc_count\": " + fmt("%" PRIu64, p.alloc_count) +
          ", \"children\": [";
   for (std::size_t i = 0; i < p.children.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
@@ -80,7 +75,6 @@ std::string json_escape(const std::string& s) {
 RunReportData collect_run_report(
     const std::string& tool,
     const std::map<std::string, std::string>& config) {
-  register_core_counters();
   RunReportData data;
   data.tool = tool;
   data.git_sha = FBT_GIT_SHA;
@@ -94,9 +88,9 @@ RunReportData collect_run_report(
   data.phases = PhaseTrace::instance().summarize();
   data.metrics = registry().snapshot();
   data.analytics = derive_analytics(journal().events());
-  // "jobs" utilization (schema v4) from the pre-registered scheduler
-  // metrics; elapsed is wall time since the trace epoch, which a JobSystem
-  // constructor establishes before any task runs.
+  // "jobs" utilization from the scheduler metrics (all zero when no
+  // JobSystem ran); elapsed is wall time since the trace epoch, which a
+  // JobSystem constructor establishes before any task runs.
   for (const CounterSample& c : data.metrics.counters) {
     if (c.name == "jobs.submitted") data.jobs.submitted = c.value;
     if (c.name == "jobs.executed") data.jobs.executed = c.value;
@@ -125,10 +119,7 @@ RunReportData collect_run_report(
   data.memory = collect_memory_report();
   // Derived structure analytics: footprint bytes per gate / per collapsed
   // fault, when the flow published the denominators.
-  std::uint64_t footprint_total = 0;
-  for (const FootprintSample& f : data.memory.footprints) {
-    footprint_total += f.bytes;
-  }
+  const std::uint64_t footprint_total = footprints().total_bytes();
   for (const GaugeSample& g : data.metrics.gauges) {
     if (g.name == "flow.num_gates" && g.value > 0.0) {
       data.memory.bytes_per_gate =
@@ -144,7 +135,7 @@ RunReportData collect_run_report(
 
 std::string render_run_report(const RunReportData& data) {
   std::string out = "{\n";
-  out += fmt("  \"schema_version\": %d,\n", data.schema_version);
+  out += fmt("  \"schema_version\": %d,\n", kRunReportSchemaVersion);
   out += "  \"tool\": \"" + json_escape(data.tool) + "\",\n";
   out += "  \"git_sha\": \"" + json_escape(data.git_sha) + "\",\n";
   out += "  \"timestamp_utc\": \"" + json_escape(data.timestamp_utc) + "\",\n";
@@ -243,8 +234,6 @@ std::string render_run_report(const RunReportData& data) {
   out += fmt("    \"peak_rss_bytes\": %" PRIu64 ",\n", mem.peak_rss_bytes);
   out += fmt("    \"current_rss_bytes\": %" PRIu64 ",\n",
              mem.current_rss_bytes);
-  out += fmt("    \"allocated_bytes\": %" PRIu64 ",\n", mem.allocated_bytes);
-  out += fmt("    \"allocation_count\": %" PRIu64 ",\n", mem.allocation_count);
   out += "    \"footprints\": {";
   first = true;
   for (const FootprintSample& f : mem.footprints) {
@@ -262,8 +251,10 @@ std::string render_run_report(const RunReportData& data) {
   return out;
 }
 
-bool write_run_report(const std::string& path, const RunReportData& data) {
-  const std::string body = render_run_report(data);
+namespace {
+
+/// Writes `body` to `path`; false, with a note on stderr, on failure.
+bool write_text(const std::string& path, const std::string& body) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "[obs] cannot open %s for writing\n", path.c_str());
@@ -274,8 +265,6 @@ bool write_run_report(const std::string& path, const RunReportData& data) {
   if (!ok) std::fprintf(stderr, "[obs] short write to %s\n", path.c_str());
   return ok;
 }
-
-namespace {
 
 /// The fixed collection directory every bench also copies its artifacts to,
 /// so CI can upload one directory instead of hunting per-bench working dirs.
@@ -293,55 +282,39 @@ std::string bench_out_dir() {
 #endif
 }
 
-/// Best-effort write of `body` into `dir`/`filename`, creating `dir` first.
-/// Bench artifacts must never fail the bench itself, so errors only warn.
-void write_to_out_dir(const std::string& dir, const std::string& filename,
-                      const std::string& body) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const std::string path = dir + "/" + filename;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[obs] cannot open %s for writing\n", path.c_str());
-    return;
-  }
-  if (std::fwrite(body.data(), 1, body.size(), f) != body.size()) {
-    std::fprintf(stderr, "[obs] short write to %s\n", path.c_str());
-  }
-  std::fclose(f);
-  std::printf("[obs] wrote %s\n", path.c_str());
-}
-
 }  // namespace
+
+bool write_run_report(const std::string& path, const RunReportData& data) {
+  return write_text(path, render_run_report(data));
+}
 
 bool write_bench_report(const std::string& name,
                         const std::map<std::string, std::string>& config) {
-  const char* dir = std::getenv("FBT_BENCH_DIR");
-  std::string path = dir != nullptr && dir[0] != '\0' ? std::string(dir) : ".";
-  path += "/BENCH_" + name + ".json";
-  const RunReportData data = collect_run_report("bench_" + name, config);
-  if (!write_run_report(path, data)) return false;
-  std::printf("[obs] wrote %s\n", path.c_str());
-
+  const char* dir_env = std::getenv("FBT_BENCH_DIR");
+  const std::string dir =
+      dir_env != nullptr && dir_env[0] != '\0' ? dir_env : ".";
   const std::string out_dir = bench_out_dir();
   if (!out_dir.empty()) {
-    write_to_out_dir(out_dir, "BENCH_" + name + ".json",
-                     render_run_report(data));
+    std::error_code ec;
+    std::filesystem::create_directories(out_dir, ec);
+  }
+  // Writes dir/file, then a best-effort copy into the collection directory
+  // (bench artifacts must never fail the bench itself, so it only warns).
+  const auto emit = [&](const std::string& file, const std::string& body) {
+    const std::string path = dir + "/" + file;
+    if (!write_text(path, body)) return false;
+    std::printf("[obs] wrote %s\n", path.c_str());
+    if (!out_dir.empty() && write_text(out_dir + "/" + file, body)) {
+      std::printf("[obs] wrote %s/%s\n", out_dir.c_str(), file.c_str());
+    }
+    return true;
+  };
+  if (!emit("BENCH_" + name + ".json",
+            render_run_report(collect_run_report("bench_" + name, config)))) {
+    return false;
   }
   if (journal().size() > 0) {
-    const std::string ndjson = journal().ndjson();
-    std::string journal_path =
-        dir != nullptr && dir[0] != '\0' ? std::string(dir) : ".";
-    journal_path += "/JOURNAL_" + name + ".ndjson";
-    std::FILE* jf = std::fopen(journal_path.c_str(), "w");
-    if (jf != nullptr) {
-      std::fwrite(ndjson.data(), 1, ndjson.size(), jf);
-      std::fclose(jf);
-      std::printf("[obs] wrote %s\n", journal_path.c_str());
-    }
-    if (!out_dir.empty()) {
-      write_to_out_dir(out_dir, "JOURNAL_" + name + ".ndjson", ndjson);
-    }
+    emit("JOURNAL_" + name + ".ndjson", journal().ndjson());
   }
   return true;
 }

@@ -5,25 +5,24 @@
 // perf trajectory is diffable across PRs (`tools/fbt_report diff` gates CI
 // on them).
 //
-// Schema (version 4) -- keys are emitted in this fixed order, metric and
+// Schema (version 5) -- keys are emitted in this fixed order, metric and
 // config keys sorted by name, so reports diff cleanly:
 //
 //   {
-//     "schema_version": 4,
+//     "schema_version": 5,
 //     "tool": "bench_table4_1",
 //     "git_sha": "abc1234",
 //     "timestamp_utc": "2026-08-05T12:00:00Z",
 //     "config": {"target": "spi", ...},
 //     "phases": [{"name": "calibrate", "count": 1, "total_ms": 12.345,
 //                 "self_ms": 12.345, "rss_delta_bytes": 262144,
-//                 "alloc_bytes": 106496, "alloc_count": 2,
 //                 "children": [...]}, ...],
 //     "counters": {"bist.lfsr_cycles": 4096, ...},
 //     "gauges": {"flow.fault_coverage_percent": 91.2, ...},
 //     "histograms": {"fault.grade_duration_ms":
 //        {"count": 7, "sum": 3.5, "mean": 0.5, "p50": 0.4, "p90": 1.2,
 //         "p99": 1.9, "p99_clamped": false,
-//         "buckets": [{"le": 0.1, "count": 3}, ..., {"le": "inf", "count": 0}]}},
+//         "buckets": [{"le": 0.001, "count": 0}, ..., {"le": "inf", "count": 0}]}},
 //     "analytics": {
 //       "convergence": [{"tests": 64, "detected": 321}, ...],
 //       "segment_yield": [{"sequence": 0, "segment": 0, "seed": 123,
@@ -34,27 +33,24 @@
 //     "memory": {
 //       "peak_rss_bytes": 104857600,
 //       "current_rss_bytes": 94371840,
-//       "allocated_bytes": 1048576,
-//       "allocation_count": 12,
 //       "footprints": {"fault_list": 106496, "netlist": 5242880, ...},
 //       "bytes_per_gate": 123.4,
 //       "bytes_per_fault": 56.7}
 //   }
 //
-// Version history: v1 (PR 1) had neither "analytics" nor the histogram
-// mean/p50/p90 summary values; v2 (PR 5) added them; v3 adds the "memory"
-// section and the per-phase rss_delta_bytes / alloc_bytes / alloc_count
-// fields; v4 (scheduler telemetry) adds the "jobs" utilization section and
-// the histogram p99 / p99_clamped summary values (p99_clamped is true when
+// Every section is always present; a metric appears only once code has
+// touched it (nothing is pre-registered as zero). p99_clamped is true when
 // the rank landed in the overflow bucket, so the reported p99 is only a
-// lower bound -- see obs::histogram_quantile). Consumers must tolerate a
-// missing "memory" or "jobs" section (v2/v3 reports remain renderable and
-// diffable; absent quantities diff as 0). Reports written before the
-// speculative seed search was removed also carry an "analytics.speculation"
-// object; consumers ignore it. Histogram summaries are guarded: a
-// histogram with no samples renders mean/p50/p90/p99 as 0, never NaN.
-// bytes_per_gate / bytes_per_fault divide the footprint total by the
-// flow.num_gates / flow.num_faults gauges (0 when the gauge is unset).
+// lower bound (see obs::histogram_quantile); a histogram with no samples
+// renders mean/p50/p90/p99 as 0, never NaN. bytes_per_gate /
+// bytes_per_fault divide the footprint total by the flow.num_gates /
+// flow.num_faults gauges (0 when the gauge is unset).
+//
+// Version history: v2 added "analytics" and the histogram summaries, v3 the
+// "memory" section and per-phase RSS deltas, v4 the "jobs" section and p99;
+// v5 dropped the allocation charges (per-phase alloc_bytes/alloc_count,
+// memory.allocated_bytes/allocation_count) and the pre-registered zeros.
+// fbt_report reads v5 only (see obs::check_report_schema).
 #pragma once
 
 #include <map>
@@ -68,7 +64,10 @@
 
 namespace fbt::obs {
 
-/// Scheduler utilization for the "jobs" section (schema v4): lifetime totals
+/// The schema version render_run_report writes and fbt_report accepts.
+inline constexpr int kRunReportSchemaVersion = 5;
+
+/// Scheduler utilization for the "jobs" section: lifetime totals
 /// of the process-wide jobs.* metrics, with busy/idle derived against the
 /// wall time since the trace epoch. All zeros when no JobSystem ran (or
 /// under FBT_OBS=OFF, where busy-time accounting compiles away).
@@ -85,7 +84,6 @@ struct JobsSummary {
 /// Everything that goes into one report. Fields are plain data so tests can
 /// build a fixed instance and pin the rendered bytes.
 struct RunReportData {
-  int schema_version = 4;
   std::string tool;
   std::string git_sha;
   std::string timestamp_utc;
@@ -99,7 +97,7 @@ struct RunReportData {
 
 /// Fills a report from the process-wide state: git SHA baked in at build
 /// time (or "unknown"), current UTC time, the global phase trace, and a
-/// metrics snapshot (core counters pre-registered so they always appear).
+/// snapshot of every metric registered so far.
 RunReportData collect_run_report(
     const std::string& tool,
     const std::map<std::string, std::string>& config);

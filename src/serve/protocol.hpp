@@ -13,7 +13,7 @@
 //    "scheduler":{...}}                          see ServiceStats
 //   {"type":"bye","id":...}                      shutdown acknowledged
 //
-// The "report" member of a result embeds the full schema-v4 run report
+// The "report" member of a result embeds the full run report
 // (obs/run_report.hpp) compacted to one line. Identity fields "detect_hash"
 // and "first_detect_hash" fingerprint the per-fault detect counts and
 // first-detect attribution so clients (and CI) can assert that a cache hit

@@ -28,7 +28,8 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Summary of the named serve.request_* histogram from a metrics snapshot.
+/// Summary of the named serve.request_* histogram from a metrics snapshot;
+/// all zeros until the histogram records its first sample.
 LatencyStats latency_from(const obs::MetricsSnapshot& snap,
                           const std::string& name) {
   LatencyStats out;
@@ -58,11 +59,7 @@ void drain_journal(const obs::EventJournal& journal, std::size_t& cursor,
 
 ExperimentService::ExperimentService(jobs::JobSystem& jobs,
                                      ArtifactCache& cache)
-    : jobs_(jobs), cache_(cache) {
-  // Pre-register the jobs.* / serve.request_* instruments so the stats
-  // response always carries the full set (zero-valued before any request).
-  obs::register_core_counters();
-}
+    : jobs_(jobs), cache_(cache) {}
 
 ServiceStats ExperimentService::collect_stats() const {
   ServiceStats out;

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "util/require.hpp"
@@ -45,6 +46,18 @@ std::int64_t Cli::get_int(const std::string& name,
   const long long value = std::strtoll(it->second.c_str(), &end, 10);
   require(end != nullptr && *end == '\0', "Cli: flag --" + name,
           "expects an integer, got '" + it->second + "'");
+  return value;
+}
+
+std::int64_t Cli::get_int_in(const std::string& name, std::int64_t fallback,
+                             std::int64_t min, std::int64_t max) const {
+  const std::int64_t value = get_int(name, fallback);
+  if (value < min || value > max) {
+    std::fprintf(stderr, "%s: --%s must be in [%lld, %lld], got %lld\n",
+                 program_.c_str(), name.c_str(), static_cast<long long>(min),
+                 static_cast<long long>(max), static_cast<long long>(value));
+    std::exit(2);
+  }
   return value;
 }
 

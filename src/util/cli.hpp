@@ -24,6 +24,12 @@ class Cli {
   /// Integer value of --name, or `fallback` when absent. Throws on non-integer.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
 
+  /// get_int checked against [min, max]: a value outside the range prints
+  /// "<program>: --name must be in [min, max], got <value>" to stderr and
+  /// exits with status 2, so a CLI refuses it before allocating anything.
+  std::int64_t get_int_in(const std::string& name, std::int64_t fallback,
+                          std::int64_t min, std::int64_t max) const;
+
   /// Double value of --name, or `fallback` when absent.
   double get_double(const std::string& name, double fallback) const;
 

@@ -15,6 +15,7 @@
 #include "circuits/registry.hpp"
 #include "jobs/job_system.hpp"
 #include "obs/event_journal.hpp"
+#include "obs/phase.hpp"
 
 namespace fbt {
 namespace {
@@ -57,6 +58,7 @@ HoldRun run_hold(std::size_t workers) {
   cfg.commit = construction_config(2);
   jobs::JobSystem pool(workers);
   obs::EventJournal sink;
+  obs::PhaseTrace::instance().clear();  // keep only the hold phase's spans
   {
     const obs::JournalScope scope(sink);
     out.result = select_and_run_hold_sets(nl, faults, out.detect_count, cfg,
@@ -92,6 +94,31 @@ TEST(PoolIdentity, HoldSelectionDoesNotDependOnPoolSize) {
   EXPECT_FALSE(serial.ndjson.empty());
 #endif
 }
+
+#if FBT_OBS_ENABLED
+// The hold phase is one span tree: the Det runs, which the pool executes,
+// nest under "select" and the committed runs under "commit", instead of
+// landing at the root as bare "construct" spans.
+TEST(PoolIdentity, HoldPhaseSpansNestUnderOneHoldRoot) {
+  run_hold(4);
+  const std::vector<obs::PhaseSummary> roots =
+      obs::PhaseTrace::instance().summarize();
+  ASSERT_EQ(roots.size(), 1u);
+  const obs::PhaseSummary& hold = roots[0];
+  EXPECT_EQ(hold.name, "hold");
+  ASSERT_EQ(hold.children.size(), 2u);
+  const obs::PhaseSummary& select = hold.children[0];
+  const obs::PhaseSummary& commit = hold.children[1];
+  EXPECT_EQ(select.name, "select");
+  EXPECT_EQ(commit.name, "commit");
+  ASSERT_EQ(select.children.size(), 1u);
+  EXPECT_EQ(select.children[0].name, "construct");
+  EXPECT_EQ(select.children[0].count, 15u);  // every Det run of H = 3
+  for (const obs::PhaseSummary& child : commit.children) {
+    EXPECT_EQ(child.name, "construct");
+  }
+}
+#endif
 
 TEST(PoolIdentity, CountOnlyRunMatchesFullRun) {
   const Netlist nl = load_benchmark("s298");

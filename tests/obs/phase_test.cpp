@@ -96,24 +96,18 @@ TEST(PhaseSpan, RecordsRssAtOpenAndClose) {
   trace.clear();
 }
 
-TEST(SummarizePhases, AggregatesRssDeltaAndAllocationCharges) {
+TEST(SummarizePhases, AggregatesRssDelta) {
   PhaseNode a;
   a.name = "grade";
   a.rss_open_bytes = 1000;
   a.rss_close_bytes = 4000;
-  a.alloc_bytes = 256;
-  a.alloc_count = 2;
   PhaseNode b = a;
   b.rss_open_bytes = 4000;
   b.rss_close_bytes = 3000;  // shrank: negative delta sums in
-  b.alloc_bytes = 64;
-  b.alloc_count = 1;
   const std::vector<PhaseSummary> summary = summarize_phases({a, b});
   ASSERT_EQ(summary.size(), 1u);
   EXPECT_EQ(summary[0].count, 2u);
   EXPECT_EQ(summary[0].rss_delta_bytes, 3000 - 1000);
-  EXPECT_EQ(summary[0].alloc_bytes, 320u);
-  EXPECT_EQ(summary[0].alloc_count, 3u);
 }
 
 TEST(PhaseTrace, TreeStringShowsNestingAndAggregation) {

@@ -1,5 +1,6 @@
 #include "obs/report_tools.hpp"
 
+#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -19,29 +20,61 @@ JsonValue parse_or_die(const std::string& text) {
   return v;
 }
 
-/// A minimal but schema-shaped report the diff/render paths understand.
-std::string report_json(double coverage, double tests, double walltime_ms) {
-  char buf[2048];
-  std::snprintf(
-      buf, sizeof(buf),
-      R"({
-  "schema_version": 2,
-  "tool": "bench_flow_smoke",
-  "git_sha": "abc1234",
-  "timestamp_utc": "2026-01-01T00:00:00Z",
-  "config": {"target": "s298"},
-  "phases": [{"name": "flow", "count": 1, "total_ms": %.3f, "self_ms": 1.0, "children": []}],
-  "counters": {"bist.lfsr_cycles": 4096},
-  "gauges": {"flow.fault_coverage_percent": %.6g, "flow.num_tests": %.6g},
-  "histograms": {},
-  "analytics": {
-    "convergence": [{"tests": 64, "detected": 100}, {"tests": 128, "detected": 150}],
-    "segment_yield": [{"sequence": 0, "segment": 0, "seed": 7, "tests": 128, "newly_detected": 150, "peak_swa": 20.5}],
-    "speculation": {"batches": 1, "lanes_evaluated": 64, "hits": 2, "wasted": 5}
+/// The sections of a schema-v5 report, as JSON text; tests override the
+/// ones they exercise.
+struct ReportDoc {
+  std::string version = "5";
+  std::string tool = "bench_flow_smoke";
+  std::string config = R"({"target": "s298"})";
+  std::string phases = "[]";
+  std::string counters = "{}";
+  std::string gauges = "{}";
+  std::string histograms = "{}";
+  std::string analytics = R"({"convergence": [], "segment_yield": []})";
+  std::string jobs =
+      R"({"workers": 0, "submitted": 0, "executed": 0, "steals": 0, "busy_ms": 0.000, "idle_ms": 0.000, "utilization": 0})";
+  std::string memory =
+      R"({"peak_rss_bytes": 0, "current_rss_bytes": 0, "footprints": {}, "bytes_per_gate": 0, "bytes_per_fault": 0})";
+
+  std::string json() const {
+    return "{\n  \"schema_version\": " + version + ",\n  \"tool\": \"" + tool +
+           "\",\n  \"git_sha\": \"abc1234\",\n  \"timestamp_utc\": "
+           "\"2026-01-01T00:00:00Z\",\n  \"config\": " +
+           config + ",\n  \"phases\": " + phases + ",\n  \"counters\": " +
+           counters + ",\n  \"gauges\": " + gauges +
+           ",\n  \"histograms\": " + histograms + ",\n  \"analytics\": " +
+           analytics + ",\n  \"jobs\": " + jobs + ",\n  \"memory\": " +
+           memory + "\n}\n";
   }
-})",
-      walltime_ms, coverage, tests);
+};
+
+std::string fmt_num(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
+}
+
+/// A flow_smoke-shaped report the diff/render paths understand.
+std::string report_json(double coverage, double tests, double walltime_ms) {
+  ReportDoc doc;
+  doc.phases = R"([{"name": "flow", "count": 1, "total_ms": )" +
+               fmt_num(walltime_ms) +
+               R"(, "self_ms": 1.0, "rss_delta_bytes": 0, "children": []}])";
+  doc.counters = R"({"bist.lfsr_cycles": 4096})";
+  doc.gauges = R"({"flow.fault_coverage_percent": )" + fmt_num(coverage) +
+               R"(, "flow.num_tests": )" + fmt_num(tests) + "}";
+  doc.analytics = R"({
+    "convergence": [{"tests": 64, "detected": 100}, {"tests": 128, "detected": 150}],
+    "segment_yield": [{"sequence": 0, "segment": 0, "seed": 7, "tests": 128, "newly_detected": 150, "peak_swa": 20.5}]
+  })";
+  return doc.json();
+}
+
+/// A report whose only content is the given "gauges" object body.
+std::string gauges_json(const std::string& gauges) {
+  ReportDoc doc;
+  doc.gauges = "{" + gauges + "}";
+  return doc.json();
 }
 
 TEST(JsonParse, ParsesReportShapedDocuments) {
@@ -51,7 +84,7 @@ TEST(JsonParse, ParsesReportShapedDocuments) {
   ASSERT_NE(gauges, nullptr);
   EXPECT_DOUBLE_EQ(gauges->find("flow.fault_coverage_percent")->as_number(),
                    91.25);
-  const JsonValue* curve = v.find_path({"analytics", "convergence"});
+  const JsonValue* curve = v.find("analytics")->find("convergence");
   ASSERT_NE(curve, nullptr);
   ASSERT_EQ(curve->array.size(), 2u);
   EXPECT_DOUBLE_EQ(curve->array[1].find("detected")->as_number(), 150.0);
@@ -156,9 +189,9 @@ TEST(DiffRunReports, PackSpeedupGateIsOptIn) {
   // The gate reads the *current* report (the bound is absolute, not
   // relative to the baseline) and is off unless requested.
   const JsonValue base =
-      parse_or_die(R"({"gauges": {"fault.pack_speedup_64": 4.5}})");
+      parse_or_die(gauges_json(R"("fault.pack_speedup_64": 4.5)"));
   const JsonValue cur =
-      parse_or_die(R"({"gauges": {"fault.pack_speedup_64": 3.2}})");
+      parse_or_die(gauges_json(R"("fault.pack_speedup_64": 3.2)"));
   EXPECT_FALSE(diff_run_reports(base, cur, DiffThresholds{}).regression);
 
   DiffThresholds gated;
@@ -175,12 +208,11 @@ TEST(DiffRunReports, ObsOverheadGateIsOptIn) {
   // bench_obs_overhead publishes obs.flow_run_ms (min-of-N walltime) in
   // both the FBT_OBS=OFF baseline and the ON current report; the gate
   // bounds the relative increase.
-  const JsonValue off =
-      parse_or_die(R"({"gauges": {"obs.flow_run_ms": 100.0}})");
+  const JsonValue off = parse_or_die(gauges_json(R"("obs.flow_run_ms": 100.0)"));
   const JsonValue on_ok =
-      parse_or_die(R"({"gauges": {"obs.flow_run_ms": 101.5}})");
+      parse_or_die(gauges_json(R"("obs.flow_run_ms": 101.5)"));
   const JsonValue on_slow =
-      parse_or_die(R"({"gauges": {"obs.flow_run_ms": 104.0}})");
+      parse_or_die(gauges_json(R"("obs.flow_run_ms": 104.0)"));
   EXPECT_FALSE(diff_run_reports(off, on_slow, DiffThresholds{}).regression);
 
   DiffThresholds gated;
@@ -193,12 +225,12 @@ TEST(DiffRunReports, ObsOverheadGateIsOptIn) {
   EXPECT_NE(result.summary_text.find("obs_flow_run_ms"), std::string::npos);
 
   // A baseline without the gauge (or zero) cannot regress.
-  const JsonValue empty = parse_or_die("{}");
+  const JsonValue empty = parse_or_die(gauges_json(""));
   EXPECT_FALSE(diff_run_reports(empty, on_slow, gated).regression);
 }
 
-TEST(DiffRunReports, MissingSectionsDiffAsZeros) {
-  const JsonValue base = parse_or_die("{}");
+TEST(DiffRunReports, AbsentMetricsDiffAsZeros) {
+  const JsonValue base = parse_or_die(gauges_json(""));
   const JsonValue cur = parse_or_die(report_json(91.25, 500, 10.0));
   // Coverage went 0 -> 91.25 (an improvement); never a regression.
   EXPECT_FALSE(diff_run_reports(base, cur, DiffThresholds{}).regression);
@@ -212,79 +244,49 @@ TEST(DiffRunReports, SummaryListsChangedMetrics) {
             std::string::npos);
 }
 
-/// Schema-v3 report with a memory section. bytes_per_gate is the gated
-/// deterministic quantity; peak_rss the opt-in machine-dependent one.
-std::string report_json_v3(double peak_rss, double bytes_per_gate) {
-  char buf[2048];
-  std::snprintf(
-      buf, sizeof(buf),
-      R"({
-  "schema_version": 3,
-  "tool": "bench_scale",
-  "git_sha": "abc1234",
-  "timestamp_utc": "2026-01-01T00:00:00Z",
-  "config": {},
-  "phases": [{"name": "scale", "count": 4, "total_ms": 100.0, "self_ms": 1.0, "rss_delta_bytes": 1048576, "alloc_bytes": 2048, "alloc_count": 2, "children": []}],
-  "counters": {},
-  "gauges": {"flow.fault_coverage_percent": 91.25, "flow.num_tests": 500},
-  "histograms": {},
-  "analytics": {"convergence": [], "segment_yield": []},
-  "memory": {
-    "peak_rss_bytes": %.6g,
-    "current_rss_bytes": 100000,
-    "allocated_bytes": 5000,
-    "allocation_count": 3,
-    "footprints": {"netlist": 2000000, "fault_list": 500000},
-    "bytes_per_gate": %.6g,
-    "bytes_per_fault": 40.0
-  }
-})",
-      peak_rss, bytes_per_gate);
-  return buf;
+/// A bench_scale-shaped report. bytes_per_gate is the gated deterministic
+/// quantity; peak_rss the opt-in machine-dependent one.
+std::string memory_report_json(double peak_rss, double bytes_per_gate) {
+  ReportDoc doc;
+  doc.tool = "bench_scale";
+  doc.config = "{}";
+  doc.phases =
+      R"([{"name": "scale", "count": 4, "total_ms": 100.0, "self_ms": 1.0, "rss_delta_bytes": 1048576, "children": []}])";
+  doc.gauges = R"({"flow.fault_coverage_percent": 91.25, "flow.num_tests": 500})";
+  doc.memory = R"({"peak_rss_bytes": )" + fmt_num(peak_rss) +
+               R"(, "current_rss_bytes": 100000, "footprints": {"netlist": 2000000, "fault_list": 500000}, "bytes_per_gate": )" +
+               fmt_num(bytes_per_gate) + R"(, "bytes_per_fault": 40.0})";
+  return doc.json();
 }
 
 TEST(DiffRunReports, MemoryGatesAreOptIn) {
-  const JsonValue base = parse_or_die(report_json_v3(1e8, 100.0));
+  const JsonValue base = parse_or_die(memory_report_json(1e8, 100.0));
   // +20% bytes-per-gate and 3x peak RSS: passes with default thresholds.
-  const JsonValue cur = parse_or_die(report_json_v3(3e8, 120.0));
+  const JsonValue cur = parse_or_die(memory_report_json(3e8, 120.0));
   EXPECT_FALSE(diff_run_reports(base, cur, DiffThresholds{}).regression);
 }
 
 TEST(DiffRunReports, FlagsBytesPerGateGrowth) {
-  const JsonValue base = parse_or_die(report_json_v3(1e8, 100.0));
-  const JsonValue cur = parse_or_die(report_json_v3(1e8, 120.0));
+  const JsonValue base = parse_or_die(memory_report_json(1e8, 100.0));
+  const JsonValue cur = parse_or_die(memory_report_json(1e8, 120.0));
   DiffThresholds gated;
   gated.max_bytes_per_gate_increase_percent = 10.0;
   const DiffResult result = diff_run_reports(base, cur, gated);
   ASSERT_TRUE(result.regression);
   EXPECT_NE(result.violations[0].find("bytes per gate"), std::string::npos);
   // Within threshold: +8% passes at the 10% gate.
-  const JsonValue ok = parse_or_die(report_json_v3(1e8, 108.0));
+  const JsonValue ok = parse_or_die(memory_report_json(1e8, 108.0));
   EXPECT_FALSE(diff_run_reports(base, ok, gated).regression);
 }
 
 TEST(DiffRunReports, FlagsPeakRssGrowth) {
-  const JsonValue base = parse_or_die(report_json_v3(1e8, 100.0));
-  const JsonValue cur = parse_or_die(report_json_v3(2.5e8, 100.0));
+  const JsonValue base = parse_or_die(memory_report_json(1e8, 100.0));
+  const JsonValue cur = parse_or_die(memory_report_json(2.5e8, 100.0));
   DiffThresholds gated;
   gated.max_peak_rss_increase_percent = 100.0;
   const DiffResult result = diff_run_reports(base, cur, gated);
   ASSERT_TRUE(result.regression);
   EXPECT_NE(result.violations[0].find("peak RSS"), std::string::npos);
-}
-
-TEST(DiffRunReports, SchemaV2ReportsDiffWithoutMemorySection) {
-  // A v2 baseline has no "memory" section: reads as 0, never crashes, and
-  // with the gates enabled a 0 baseline cannot regress (division guard).
-  const JsonValue base = parse_or_die(report_json(91.25, 500, 10.0));
-  const JsonValue cur = parse_or_die(report_json_v3(1e8, 120.0));
-  DiffThresholds gated;
-  gated.max_bytes_per_gate_increase_percent = 10.0;
-  gated.max_peak_rss_increase_percent = 100.0;
-  const DiffResult result = diff_run_reports(base, cur, gated);
-  EXPECT_FALSE(result.regression);
-  EXPECT_NE(result.summary_text.find("peak_rss_bytes: 0 ->"),
-            std::string::npos);
 }
 
 TEST(RenderHtmlDashboard, ProducesSelfContainedPage) {
@@ -303,25 +305,29 @@ TEST(RenderHtmlDashboard, ProducesSelfContainedPage) {
 }
 
 TEST(RenderHtmlDashboard, EscapesUntrustedStrings) {
-  const JsonValue report = parse_or_die(
-      R"({"tool": "<script>alert(1)</script>", "config": {"k": "<b>"}})");
+  ReportDoc doc;
+  doc.tool = "<script>alert(1)</script>";
+  doc.config = R"({"k": "<b>"})";
+  const JsonValue report = parse_or_die(doc.json());
   const std::string html = render_html_dashboard(report, "");
   EXPECT_EQ(html.find("<script>"), std::string::npos);
   EXPECT_NE(html.find("&lt;script&gt;"), std::string::npos);
 }
 
 TEST(RenderHtmlDashboard, RoundTripsRealCollectedReport) {
-  register_core_counters();
+  registry().counter("test.dashboard_counter").add();
   const RunReportData data = collect_run_report("dashboard_smoke", {});
   const JsonValue report = parse_or_die(render_run_report(data));
+  std::string error;
+  EXPECT_TRUE(check_report_schema(report, error)) << error;
   const std::string html = render_html_dashboard(report, "");
   EXPECT_NE(html.find("dashboard_smoke"), std::string::npos);
-  EXPECT_NE(html.find("bist.lfsr_cycles"), std::string::npos);
+  EXPECT_NE(html.find("test.dashboard_counter"), std::string::npos);
   EXPECT_NE(html.find("<h2>Memory</h2>"), std::string::npos);
 }
 
 TEST(RenderHtmlDashboard, MemoryPanelRendersFootprintsAndPhaseDeltas) {
-  const JsonValue report = parse_or_die(report_json_v3(1e8, 100.0));
+  const JsonValue report = parse_or_die(memory_report_json(1e8, 100.0));
   const std::string html = render_html_dashboard(report, "");
   EXPECT_NE(html.find("peak_rss_bytes"), std::string::npos);
   EXPECT_NE(html.find("Structure footprints"), std::string::npos);
@@ -329,40 +335,26 @@ TEST(RenderHtmlDashboard, MemoryPanelRendersFootprintsAndPhaseDeltas) {
   EXPECT_NE(html.find("class=\"bar\""), std::string::npos);
 }
 
-TEST(RenderHtmlDashboard, SchemaV2ReportStillRenders) {
-  // v2 reports have no memory section; the panel degrades to a note and the
-  // rest of the page is unaffected.
-  const JsonValue report = parse_or_die(report_json(91.25, 500, 10.0));
-  const std::string html = render_html_dashboard(report, "");
-  EXPECT_NE(html.find("no memory data (schema v2 report)"), std::string::npos);
-  EXPECT_NE(html.find("<svg"), std::string::npos);
-}
-
-/// Schema-v4 report with scheduler utilization and request-latency
-/// histograms, as a serve daemon writes at exit.
-std::string report_json_v4() {
-  return R"({
-  "schema_version": 4,
-  "tool": "fbt_serve",
-  "git_sha": "abc1234",
-  "timestamp_utc": "2026-01-01T00:00:00Z",
-  "config": {},
-  "phases": [],
-  "counters": {},
-  "gauges": {},
-  "histograms": {
+/// A report with scheduler utilization and request-latency histograms, as a
+/// serve daemon writes at exit.
+std::string serve_report_json() {
+  ReportDoc doc;
+  doc.tool = "fbt_serve";
+  doc.config = "{}";
+  doc.histograms = R"({
     "jobs.run_ms": {"count": 40, "sum": 100.0, "mean": 2.5, "p50": 2.0, "p90": 4.0, "p99": 5.0, "p99_clamped": false, "buckets": []},
     "serve.request_total_cold_ms": {"count": 3, "sum": 2400.0, "mean": 800.0, "p50": 750.0, "p90": 900.0, "p99": 1000.0, "p99_clamped": true, "buckets": []},
     "serve.request_total_warm_ms": {"count": 9, "sum": 4.5, "mean": 0.5, "p50": 0.4, "p90": 0.9, "p99": 1.0, "p99_clamped": false, "buckets": []}
-  },
-  "analytics": {"convergence": [], "segment_yield": []},
-  "jobs": {"workers": 4, "submitted": 40, "executed": 40, "steals": 6, "busy_ms": 90.000, "idle_ms": 310.000, "utilization": 0.225},
-  "memory": {"peak_rss_bytes": 1000, "current_rss_bytes": 900, "allocated_bytes": 0, "allocation_count": 0, "footprints": {}, "bytes_per_gate": 0, "bytes_per_fault": 0}
-})";
+  })";
+  doc.jobs =
+      R"({"workers": 4, "submitted": 40, "executed": 40, "steals": 6, "busy_ms": 90.000, "idle_ms": 310.000, "utilization": 0.225})";
+  doc.memory =
+      R"({"peak_rss_bytes": 1000, "current_rss_bytes": 900, "footprints": {}, "bytes_per_gate": 0, "bytes_per_fault": 0})";
+  return doc.json();
 }
 
 TEST(RenderHtmlDashboard, SchedulerAndRequestLatencyPanels) {
-  const JsonValue report = parse_or_die(report_json_v4());
+  const JsonValue report = parse_or_die(serve_report_json());
   const std::string html = render_html_dashboard(report, "");
   EXPECT_NE(html.find("<h2>Scheduler</h2>"), std::string::npos);
   EXPECT_NE(html.find("utilization"), std::string::npos);
@@ -374,12 +366,59 @@ TEST(RenderHtmlDashboard, SchedulerAndRequestLatencyPanels) {
   EXPECT_NE(html.find("<td>1000+</td>"), std::string::npos);
 }
 
-TEST(RenderHtmlDashboard, PreV4ReportDegradesSchedulerPanels) {
-  const JsonValue report = parse_or_die(report_json_v3(1e8, 100.0));
+TEST(RenderHtmlDashboard, IdleRunDegradesSchedulerPanels) {
+  const JsonValue report = parse_or_die(memory_report_json(1e8, 100.0));
   const std::string html = render_html_dashboard(report, "");
-  EXPECT_NE(html.find("no scheduler data (pre-v4 report)"), std::string::npos);
+  EXPECT_NE(html.find("no scheduler activity in this run"), std::string::npos);
   EXPECT_NE(html.find("no request latency data in this run"),
             std::string::npos);
+}
+
+TEST(CheckReportSchema, AcceptsTheCurrentSchema) {
+  std::string error;
+  EXPECT_TRUE(check_report_schema(parse_or_die(report_json(91.25, 500, 10.0)),
+                                  error))
+      << error;
+  EXPECT_TRUE(check_report_schema(parse_or_die(serve_report_json()), error))
+      << error;
+}
+
+TEST(CheckReportSchema, RejectsAnOlderVersion) {
+  ReportDoc doc;
+  doc.version = "4";
+  std::string error;
+  EXPECT_FALSE(check_report_schema(parse_or_die(doc.json()), error));
+  EXPECT_NE(error.find("schema_version 4, expected 5"), std::string::npos)
+      << error;
+}
+
+TEST(CheckReportSchema, RejectsAMissingVersion) {
+  JsonValue report = parse_or_die(ReportDoc{}.json());
+  ASSERT_EQ(report.object[0].first, "schema_version");
+  report.object.erase(report.object.begin());
+  std::string error;
+  EXPECT_FALSE(check_report_schema(report, error));
+  EXPECT_NE(error.find("no schema_version, expected 5"), std::string::npos)
+      << error;
+}
+
+TEST(CheckReportSchema, RejectsAVersionThatIsNotANumber) {
+  ReportDoc doc;
+  doc.version = "\"5\"";
+  std::string error;
+  EXPECT_FALSE(check_report_schema(parse_or_die(doc.json()), error));
+  EXPECT_NE(error.find("schema_version is not a number, expected 5"),
+            std::string::npos)
+      << error;
+}
+
+TEST(CheckReportSchema, RejectsAMissingSection) {
+  JsonValue report = parse_or_die(ReportDoc{}.json());
+  ASSERT_EQ(report.object.back().first, "memory");
+  report.object.pop_back();
+  std::string error;
+  EXPECT_FALSE(check_report_schema(report, error));
+  EXPECT_NE(error.find("\"memory\""), std::string::npos) << error;
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "fault/fault.hpp"
 #include "obs/instrument.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase.hpp"
 #include "obs/run_report.hpp"
 
 namespace fbt::obs {
@@ -59,55 +58,6 @@ TEST(RssSampler, ThrottledSamplerTracksCurrent) {
   // time or throws, and stays in the same ballpark as current_rss_bytes.
   const std::uint64_t again = sampled_rss_bytes();
   EXPECT_EQ(sampled, again);
-}
-
-TEST(AllocationAccounting, TotalsAccumulateAndReset) {
-  reset_allocation_totals();
-  charge_allocation(1000);
-  charge_allocation(24, 3);
-  const AllocationTotals totals = allocation_totals();
-  EXPECT_EQ(totals.bytes, 1024u);
-  EXPECT_EQ(totals.count, 4u);
-  reset_allocation_totals();
-  EXPECT_EQ(allocation_totals().bytes, 0u);
-  EXPECT_EQ(allocation_totals().count, 0u);
-}
-
-TEST(AllocationAccounting, ChargesSettleOnInnermostOpenPhase) {
-  PhaseTrace& trace = PhaseTrace::instance();
-  trace.clear();
-  reset_allocation_totals();
-  {
-    PhaseSpan outer("charge_outer");
-    charge_allocation(100);
-    {
-      PhaseSpan inner("charge_inner");
-      charge_allocation(50);
-      charge_allocation(7);
-    }
-    charge_allocation(11);
-  }
-  const std::vector<PhaseNode> roots = trace.roots();
-  ASSERT_EQ(roots.size(), 1u);
-  // Charges are "self" quantities: the inner span's 57 bytes are not folded
-  // into the outer span's 111.
-  EXPECT_EQ(roots[0].alloc_bytes, 111u);
-  EXPECT_EQ(roots[0].alloc_count, 2u);
-  ASSERT_EQ(roots[0].children.size(), 1u);
-  EXPECT_EQ(roots[0].children[0].alloc_bytes, 57u);
-  EXPECT_EQ(roots[0].children[0].alloc_count, 2u);
-  // The process totals saw every charge regardless of span nesting.
-  EXPECT_EQ(allocation_totals().bytes, 168u);
-  trace.clear();
-  reset_allocation_totals();
-}
-
-TEST(AllocationAccounting, ChargeWithNoOpenPhaseStillCountsGlobally) {
-  reset_allocation_totals();
-  EXPECT_FALSE(detail::charge_open_phase(64, 1));
-  charge_allocation(64);
-  EXPECT_EQ(allocation_totals().bytes, 64u);
-  reset_allocation_totals();
 }
 
 TEST(FootprintRegistry, RecordsOverwritesAndSorts) {
@@ -160,14 +110,10 @@ TEST(Footprints, StructureFootprintsScaleWithCircuitSize) {
                 faults_small.size() * sizeof(TransitionFault));
 }
 
-TEST(MemoryReport, CollectGathersSamplerTotalsAndFootprints) {
+TEST(MemoryReport, CollectGathersSamplerAndFootprints) {
   footprints().clear();
-  reset_allocation_totals();
   footprints().record("test_structure", 4096);
-  charge_allocation(512);
   const MemoryReport report = collect_memory_report();
-  EXPECT_EQ(report.allocated_bytes, 512u);
-  EXPECT_EQ(report.allocation_count, 1u);
   ASSERT_EQ(report.footprints.size(), 1u);
   EXPECT_EQ(report.footprints[0].name, "test_structure");
   EXPECT_EQ(report.footprints[0].bytes, 4096u);
@@ -179,7 +125,6 @@ TEST(MemoryReport, CollectGathersSamplerTotalsAndFootprints) {
   EXPECT_GT(report.current_rss_bytes, 0u);
 #endif
   footprints().clear();
-  reset_allocation_totals();
 }
 
 TEST(MemoryReport, RunReportDerivesBytesPerGateFromGauges) {
@@ -204,20 +149,17 @@ TEST(MemoryReport, RunReportDerivesBytesPerGateFromGauges) {
 }
 
 #if !FBT_OBS_ENABLED
-TEST(ObsDisabled, ResourceMacrosAreNoOps) {
+TEST(ObsDisabled, FootprintMacroIsANoOp) {
   footprints().clear();
-  reset_allocation_totals();
-  // Under FBT_OBS=OFF the macros must not evaluate their arguments or touch
-  // the registries.
+  // Under FBT_OBS=OFF the macro must not evaluate its arguments or touch the
+  // registry.
   int evaluations = 0;
   auto count_eval = [&evaluations] {
     ++evaluations;
     return std::uint64_t{4096};
   };
-  FBT_OBS_ALLOC_CHARGE(count_eval());
   FBT_OBS_FOOTPRINT("noop", count_eval());
   EXPECT_EQ(evaluations, 0);
-  EXPECT_EQ(allocation_totals().bytes, 0u);
   EXPECT_TRUE(footprints().snapshot().empty());
 }
 #endif

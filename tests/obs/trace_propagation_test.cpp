@@ -67,7 +67,7 @@ TEST(TraceContext, AdoptionParentsSpansAcrossRawThreads) {
     captured = current_trace_context();
     std::thread other([captured] {
       // Without adoption the remote span would be an orphan root.
-      TraceContextScope scope(captured);
+      TaskTraceScope scope(captured);
       EXPECT_EQ(current_trace_context().span_id, captured.span_id);
       PhaseSpan remote("adopt_remote");
     });
@@ -85,21 +85,34 @@ TEST(TraceContext, AdoptionParentsSpansAcrossRawThreads) {
   EXPECT_NE(find_named(outer->children, "adopt_remote"), nullptr);
 }
 
-TEST(TraceContext, LocalStackWinsOverAdoptedContext) {
+TEST(TraceContext, TaskScopeSetsTheLocalStackAside) {
   PhaseTrace::instance().clear();
+  TraceContext submitter{};
   {
-    PhaseSpan outer("local_outer");
+    PhaseSpan span("aside_submitter");
+    submitter = current_trace_context();
+  }
+  {
+    PhaseSpan outer("aside_outer");
     const std::uint64_t outer_id = current_trace_context().span_id;
-    TraceContextScope scope(TraceContext{9999999, 0});
-    // The local open span is innermost; the adopted context must not
-    // reparent spans nested under it.
-    PhaseSpan inner("local_inner");
-    EXPECT_EQ(current_trace_context().parent_id, outer_id);
+    {
+      // The open "aside_outer" belongs to this thread, not to the task: the
+      // task's span must parent under its submitter instead.
+      TaskTraceScope scope(submitter);
+      EXPECT_EQ(current_trace_context().span_id, submitter.span_id);
+      PhaseSpan task("aside_task");
+      EXPECT_EQ(current_trace_context().parent_id, submitter.span_id);
+    }
+    // Leaving the scope restores the local stack.
+    EXPECT_EQ(current_trace_context().span_id, outer_id);
   }
   const std::vector<PhaseNode> stitched = PhaseTrace::instance().stitched_roots();
-  const PhaseNode* outer = find_named(stitched, "local_outer");
+  const PhaseNode* submitter_span = find_named(stitched, "aside_submitter");
+  const PhaseNode* outer = find_named(stitched, "aside_outer");
+  ASSERT_NE(submitter_span, nullptr);
   ASSERT_NE(outer, nullptr);
-  EXPECT_NE(find_named(outer->children, "local_inner"), nullptr);
+  EXPECT_NE(find_named(submitter_span->children, "aside_task"), nullptr);
+  EXPECT_EQ(find_named(outer->children, "aside_task"), nullptr);
 }
 
 TEST(StitchPhaseRoots, ReattachesByParentIdInStartOrder) {

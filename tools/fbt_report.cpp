@@ -15,7 +15,10 @@
 //       peak RSS are machine-dependent; bytes-per-gate is deterministic and
 //       safe to gate tightly).
 //
-// Exit codes: 0 ok, 1 regression detected, 2 usage or I/O error.
+// Both commands read only reports of the schema this build writes; any other
+// schema_version is refused.
+//
+// Exit codes: 0 ok, 1 regression detected, 2 usage, I/O or schema error.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -49,6 +52,10 @@ bool load_report(const std::string& path, fbt::obs::JsonValue& out) {
   }
   if (!out.is_object()) {
     std::fprintf(stderr, "fbt_report: %s: not a JSON object\n", path.c_str());
+    return false;
+  }
+  if (!fbt::obs::check_report_schema(out, error)) {
+    std::fprintf(stderr, "fbt_report: %s: %s\n", path.c_str(), error.c_str());
     return false;
   }
   return true;

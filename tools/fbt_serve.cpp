@@ -9,7 +9,7 @@
 //       `stats` responses and the run report agree (in-flight requests still
 //       complete, they just no longer move the published numbers). On
 //       graceful exit it drains in-flight requests, flushes the NDJSON
-//       journal, writes a schema-v4 run report, and (with --trace) exports
+//       journal, writes a run report, and (with --trace) exports
 //       the Chrome trace of everything the daemon executed.
 //
 //   fbt_serve request --socket <path> --target <name> [--driver <name>]
