@@ -1,10 +1,10 @@
 // Measures the walltime cost of the observability layer on the flow_smoke
 // workload (s298 under the buffers driver, the CI baseline configuration),
-// run as a task graph on a 4-worker pool so the tracing hot paths --
-// TraceContext capture/re-entry, flow arrows, scheduler clocks -- are all
-// exercised. CI builds this bench twice (FBT_OBS=ON and OFF), runs each,
-// and gates the ON/OFF delta of the obs.flow_run_ms gauge with
-// `fbt_report diff --max-obs-overhead-pct 2`.
+// run on a 4-worker pool so the tracing hot paths -- TraceContext
+// capture/re-entry on calibration's helper lanes, flow arrows, scheduler
+// clocks -- are all exercised. CI builds this bench twice (FBT_OBS=ON and
+// OFF), runs each, and gates the ON/OFF delta of the obs.flow_run_ms gauge
+// with `fbt_report diff --max-obs-overhead-pct 2`.
 //
 // Methodology: one untimed warmup run, then --repeats timed runs (default
 // 7); the gated figure is the MINIMUM walltime (robust against scheduler
@@ -30,7 +30,7 @@
 int main(int argc, char** argv) {
   const fbt::Cli cli(argc, argv);
   const int repeats = static_cast<int>(cli.get_int("repeats", 7));
-  const int threads = static_cast<int>(cli.get_int("threads", 4));
+  const int threads = static_cast<int>(cli.get_int_in("threads", 4, 1, 256));
 
   fbt::BistExperimentConfig cfg;
   cfg.target_name = "s298";

@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
   const std::string target = cli.get("target", "s298");
   const std::size_t warm_repeats =
       static_cast<std::size_t>(cli.get_int("warm-repeats", 64));
-  const std::size_t clients =
-      static_cast<std::size_t>(cli.get_int("clients", 4));
+  const auto clients =
+      static_cast<std::size_t>(cli.get_int_in("clients", 4, 1, 64));
   const std::size_t requests_per_client =
       static_cast<std::size_t>(cli.get_int("requests-per-client", 128));
 
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   request.config.generation.rng_seed = 19;
 
   // The container may report a single core; the serving pool is explicitly
-  // sized so steal/multiplex behaviour is exercised regardless.
+  // sized so requests and their calibration lanes share workers regardless.
   fbt::jobs::JobSystem jobs(4);
   fbt::serve::ArtifactCache cache;
   fbt::serve::ExperimentService service(jobs, cache);

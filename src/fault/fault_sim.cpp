@@ -320,7 +320,6 @@ std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
   // Count only tests actually loaded: the walk exits early once the active
   // list empties, so tests.size() would overcount.
   FBT_OBS_COUNTER_ADD("fault.tests_graded", tests_loaded);
-  FBT_OBS_COUNTER_ADD("fault.faults_dropped", newly_complete);
   FBT_OBS_COUNTER_ADD("fault.pack_groups_simulated", stats.groups);
   FBT_OBS_COUNTER_ADD("fault.pack_lanes_wasted", stats.lanes_wasted);
   FBT_OBS_COUNTER_ADD("fault.pack_diff_words_propagated",

@@ -84,12 +84,12 @@ struct ExperimentArtifacts {
 /// "buffers"/empty) built-in generation. Uses the process-wide job pool.
 BistExperimentResult run_bist_experiment(const BistExperimentConfig& config);
 
-/// Same flow as a task graph on `jobs`: target/driver loading, SWA_func
-/// calibration, and fault collapsing run as dependency-ordered tasks, so
-/// many experiments share one pool; construction and reduction then run on
-/// the calling thread. `artifacts` short-circuits tasks whose results the
-/// caller already holds (cache hits). Results are bit-identical to the
-/// single-argument overload for any pool size and any artifacts.
+/// Same flow with SWA_func calibration's sequences on `jobs`, so many
+/// experiments share one pool; everything else runs on the calling thread.
+/// `artifacts` skips each artifact step (target, driver, faults,
+/// calibration) whose result the caller already holds (cache hits). Results
+/// are bit-identical to the single-argument overload for any pool size and
+/// any artifacts.
 BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
                                          jobs::JobSystem& jobs,
                                          const ExperimentArtifacts& artifacts);

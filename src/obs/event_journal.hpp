@@ -114,9 +114,8 @@ EventJournal& journal();
 
 /// RAII redirection of journal() on the constructing thread to `target`.
 /// Scopes nest; destruction restores the previous journal. `target` must
-/// outlive the scope. The JobSystem re-enters a task's submitter journal
-/// around the task, so a task run by a helping waiter never records into
-/// the waiter's scope.
+/// outlive the scope. The JobSystem re-enters a task's poster's journal
+/// around the task on the worker that runs it.
 class JournalScope {
  public:
   explicit JournalScope(EventJournal& target);

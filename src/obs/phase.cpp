@@ -149,15 +149,11 @@ TraceContext current_trace_context() {
 }
 
 TaskTraceScope::TaskTraceScope(TraceContext ctx)
-    : saved_spans_(std::move(open_spans)), saved_context_(adopted_context) {
-  open_spans.clear();  // a moved-from vector is valid but unspecified
+    : saved_context_(adopted_context) {
   adopted_context = ctx;
 }
 
-TaskTraceScope::~TaskTraceScope() {
-  open_spans = std::move(saved_spans_);
-  adopted_context = saved_context_;
-}
+TaskTraceScope::~TaskTraceScope() { adopted_context = saved_context_; }
 
 PhaseTrace& PhaseTrace::instance() {
   static PhaseTrace trace;

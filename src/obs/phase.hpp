@@ -11,12 +11,12 @@
 // the span_id of its logical parent. On one thread, parenthood follows the
 // open-span stack. Across threads, the JobSystem captures
 // current_trace_context() at each submit site and runs the task inside a
-// TaskTraceScope, which sets the executing thread's own open spans aside and
-// adopts the captured span as the parent of the task's spans. Such spans are
-// recorded as *detached* roots; summarize() re-attaches them under their
-// parent span (stitching), so the phase tree shows the real task graph even
-// when the JobSystem steals work between workers. The Chrome export keeps
-// one complete event per span (args carry span_id/parent_span_id) plus flow
+// TaskTraceScope on a worker with no open spans, which adopts the captured
+// span as the parent of the task's spans. Such spans are recorded as
+// *detached* roots; summarize() re-attaches them under their parent span
+// (stitching), so the phase tree shows each task under its poster even
+// though the tasks run on other threads. The Chrome export keeps one
+// complete event per span (args carry span_id/parent_span_id) plus flow
 // arrows ("ph":"s"/"f") from each submit site to the execution site.
 //
 // Thread safety: the open-span stack and the adopted context are
@@ -75,11 +75,10 @@ struct TraceContext {
 TraceContext current_trace_context();
 
 /// RAII entry into a pool task's own trace position (used by the JobSystem
-/// around every task): sets this thread's open-span stack aside and adopts
-/// `ctx`, so the task's spans parent under its submitter even when a thread
-/// blocked in wait() inside its own spans runs it: the stack belongs to the
-/// waiter, not to the task. Scopes nest; destruction restores the stack and
-/// the adopted context.
+/// around every task): adopts `ctx`, so the task's spans parent under its
+/// submitter. Adoption only takes effect while this thread has no open span
+/// of its own, as on a worker between tasks. Destruction restores the
+/// previously adopted context.
 class TaskTraceScope {
  public:
   explicit TaskTraceScope(TraceContext ctx);
@@ -88,7 +87,6 @@ class TaskTraceScope {
   TaskTraceScope& operator=(const TaskTraceScope&) = delete;
 
  private:
-  std::vector<PhaseNode> saved_spans_;
   TraceContext saved_context_;
 };
 

@@ -288,9 +288,8 @@ void html_histogram_row(const JsonValue& histograms, const std::string& name,
       << num(field(*h, "p99")) << (is_clamped ? "+" : "") << "</td></tr>\n";
 }
 
-/// Scheduler panel: the "jobs" utilization section plus the jobs.run_ms /
-/// jobs.steal_latency_ms histogram summaries. A run with no scheduler
-/// activity degrades to a note.
+/// Scheduler panel: the "jobs" utilization section plus the jobs.run_ms
+/// histogram summary. A run with no scheduler activity degrades to a note.
 void html_scheduler_panel(const JsonValue& report, std::ostringstream& out) {
   const JsonValue& jobs = section(report, "jobs");
   bool any_nonzero = false;
@@ -305,7 +304,6 @@ void html_scheduler_panel(const JsonValue& report, std::ostringstream& out) {
   const JsonValue& histograms = section(report, "histograms");
   std::ostringstream rows;
   html_histogram_row(histograms, "jobs.run_ms", rows);
-  html_histogram_row(histograms, "jobs.steal_latency_ms", rows);
   if (!rows.str().empty()) {
     out << "<h3>Job timing (ms)</h3>\n<table><tr><th>histogram</th>"
            "<th>count</th><th>mean</th><th>p50</th><th>p99</th></tr>\n"
@@ -343,7 +341,7 @@ void html_request_latency_panel(const JsonValue& report,
 }
 
 /// Serving panel: every serve.* / jobs.* counter and gauge, so a daemon or
-/// bench_serve report shows request volume, cache effectiveness, and steal
+/// bench_serve report shows request volume, cache effectiveness, and pool
 /// traffic at a glance. Reports with no serving activity degrade to a note.
 void html_serving_panel(const JsonValue& report, std::ostringstream& out) {
   std::vector<std::pair<std::string, double>> rows;

@@ -28,7 +28,7 @@
 //       "segment_yield": [{"sequence": 0, "segment": 0, "seed": 123,
 //                          "tests": 100, "newly_detected": 42,
 //                          "peak_swa": 12.5}, ...]},
-//     "jobs": {"workers": 4, "submitted": 100, "executed": 100, "steals": 7,
+//     "jobs": {"workers": 4, "submitted": 100, "executed": 100,
 //              "busy_ms": 120.000, "idle_ms": 280.000, "utilization": 0.3},
 //     "memory": {
 //       "peak_rss_bytes": 104857600,
@@ -75,7 +75,6 @@ struct JobsSummary {
   std::uint64_t workers = 0;
   std::uint64_t submitted = 0;
   std::uint64_t executed = 0;
-  std::uint64_t steals = 0;
   double busy_ms = 0.0;
   double idle_ms = 0.0;      ///< workers * elapsed - busy, floored at 0
   double utilization = 0.0;  ///< busy / (workers * elapsed), in [0, 1]

@@ -82,7 +82,6 @@ ServiceStats ExperimentService::collect_stats() const {
   out.scheduler.queue_depth = js.queue_depth;
   out.scheduler.submitted = js.submitted;
   out.scheduler.executed = js.executed;
-  out.scheduler.steals = js.steals;
   out.scheduler.busy_ms = js.busy_ms;
   out.scheduler.utilization = js.utilization;
   return out;

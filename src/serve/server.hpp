@@ -8,7 +8,7 @@
 //   2. look up the experiment key -- a hit renders the stored summary
 //      without touching the flow (the >= 10x warm path);
 //   3. on a miss, fetch the derived artifacts (collapsed fault list, SWA_func
-//      calibration) through the cache and run the flow task graph on the
+//      calibration) through the cache and run the flow as one task on the
 //      shared pool under the request's own event journal, streaming its
 //      events as progress lines while it executes;
 //   4. store the summary under the experiment key and render it.

@@ -207,7 +207,6 @@ class SerialFaultSim {
                 });
     }
     FBT_OBS_COUNTER_ADD("fault.tests_graded", tests_loaded);
-    FBT_OBS_COUNTER_ADD("fault.faults_dropped", newly_complete);
     FBT_OBS_HIST_RECORD_LOG("fault.grade_duration_ms", grade_timer.ms());
     return newly_complete;
   }

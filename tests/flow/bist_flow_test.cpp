@@ -46,33 +46,38 @@ TEST(BistFlow, UnconstrainedExperimentEndToEnd) {
               100.0 * r.hw_area / r.circuit_area_um2, 1e-9);
 }
 
-TEST(BistFlow, TaskGraphOverloadMatchesSerialReference) {
+TEST(BistFlow, PoolOverloadMatchesSerialReference) {
   const BistExperimentConfig cfg = small_experiment("s298", "buffers");
   const BistExperimentResult serial = run_bist_experiment(cfg);
   jobs::JobSystem jobs(4);  // the CI container may report one core
-  const BistExperimentResult graph =
+  const BistExperimentResult pooled =
       run_bist_experiment(cfg, jobs, ExperimentArtifacts{});
-  EXPECT_EQ(graph.run.num_tests, serial.run.num_tests);
-  EXPECT_EQ(graph.run.num_seeds, serial.run.num_seeds);
-  EXPECT_EQ(graph.detected, serial.detected);
-  EXPECT_EQ(graph.detect_count, serial.detect_count);
-  EXPECT_DOUBLE_EQ(graph.swa_func, serial.swa_func);
-  EXPECT_DOUBLE_EQ(graph.fault_coverage_percent,
+  EXPECT_EQ(pooled.run.num_tests, serial.run.num_tests);
+  EXPECT_EQ(pooled.run.num_seeds, serial.run.num_seeds);
+  EXPECT_EQ(pooled.detected, serial.detected);
+  EXPECT_EQ(pooled.detect_count, serial.detect_count);
+  EXPECT_DOUBLE_EQ(pooled.swa_func, serial.swa_func);
+  EXPECT_DOUBLE_EQ(pooled.fault_coverage_percent,
                    serial.fault_coverage_percent);
 }
 
 #if FBT_OBS_ENABLED
-TEST(BistFlow, ChromeTraceShowsTheTaskGraphAcrossWorkers) {
-  // The exported trace of a multi-threaded run must form a real task graph:
-  // every parent edge resolves to a recorded span and every flow arrow's
-  // start has a matching finish. Which worker runs which task is up to the
-  // scheduler (a helping waiter may run them all inline), so worker rows are
-  // pinned separately, by a test that forces a cross-worker hop
-  // (JobSystemTracing.BlockedSiblingsLandOnTwoWorkerRows).
+TEST(BistFlow, ChromeTraceShowsTheCalibrationLanesAcrossWorkers) {
+  // Calibration posts helper lanes for its sequences, and the exported trace
+  // of the run must tie them back to the flow: every parent edge resolves
+  // to a recorded span and every flow arrow's start has a matching finish.
+  // Which lane runs which sequence is up to the scheduler (the caller may
+  // run them all), so worker rows are pinned separately, by a test that
+  // forces a cross-thread hop
+  // (JobSystemTracing.BlockedSiblingsLandOnTwoWorkerRows). A helper that
+  // started too late to take a sequence still draws its arrow; destroying
+  // the pool runs every queued helper first.
   obs::PhaseTrace::instance().clear();
   const BistExperimentConfig cfg = small_experiment("s298", "buffers");
-  jobs::JobSystem jobs(4);
-  (void)run_bist_experiment(cfg, jobs, ExperimentArtifacts{});
+  {
+    jobs::JobSystem jobs(4);
+    (void)run_bist_experiment(cfg, jobs, ExperimentArtifacts{});
+  }
 
   const std::string json = obs::PhaseTrace::instance().chrome_trace_json();
   obs::JsonValue doc;
@@ -104,7 +109,7 @@ TEST(BistFlow, ChromeTraceShowsTheTaskGraphAcrossWorkers) {
         event.find("args")->find("parent_span_id")->as_number();
     if (parent != 0.0) EXPECT_EQ(span_ids.count(parent), 1u) << parent;
   }
-  // Flow arrows pair submit sites with execution sites.
+  // Flow arrows pair post sites with the workers that ran the lanes.
   EXPECT_FALSE(flow_starts.empty());
   EXPECT_EQ(flow_starts, flow_finishes);
 }
@@ -197,7 +202,7 @@ std::vector<std::vector<std::pair<std::uint32_t, std::size_t>>> segments_of(
 }
 
 TEST(BistFlow, PoolSizeLeavesTheFlowBitIdentical) {
-  // The pool runs the artifact tasks; construction and reduction run on the
+  // The pool runs calibration's sequences; everything else runs on the
   // calling thread. One worker or four, every committed segment, detect
   // count, and first-detect attribution must match.
   const BistExperimentConfig cfg = small_experiment("s298", "buffers");

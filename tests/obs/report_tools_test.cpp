@@ -32,7 +32,7 @@ struct ReportDoc {
   std::string histograms = "{}";
   std::string analytics = R"({"convergence": [], "segment_yield": []})";
   std::string jobs =
-      R"({"workers": 0, "submitted": 0, "executed": 0, "steals": 0, "busy_ms": 0.000, "idle_ms": 0.000, "utilization": 0})";
+      R"({"workers": 0, "submitted": 0, "executed": 0, "busy_ms": 0.000, "idle_ms": 0.000, "utilization": 0})";
   std::string memory =
       R"({"peak_rss_bytes": 0, "current_rss_bytes": 0, "footprints": {}, "bytes_per_gate": 0, "bytes_per_fault": 0})";
 
@@ -347,7 +347,7 @@ std::string serve_report_json() {
     "serve.request_total_warm_ms": {"count": 9, "sum": 4.5, "mean": 0.5, "p50": 0.4, "p90": 0.9, "p99": 1.0, "p99_clamped": false, "buckets": []}
   })";
   doc.jobs =
-      R"({"workers": 4, "submitted": 40, "executed": 40, "steals": 6, "busy_ms": 90.000, "idle_ms": 310.000, "utilization": 0.225})";
+      R"({"workers": 4, "submitted": 40, "executed": 40, "busy_ms": 90.000, "idle_ms": 310.000, "utilization": 0.225})";
   doc.memory =
       R"({"peak_rss_bytes": 1000, "current_rss_bytes": 900, "footprints": {}, "bytes_per_gate": 0, "bytes_per_fault": 0})";
   return doc.json();

@@ -1,6 +1,7 @@
 // Cross-thread trace propagation: TraceContext capture/adoption, detached
 // roots, stitching, the Chrome export's span-id args and flow arrows, and --
-// under FBT_OBS=ON -- the JobSystem's context re-entry across work stealing.
+// under FBT_OBS=ON -- the JobSystem's context re-entry on the workers that
+// run submitted tasks and parallel_for's helper lanes.
 // The heavy concurrent tests double as TSan targets (the obs label runs in
 // the -fsanitize=thread CI job).
 #include "obs/phase.hpp"
@@ -85,36 +86,6 @@ TEST(TraceContext, AdoptionParentsSpansAcrossRawThreads) {
   EXPECT_NE(find_named(outer->children, "adopt_remote"), nullptr);
 }
 
-TEST(TraceContext, TaskScopeSetsTheLocalStackAside) {
-  PhaseTrace::instance().clear();
-  TraceContext submitter{};
-  {
-    PhaseSpan span("aside_submitter");
-    submitter = current_trace_context();
-  }
-  {
-    PhaseSpan outer("aside_outer");
-    const std::uint64_t outer_id = current_trace_context().span_id;
-    {
-      // The open "aside_outer" belongs to this thread, not to the task: the
-      // task's span must parent under its submitter instead.
-      TaskTraceScope scope(submitter);
-      EXPECT_EQ(current_trace_context().span_id, submitter.span_id);
-      PhaseSpan task("aside_task");
-      EXPECT_EQ(current_trace_context().parent_id, submitter.span_id);
-    }
-    // Leaving the scope restores the local stack.
-    EXPECT_EQ(current_trace_context().span_id, outer_id);
-  }
-  const std::vector<PhaseNode> stitched = PhaseTrace::instance().stitched_roots();
-  const PhaseNode* submitter_span = find_named(stitched, "aside_submitter");
-  const PhaseNode* outer = find_named(stitched, "aside_outer");
-  ASSERT_NE(submitter_span, nullptr);
-  ASSERT_NE(outer, nullptr);
-  EXPECT_NE(find_named(submitter_span->children, "aside_task"), nullptr);
-  EXPECT_EQ(find_named(outer->children, "aside_task"), nullptr);
-}
-
 TEST(StitchPhaseRoots, ReattachesByParentIdInStartOrder) {
   std::vector<PhaseNode> roots;
   PhaseNode parent;
@@ -192,7 +163,7 @@ TEST(JobSystemTracing, SubmittedTasksParentUnderTheSubmitSite) {
     for (int i = 0; i < kTasks; ++i) {
       handles.push_back(pool.submit([] { PhaseSpan task("jobs_task"); }));
     }
-    pool.wait_all(handles);
+    for (const jobs::TaskHandle& h : handles) pool.wait(h);
   }
   const std::vector<PhaseNode> stitched = PhaseTrace::instance().stitched_roots();
   const PhaseNode* root = find_named(stitched, "jobs_root");
@@ -214,7 +185,7 @@ TEST(JobSystemTracing, ChromeExportCarriesSpanIdsAndFlowArrows) {
     for (int i = 0; i < 8; ++i) {
       handles.push_back(pool.submit([] { PhaseSpan task("flow_task"); }));
     }
-    pool.wait_all(handles);
+    for (const jobs::TaskHandle& h : handles) pool.wait(h);
   }
   EXPECT_FALSE(PhaseTrace::instance().flows().empty());
 
@@ -255,36 +226,36 @@ TEST(JobSystemTracing, ChromeExportCarriesSpanIdsAndFlowArrows) {
 }
 
 TEST(JobSystemTracing, BlockedSiblingsLandOnTwoWorkerRows) {
-  // Forces a cross-worker hop: the first task blocks, without helping, until
-  // its sibling has started. A thread stuck in the first task cannot start
-  // the second, so the two spans run on different threads whichever ones
-  // the scheduler (or the helping waiter) picks, and the Chrome trace must
-  // show them on two timeline rows.
+  // Forces a cross-thread hop between parallel_for's lanes: the blocker
+  // index waits, without yielding its lane, until its sibling has started.
+  // A lane stuck in the blocker cannot start the sibling, so a helper lane
+  // on a worker runs one of the two, and the Chrome trace must show them on
+  // two timeline rows.
   PhaseTrace::instance().clear();
   std::atomic<bool> sibling_started{false};
-  bool timed_out = false;
+  std::atomic<bool> timed_out{false};
   {
     jobs::JobSystem pool(2);
     PhaseSpan root("hop_root");
-    const jobs::TaskHandle blocker = pool.submit([&] {
+    pool.parallel_for(2, [&](std::size_t i) {
+      if (i == 0) {
+        PhaseSpan span("hop_sibling");
+        sibling_started.store(true, std::memory_order_release);
+        return;
+      }
       PhaseSpan span("hop_blocker");
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(30);
       while (!sibling_started.load(std::memory_order_acquire)) {
         if (std::chrono::steady_clock::now() > deadline) {
-          timed_out = true;
+          timed_out.store(true);
           return;
         }
         std::this_thread::yield();
       }
     });
-    const jobs::TaskHandle sibling = pool.submit([&sibling_started] {
-      PhaseSpan span("hop_sibling");
-      sibling_started.store(true, std::memory_order_release);
-    });
-    pool.wait_all({blocker, sibling});
   }
-  ASSERT_FALSE(timed_out) << "the sibling never started on another thread";
+  ASSERT_FALSE(timed_out.load()) << "the sibling never started on another thread";
 
   JsonValue doc;
   std::string error;
@@ -304,10 +275,10 @@ TEST(JobSystemTracing, BlockedSiblingsLandOnTwoWorkerRows) {
   EXPECT_NE(blocker_tid, sibling_tid);
 }
 
-// TSan stress: many submitters, nested resubmission from inside tasks, and
-// forced stealing. Context re-entry on stolen jobs must never corrupt the
-// phase tree or drop spans.
-TEST(JobSystemTracing, ConcurrentStolenJobsKeepEverySpan) {
+// TSan stress: concurrent callers, each lane nesting its own parallel_for.
+// Context re-entry on the helper lanes must never corrupt the phase tree or
+// drop spans.
+TEST(JobSystemTracing, ConcurrentNestedLanesKeepEverySpan) {
   PhaseTrace::instance().clear();
   constexpr int kOuter = 16;
   constexpr int kInner = 8;
@@ -315,23 +286,13 @@ TEST(JobSystemTracing, ConcurrentStolenJobsKeepEverySpan) {
   {
     jobs::JobSystem pool(4);
     PhaseSpan root("stress_root");
-    std::vector<jobs::TaskHandle> outer;
-    for (int i = 0; i < kOuter; ++i) {
-      outer.push_back(pool.submit([&pool, &executed] {
-        PhaseSpan mid("stress_mid");
-        std::vector<jobs::TaskHandle> inner;
-        for (int j = 0; j < kInner; ++j) {
-          inner.push_back(pool.submit([&executed] {
-            PhaseSpan leaf("stress_leaf");
-            executed.fetch_add(1, std::memory_order_relaxed);
-          }));
-        }
-        // Helping wait from inside a task: the waiting worker executes
-        // (steals) other tasks, re-entering their contexts concurrently.
-        pool.wait_all(inner);
-      }));
-    }
-    pool.wait_all(outer);
+    pool.parallel_for(kOuter, [&pool, &executed](std::size_t) {
+      PhaseSpan mid("stress_mid");
+      pool.parallel_for(kInner, [&executed](std::size_t) {
+        PhaseSpan leaf("stress_leaf");
+        executed.fetch_add(1, std::memory_order_relaxed);
+      });
+    });
   }
   EXPECT_EQ(executed.load(), kOuter * kInner);
   const std::vector<PhaseNode> stitched = PhaseTrace::instance().stitched_roots();
@@ -339,8 +300,8 @@ TEST(JobSystemTracing, ConcurrentStolenJobsKeepEverySpan) {
             static_cast<std::size_t>(kOuter));
   EXPECT_EQ(count_named(stitched, "stress_leaf"),
             static_cast<std::size_t>(kOuter * kInner));
-  // Every mid span is a direct child of the root that submitted it, even
-  // when a helping waiter ran it inside one of its own spans.
+  // Every mid span is a direct child of the root whose parallel_for ran it,
+  // on whichever lane: no outer index runs nested inside another.
   const PhaseNode* root = find_named(stitched, "stress_root");
   ASSERT_NE(root, nullptr);
   std::size_t direct_mids = 0;
@@ -350,58 +311,50 @@ TEST(JobSystemTracing, ConcurrentStolenJobsKeepEverySpan) {
   EXPECT_EQ(direct_mids, static_cast<std::size_t>(kOuter));
 }
 
-TEST(JobSystemTracing, TaskRunByAHelpingWaiterKeepsItsSubmitterContext) {
-  // A one-worker pool whose worker is blocked: the task below can only run
-  // on the thread that waits for it, inside that thread's own span and
-  // journal scope. Its span must still parent under the submit-site span,
-  // and its event must land in the submitter's journal.
+TEST(JobSystemTracing, HelperLaneKeepsItsCallersContext) {
+  // One of the two indices runs on the helper lane (a worker): its span must
+  // parent under the caller's span, and its event must land in the caller's
+  // journal, not in the process journal the worker would otherwise use.
   PhaseTrace::instance().clear();
-  jobs::JobSystem pool(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  const jobs::TaskHandle blocker = pool.submit([&] {
-    started.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-  });
-  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
-
-  EventJournal submitter_journal;
-  EventJournal helper_journal;
-  std::thread::id ran_on;
-  std::uint64_t submitter_id = 0;
-  std::uint64_t helper_id = 0;
-  jobs::TaskHandle task;
+  jobs::JobSystem pool(2);
+  const std::size_t process_events = journal().size();
+  EventJournal caller_journal;
+  std::atomic<bool> sibling_started{false};
+  std::thread::id helper_thread;
+  std::uint64_t caller_id = 0;
   {
-    JournalScope scope(submitter_journal);
-    PhaseSpan submitter("shield_submitter");
-    submitter_id = current_trace_context().span_id;
-    task = pool.submit([&ran_on] {
-      ran_on = std::this_thread::get_id();
-      PhaseSpan span("shield_task");
-      journal().emit("shield_event", {});
+    JournalScope scope(caller_journal);
+    PhaseSpan caller("lane_caller");
+    caller_id = current_trace_context().span_id;
+    const std::thread::id caller_thread = std::this_thread::get_id();
+    pool.parallel_for(2, [&](std::size_t i) {
+      // Index 1 holds its lane until the other lane took index 0, so the
+      // two run on the caller and on the helper, in either order.
+      if (i == 0) {
+        sibling_started.store(true, std::memory_order_release);
+      } else {
+        while (!sibling_started.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+      }
+      if (std::this_thread::get_id() == caller_thread) return;
+      helper_thread = std::this_thread::get_id();
+      PhaseSpan span("lane_helper");
+      journal().emit("lane_event", {});
     });
   }
-  {
-    JournalScope scope(helper_journal);
-    PhaseSpan helper("shield_helper");
-    helper_id = current_trace_context().span_id;
-    pool.wait(task);
-  }
-  release.store(true, std::memory_order_release);
-  pool.wait(blocker);
-  ASSERT_EQ(ran_on, std::this_thread::get_id());
+  ASSERT_NE(helper_thread, std::thread::id{});
 
   const std::vector<PhaseNode> raw = PhaseTrace::instance().roots();
-  const PhaseNode* task_span = find_named(raw, "shield_task");
-  ASSERT_NE(task_span, nullptr);
-  EXPECT_EQ(task_span->parent_span_id, submitter_id);
-  EXPECT_NE(task_span->parent_span_id, helper_id);
+  const PhaseNode* helper_span = find_named(raw, "lane_helper");
+  ASSERT_NE(helper_span, nullptr);
+  EXPECT_EQ(helper_span->parent_span_id, caller_id);
   const std::vector<PhaseNode> stitched = PhaseTrace::instance().stitched_roots();
-  const PhaseNode* helper = find_named(stitched, "shield_helper");
-  ASSERT_NE(helper, nullptr);
-  EXPECT_EQ(find_named(helper->children, "shield_task"), nullptr);
-  EXPECT_EQ(submitter_journal.size(), 1u);
-  EXPECT_EQ(helper_journal.size(), 0u);
+  const PhaseNode* caller = find_named(stitched, "lane_caller");
+  ASSERT_NE(caller, nullptr);
+  EXPECT_NE(find_named(caller->children, "lane_helper"), nullptr);
+  EXPECT_EQ(caller_journal.size(), 1u);
+  EXPECT_EQ(journal().size(), process_events);
 }
 
 #endif  // FBT_OBS_ENABLED

@@ -100,10 +100,11 @@ bool recv_line(int fd, std::string& line) {
 
 int run_start(const fbt::Cli& cli) {
   const std::string socket_path = cli.get("socket", "/tmp/fbt_serve.sock");
-  const std::size_t threads =
-      static_cast<std::size_t>(cli.get_int("threads", 0));
+  const auto threads =
+      static_cast<std::size_t>(cli.get_int_in("threads", 0, 0, 256));
   const std::uint64_t cache_bytes =
-      static_cast<std::uint64_t>(cli.get_int("cache-mb", 256)) << 20;
+      static_cast<std::uint64_t>(cli.get_int_in("cache-mb", 256, 1, 1048576))
+      << 20;
   const std::string report_path = cli.get("report", "REPORT_serve.json");
   const std::string journal_path = cli.get("journal", "JOURNAL_serve.ndjson");
   const std::string trace_path = cli.get("trace", "");
@@ -343,13 +344,10 @@ int run_watch(const fbt::Cli& cli) {
     print_latency("cache", doc, "cache_lookup");
     print_latency("compute", doc, "compute");
     print_latency("render", doc, "render");
-    std::printf(
-        "scheduler: %.0f workers, %.1f%% utilization, depth %.0f, "
-        "%.0f steals\n",
-        stat_num(doc, "scheduler", "workers"),
-        100.0 * stat_num(doc, "scheduler", "utilization"),
-        stat_num(doc, "scheduler", "queue_depth"),
-        stat_num(doc, "scheduler", "steals"));
+    std::printf("scheduler: %.0f workers, %.1f%% utilization, depth %.0f\n",
+                stat_num(doc, "scheduler", "workers"),
+                100.0 * stat_num(doc, "scheduler", "utilization"),
+                stat_num(doc, "scheduler", "queue_depth"));
     std::fflush(stdout);
   }
   return 0;
