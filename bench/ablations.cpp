@@ -50,7 +50,8 @@ std::size_t coverage(const fbt::Netlist& nl, const fbt::TestSet& tests,
 int main(int argc, char** argv) {
   const fbt::Cli cli(argc, argv);
   const std::string target_name = cli.get("target", "s298");
-  const auto count = static_cast<std::size_t>(cli.get_int("tests", 2000));
+  const auto count =
+      static_cast<std::size_t>(cli.get_int_in("tests", 2000, 1, 1 << 20));
   fbt::Timer total;
 
   const fbt::Netlist nl = fbt::load_benchmark(target_name);

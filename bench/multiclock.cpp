@@ -26,9 +26,12 @@
 int main(int argc, char** argv) {
   const fbt::Cli cli(argc, argv);
   const std::string name = cli.get("circuit", "s298");
-  const auto divider = static_cast<unsigned>(cli.get_int("divider", 4));
-  const auto slow_pct = static_cast<unsigned>(cli.get_int("slow-percent", 40));
-  const auto cycles = static_cast<std::size_t>(cli.get_int("cycles", 3000));
+  const auto divider =
+      static_cast<unsigned>(cli.get_int_in("divider", 4, 2, 1 << 10));
+  const auto slow_pct =
+      static_cast<unsigned>(cli.get_int_in("slow-percent", 40, 0, 100));
+  const auto cycles =
+      static_cast<std::size_t>(cli.get_int_in("cycles", 3000, 1, 1 << 24));
   fbt::Timer total;
 
   const fbt::Netlist nl = fbt::load_benchmark(name);

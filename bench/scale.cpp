@@ -79,10 +79,12 @@ int main(int argc, char** argv) {
   // four sizes spanning 2k..120k gates keep the job under a minute while
   // exercising the >=100k point the scaling story needs.
   const std::string sizes_spec = cli.get("sizes", "2000,8000,30000,120000");
-  const auto num_tests = static_cast<std::size_t>(cli.get_int("tests", 8));
+  const auto num_tests =
+      static_cast<std::size_t>(cli.get_int_in("tests", 8, 1, 1 << 16));
   const auto fault_cap =
-      static_cast<std::size_t>(cli.get_int("fault-cap", 2000));
-  const auto sim_cycles = static_cast<std::size_t>(cli.get_int("cycles", 16));
+      static_cast<std::size_t>(cli.get_int_in("fault-cap", 2000, 1, 1 << 24));
+  const auto sim_cycles =
+      static_cast<std::size_t>(cli.get_int_in("cycles", 16, 1, 1 << 16));
   // Distinct report name for the gated long sweep (500k/1M gates), so its
   // baseline lives next to -- not on top of -- the default one.
   const std::string report_name = cli.get("report", "scale");

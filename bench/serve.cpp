@@ -34,11 +34,11 @@ int main(int argc, char** argv) {
   const fbt::Cli cli(argc, argv);
   const std::string target = cli.get("target", "s298");
   const std::size_t warm_repeats =
-      static_cast<std::size_t>(cli.get_int("warm-repeats", 64));
+      static_cast<std::size_t>(cli.get_int_in("warm-repeats", 64, 1, 1 << 20));
   const auto clients =
       static_cast<std::size_t>(cli.get_int_in("clients", 4, 1, 64));
-  const std::size_t requests_per_client =
-      static_cast<std::size_t>(cli.get_int("requests-per-client", 128));
+  const std::size_t requests_per_client = static_cast<std::size_t>(
+      cli.get_int_in("requests-per-client", 128, 1, 1 << 20));
 
   fbt::serve::ExperimentRequest request;
   request.target = target;

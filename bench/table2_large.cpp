@@ -17,9 +17,10 @@
 
 int main(int argc, char** argv) {
   const fbt::Cli cli(argc, argv);
-  const auto target_detected =
-      static_cast<std::size_t>(cli.get_int("target-detected", 60));
-  const auto batch = static_cast<std::size_t>(cli.get_int("batch", 150));
+  const auto target_detected = static_cast<std::size_t>(
+      cli.get_int_in("target-detected", 60, 1, 1 << 20));
+  const auto batch =
+      static_cast<std::size_t>(cli.get_int_in("batch", 150, 1, 1 << 20));
   const auto max_faults =
       static_cast<std::size_t>(cli.get_int_in("max-faults", 900, 1, 1 << 20));
   const std::vector<std::string> circuits = fbt::bench::select_rows(

@@ -23,7 +23,7 @@
 int main(int argc, char** argv) {
   const fbt::Cli cli(argc, argv);
   const auto max_paths =
-      static_cast<std::size_t>(cli.get_int("max-paths", 400));
+      static_cast<std::size_t>(cli.get_int_in("max-paths", 400, 1, 1 << 24));
   const std::vector<std::string> circuits = fbt::bench::select_rows(
       cli, "circuits",
       std::vector<std::string>{"s27", "s298", "s344", "s349", "s382", "s386",

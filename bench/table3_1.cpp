@@ -16,8 +16,9 @@
 int main(int argc, char** argv) {
   const fbt::Cli cli(argc, argv);
   const std::string circuit = cli.get("circuit", "s13207");
-  const auto n = static_cast<std::size_t>(cli.get_int("N", 16));
-  const auto pool = static_cast<std::size_t>(cli.get_int("M", 1500));
+  const auto n = static_cast<std::size_t>(cli.get_int_in("N", 16, 1, 1 << 16));
+  const auto pool =
+      static_cast<std::size_t>(cli.get_int_in("M", 1500, 1, 1 << 20));
 
   fbt::Timer total;
   const fbt::Netlist nl = fbt::load_benchmark(circuit);

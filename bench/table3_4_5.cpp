@@ -87,8 +87,10 @@ std::optional<double> after_tg_delay(const fbt::Netlist& nl,
 int main(int argc, char** argv) {
   const fbt::Cli cli(argc, argv);
   const std::string detail_circuit = cli.get("circuit", "s1423");
-  const auto detail_rows = static_cast<std::size_t>(cli.get_int("rows", 8));
-  const auto per_circuit = static_cast<std::size_t>(cli.get_int("N", 20));
+  const auto detail_rows =
+      static_cast<std::size_t>(cli.get_int_in("rows", 8, 1, 1 << 16));
+  const auto per_circuit =
+      static_cast<std::size_t>(cli.get_int_in("N", 20, 1, 1 << 16));
 
   const fbt::DelayLibrary lib = fbt::DelayLibrary::standard_018um();
 

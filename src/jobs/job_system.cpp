@@ -31,9 +31,9 @@ namespace {
 thread_local const JobSystem* tls_pool = nullptr;
 
 /// The post site's trace position and event journal, captured when work is
-/// queued and re-entered around it on the worker: its spans chain to the
-/// poster instead of fragmenting into parentless roots (stitched back by
-/// PhaseTrace::summarize()), and its events land in the poster's journal.
+/// queued and re-entered around it on the worker: its spans parent under
+/// the poster's span instead of fragmenting into parentless roots, and its
+/// events land in the poster's journal.
 class Origin {
  public:
 #if FBT_OBS_ENABLED

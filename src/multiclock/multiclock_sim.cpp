@@ -149,8 +149,6 @@ std::vector<MultiCycleTest> extract_multicycle_tests(
     const std::vector<std::vector<std::uint8_t>>& vectors,
     std::size_t window) {
   require(window >= 2, "extract_multicycle_tests", "window must be >= 2");
-  MultiClockSim sim(domains);
-  sim.load_reset_state();
   // Track the state at every cycle so windows can start anywhere aligned.
   std::vector<std::vector<std::uint8_t>> states;
   states.push_back(start_state);

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <tuple>
+#include <unordered_map>
 
 #include "obs/resource.hpp"
 
@@ -26,14 +28,9 @@ std::uint64_t now_us() {
           .count());
 }
 
-// Per-thread stack of open spans. Nodes live in the stack by value until the
-// span closes; a closing span either becomes a child of the span below it or
-// a root of the process-wide trace.
-thread_local std::vector<PhaseNode> open_spans;
-
-// Context adopted from the submitting thread via TaskTraceScope; consulted
-// only when the local open-span stack is empty.
-thread_local TraceContext adopted_context;
+// This thread's current span. PhaseSpan and TaskTraceScope each save it on
+// entry, replace it, and restore it on exit.
+thread_local TraceContext current_span;
 
 // Small sequential id per thread, assigned on the thread's first span. The
 // main thread of a typical run gets 1, workers 2..N; ids are never reused
@@ -76,7 +73,7 @@ void render_tree(const std::vector<PhaseSummary>& nodes, std::size_t depth,
   }
 }
 
-void render_events(const PhaseNode& node, bool& first, std::string& out) {
+void render_event(const PhaseNode& node, bool& first, std::string& out) {
   char buf[288];
   out += first ? "\n" : ",\n";
   first = false;
@@ -96,9 +93,6 @@ void render_events(const PhaseNode& node, bool& first, std::string& out) {
                 node.parent_span_id, node.rss_open_bytes,
                 node.rss_close_bytes);
   out += buf;
-  for (const PhaseNode& child : node.children) {
-    render_events(child, first, out);
-  }
 }
 
 void render_flow(const FlowArrow& arrow, bool& first, std::string& out) {
@@ -122,15 +116,6 @@ void render_flow(const FlowArrow& arrow, bool& first, std::string& out) {
   out += buf;
 }
 
-/// Depth-first search for the span with `id`; nullptr when absent.
-PhaseNode* find_span(PhaseNode& node, std::uint64_t id) {
-  if (node.span_id == id) return &node;
-  for (PhaseNode& c : node.children) {
-    if (PhaseNode* found = find_span(c, id)) return found;
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 double PhaseNode::self_ms() const {
@@ -140,29 +125,22 @@ double PhaseNode::self_ms() const {
          1000.0;
 }
 
-TraceContext current_trace_context() {
-  if (!open_spans.empty()) {
-    const PhaseNode& top = open_spans.back();
-    return {top.span_id, top.parent_span_id};
-  }
-  return adopted_context;
+TraceContext current_trace_context() { return current_span; }
+
+TaskTraceScope::TaskTraceScope(TraceContext ctx) : saved_(current_span) {
+  current_span = ctx;
 }
 
-TaskTraceScope::TaskTraceScope(TraceContext ctx)
-    : saved_context_(adopted_context) {
-  adopted_context = ctx;
-}
-
-TaskTraceScope::~TaskTraceScope() { adopted_context = saved_context_; }
+TaskTraceScope::~TaskTraceScope() { current_span = saved_; }
 
 PhaseTrace& PhaseTrace::instance() {
   static PhaseTrace trace;
   return trace;
 }
 
-void PhaseTrace::add_root(PhaseNode node) {
+void PhaseTrace::record(PhaseNode span) {
   std::lock_guard lock(mutex_);
-  roots_.push_back(std::move(node));
+  spans_.push_back(std::move(span));
 }
 
 void PhaseTrace::add_flow(const FlowArrow& arrow) {
@@ -171,8 +149,12 @@ void PhaseTrace::add_flow(const FlowArrow& arrow) {
 }
 
 std::vector<PhaseNode> PhaseTrace::roots() const {
-  std::lock_guard lock(mutex_);
-  return roots_;
+  std::vector<PhaseNode> spans;
+  {
+    std::lock_guard lock(mutex_);
+    spans = spans_;
+  }
+  return build_phase_tree(std::move(spans));
 }
 
 std::vector<FlowArrow> PhaseTrace::flows() const {
@@ -180,72 +162,57 @@ std::vector<FlowArrow> PhaseTrace::flows() const {
   return flows_;
 }
 
-std::vector<PhaseNode> PhaseTrace::stitched_roots() const {
-  return stitch_phase_roots(roots());
-}
-
 void PhaseTrace::clear() {
   std::lock_guard lock(mutex_);
-  roots_.clear();
+  spans_.clear();
   flows_.clear();
 }
 
-namespace {
-
-std::uint64_t node_footprint(const PhaseNode& node) {
-  std::uint64_t bytes = sizeof(PhaseNode) + node.name.size();
-  for (const PhaseNode& c : node.children) bytes += node_footprint(c);
-  return bytes;
-}
-
-}  // namespace
-
 std::uint64_t PhaseTrace::footprint_bytes() const {
   std::lock_guard lock(mutex_);
-  std::uint64_t bytes = 0;
-  for (const PhaseNode& n : roots_) bytes += node_footprint(n);
+  std::uint64_t bytes = spans_.size() * sizeof(PhaseNode);
+  for (const PhaseNode& n : spans_) bytes += n.name.size();
   bytes += flows_.size() * sizeof(FlowArrow);
   return bytes;
 }
 
-std::vector<PhaseNode> stitch_phase_roots(std::vector<PhaseNode> roots) {
-  // Each pass moves one detached root under its parent, then restarts (the
-  // erase invalidates positions). A root whose parent is itself a detached
-  // root still resolves: the move searches every other root's subtree, and
-  // a later pass moves the parent with the child already attached. Bounded:
-  // every pass removes one root or terminates the loop.
-  bool moved = true;
-  while (moved) {
-    moved = false;
-    for (std::size_t i = 0; i < roots.size() && !moved; ++i) {
-      const std::uint64_t want = roots[i].parent_span_id;
-      if (want == 0) continue;
-      bool resolvable = false;
-      for (std::size_t j = 0; j < roots.size() && !resolvable; ++j) {
-        resolvable = j != i && find_span(roots[j], want) != nullptr;
-      }
-      if (!resolvable) continue;
-      PhaseNode node = std::move(roots[i]);
-      roots.erase(roots.begin() + static_cast<std::ptrdiff_t>(i));
-      for (std::size_t j = 0; j < roots.size(); ++j) {
-        if (PhaseNode* parent = find_span(roots[j], want)) {
-          // Insert among the children in start order so summaries and
-          // renders are deterministic regardless of completion order.
-          auto pos = std::find_if(
-              parent->children.begin(), parent->children.end(),
-              [&node](const PhaseNode& c) {
-                return c.start_us > node.start_us ||
-                       (c.start_us == node.start_us &&
-                        c.span_id > node.span_id);
-              });
-          parent->children.insert(pos, std::move(node));
-          break;
-        }
-      }
-      moved = true;
+std::vector<PhaseNode> build_phase_tree(std::vector<PhaseNode> spans) {
+  std::unordered_map<std::uint64_t, std::size_t> index_of;
+  index_of.reserve(spans.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    index_of.emplace(spans[i].span_id, i);
+  }
+  std::vector<std::vector<std::size_t>> children(spans.size());
+  std::vector<std::size_t> roots;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const auto parent = index_of.find(spans[i].parent_span_id);
+    if (spans[i].parent_span_id != 0 && parent != index_of.end()) {
+      children[parent->second].push_back(i);
+    } else {
+      roots.push_back(i);
     }
   }
-  return roots;
+  // Start order puts same-thread siblings in the order they ran and spans
+  // from other threads where they began; the id breaks equal start times.
+  for (std::vector<std::size_t>& kids : children) {
+    std::sort(kids.begin(), kids.end(), [&spans](std::size_t a, std::size_t b) {
+      return std::tie(spans[a].start_us, spans[a].span_id) <
+             std::tie(spans[b].start_us, spans[b].span_id);
+    });
+  }
+  const auto take = [&spans, &children](std::size_t i, const auto& self)
+      -> PhaseNode {
+    PhaseNode node = std::move(spans[i]);
+    node.children.reserve(children[i].size());
+    for (const std::size_t c : children[i]) {
+      node.children.push_back(self(c, self));
+    }
+    return node;
+  };
+  std::vector<PhaseNode> tree;
+  tree.reserve(roots.size());
+  for (const std::size_t r : roots) tree.push_back(take(r, take));
+  return tree;
 }
 
 std::vector<PhaseSummary> summarize_phases(
@@ -281,7 +248,7 @@ std::vector<PhaseSummary> summarize_phases(
 }
 
 std::vector<PhaseSummary> PhaseTrace::summarize() const {
-  return summarize_phases(stitched_roots());
+  return summarize_phases(roots());
 }
 
 std::string PhaseTrace::tree_string() const {
@@ -295,44 +262,33 @@ std::string PhaseTrace::chrome_trace_json() const {
   std::vector<FlowArrow> arrows;
   {
     std::lock_guard lock(mutex_);
-    nodes = roots_;
+    nodes = spans_;
     arrows = flows_;
   }
   std::string out = "[";
   bool first = true;
-  for (const PhaseNode& n : nodes) render_events(n, first, out);
+  for (const PhaseNode& n : nodes) render_event(n, first, out);
   for (const FlowArrow& a : arrows) render_flow(a, first, out);
   out += first ? "]" : "\n]";
   out += "\n";
   return out;
 }
 
-PhaseSpan::PhaseSpan(std::string name) {
-  PhaseNode node;
-  node.name = std::move(name);
-  node.tid = this_thread_tid();
-  node.span_id = next_span_id();
-  node.parent_span_id = open_spans.empty() ? adopted_context.span_id
-                                           : open_spans.back().span_id;
-  node.rss_open_bytes = sampled_rss_bytes();
-  node.start_us = now_us();
-  open_spans.push_back(std::move(node));
+PhaseSpan::PhaseSpan(std::string name) : saved_(current_span) {
+  node_.name = std::move(name);
+  node_.tid = this_thread_tid();
+  node_.span_id = next_span_id();
+  node_.parent_span_id = current_span.span_id;
+  node_.rss_open_bytes = sampled_rss_bytes();
+  node_.start_us = now_us();
+  current_span = {node_.span_id, node_.parent_span_id};
 }
 
 PhaseSpan::~PhaseSpan() {
-  if (open_spans.empty()) return;  // defensive; cannot happen with RAII use
-  PhaseNode node = std::move(open_spans.back());
-  open_spans.pop_back();
-  node.dur_us = now_us() - node.start_us;
-  node.rss_close_bytes = sampled_rss_bytes();
-  if (open_spans.empty()) {
-    // Roots with a nonzero parent_span_id are *detached*: the logical
-    // parent is open on another thread. stitch_phase_roots() re-attaches
-    // them once both have completed.
-    PhaseTrace::instance().add_root(std::move(node));
-  } else {
-    open_spans.back().children.push_back(std::move(node));
-  }
+  node_.dur_us = now_us() - node_.start_us;
+  node_.rss_close_bytes = sampled_rss_bytes();
+  current_span = saved_;
+  PhaseTrace::instance().record(std::move(node_));
 }
 
 namespace detail {

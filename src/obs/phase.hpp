@@ -3,28 +3,28 @@
 // render both a human-readable tree and Chrome `trace_event` JSON
 // (chrome://tracing / https://ui.perfetto.dev).
 //
-// Spans nest per thread; a span closed on a thread with no enclosing span
-// becomes a root in the process-wide trace. Hot loops may open many spans
-// with the same name -- the renderers aggregate same-name siblings.
+// The trace is one flat log: every closed span is appended to the
+// process-wide PhaseTrace in completion order, carrying a process-unique
+// span_id and the span_id of its logical parent. The tree is built when the
+// trace is read (roots(), summarize()): a span goes under the recorded span
+// its parent_span_id names, and a span whose parent is not recorded --
+// still open, or cleared -- is a root. Hot loops may open many spans with
+// the same name -- the renderers aggregate same-name siblings.
 //
-// Cross-worker propagation: every span carries a process-unique span_id and
-// the span_id of its logical parent. On one thread, parenthood follows the
-// open-span stack. Across threads, the JobSystem captures
-// current_trace_context() at each submit site and runs the task inside a
-// TaskTraceScope on a worker with no open spans, which adopts the captured
-// span as the parent of the task's spans. Such spans are recorded as
-// *detached* roots; summarize() re-attaches them under their parent span
-// (stitching), so the phase tree shows each task under its poster even
-// though the tasks run on other threads. The Chrome export keeps one
+// Parenthood is one thread-local current span. A PhaseSpan parents under
+// it and becomes it until it closes. Across threads, the JobSystem captures
+// current_trace_context() at each submit site and runs the work inside a
+// TaskTraceScope, which makes the captured span current on the worker, so
+// the task's spans parent under their submitter. The Chrome export keeps one
 // complete event per span (args carry span_id/parent_span_id) plus flow
 // arrows ("ph":"s"/"f") from each submit site to the execution site.
 //
-// Thread safety: the open-span stack and the adopted context are
-// thread_local, the completed-span sink (PhaseTrace::instance()) is
-// mutex-guarded, and every span records the small sequential id of the
-// thread that opened it (assigned on that thread's first span). The Chrome
-// trace emits that id as "tid", so spans completed concurrently by worker
-// threads land on separate per-worker tracks instead of interleaving.
+// Thread safety: the current span is thread_local, the span log
+// (PhaseTrace::instance()) is mutex-guarded, and every span records the
+// small sequential id of the thread that opened it (assigned on that
+// thread's first span). The Chrome trace emits that id as "tid", so spans
+// completed concurrently by worker threads land on separate per-worker
+// tracks instead of interleaving.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +46,8 @@ struct PhaseNode {
   std::uint64_t parent_span_id = 0;  ///< 0 = root (no logical parent)
   std::uint64_t rss_open_bytes = 0;   ///< sampled RSS when the span opened
   std::uint64_t rss_close_bytes = 0;  ///< sampled RSS when the span closed
+  /// Filled only in a built tree (PhaseTrace::roots(), build_phase_tree);
+  /// empty in the recorded log.
   std::vector<PhaseNode> children;
 
   double total_ms() const { return static_cast<double>(dur_us) / 1000.0; }
@@ -58,7 +60,7 @@ struct PhaseNode {
   }
 };
 
-/// Copyable handle to a position in the span tree: the innermost open span
+/// Copyable handle to a position in the span tree: the current span
 /// (span_id) and its parent. Capture with current_trace_context() at a task's
 /// submit site; re-enter with TaskTraceScope on the thread that executes it.
 /// A zero span_id means "no enclosing span" and propagating it is a no-op,
@@ -68,17 +70,14 @@ struct TraceContext {
   std::uint64_t parent_id = 0;
 };
 
-/// The context of the innermost open span on this thread; falls back to the
-/// context adopted via TaskTraceScope (so a task that submits subtasks
-/// outside any local span still chains them to its own submitter), and to
-/// {0, 0} when neither exists.
+/// This thread's current span: that of the innermost live PhaseSpan or
+/// TaskTraceScope, whichever was entered last; {0, 0} outside both.
 TraceContext current_trace_context();
 
 /// RAII entry into a pool task's own trace position (used by the JobSystem
-/// around every task): adopts `ctx`, so the task's spans parent under its
-/// submitter. Adoption only takes effect while this thread has no open span
-/// of its own, as on a worker between tasks. Destruction restores the
-/// previously adopted context.
+/// around every task): makes `ctx` this thread's current span, so the
+/// task's spans parent under its submitter. Destruction restores the
+/// previous current span.
 class TaskTraceScope {
  public:
   explicit TaskTraceScope(TraceContext ctx);
@@ -87,7 +86,7 @@ class TaskTraceScope {
   TaskTraceScope& operator=(const TaskTraceScope&) = delete;
 
  private:
-  TraceContext saved_context_;
+  TraceContext saved_;
 };
 
 /// One submit-site -> execution-site edge for the Chrome flow arrows
@@ -111,32 +110,25 @@ struct PhaseSummary {
   std::vector<PhaseSummary> children;
 };
 
-/// Process-wide collection of completed root spans.
+/// Process-wide log of closed spans.
 class PhaseTrace {
  public:
   static PhaseTrace& instance();
 
-  /// Copy of the completed root spans, in completion order. Raw: detached
-  /// roots (cross-thread children) are NOT re-attached here; see
-  /// stitched_roots().
+  /// The recorded spans as a tree (build_phase_tree of the log).
   std::vector<PhaseNode> roots() const;
 
-  /// roots() with every detached root re-attached under the node whose
-  /// span_id matches its parent_span_id (see stitch_phase_roots).
-  std::vector<PhaseNode> stitched_roots() const;
-
-  /// Stitched roots with same-name siblings aggregated, recursively
-  /// (first-seen order). This is the shape rendered by tree_string() and the
-  /// run report.
+  /// roots() with same-name siblings aggregated, recursively (first-seen
+  /// order). This is the shape rendered by tree_string() and the run report.
   std::vector<PhaseSummary> summarize() const;
 
   /// Indented human-readable tree of summarize().
   std::string tree_string() const;
 
   /// Chrome trace_event JSON array: one complete ("ph":"X") event per
-  /// recorded span (not aggregated; args carry span_id/parent_span_id) plus
-  /// one "s"/"f" flow-arrow pair per recorded submit->execute edge. Load in
-  /// chrome://tracing or Perfetto.
+  /// recorded span, in completion order (not aggregated; args carry
+  /// span_id/parent_span_id) plus one "s"/"f" flow-arrow pair per recorded
+  /// submit->execute edge. Load in chrome://tracing or Perfetto.
   std::string chrome_trace_json() const;
 
   /// Records one submit->execute flow arrow (called by the JobSystem).
@@ -145,45 +137,52 @@ class PhaseTrace {
   /// Copy of the recorded flow arrows, in recording order.
   std::vector<FlowArrow> flows() const;
 
-  /// Drops all completed spans and flow arrows (open spans are unaffected
-  /// and will record into the cleared trace when they close).
+  /// Drops all recorded spans and flow arrows. A span open across the clear
+  /// is recorded when it closes; its children recorded before the clear are
+  /// gone, and a span whose parent was cleared reads as a root.
   void clear();
 
-  /// Approximate heap bytes held by the completed spans and flow arrows
+  /// Approximate heap bytes held by the recorded spans and flow arrows
   /// (the trace buffer's own footprint, reported into the run report's
   /// memory section).
   std::uint64_t footprint_bytes() const;
 
  private:
   friend class PhaseSpan;
-  void add_root(PhaseNode node);
+  void record(PhaseNode span);
 
   mutable std::mutex mutex_;
-  std::vector<PhaseNode> roots_;
+  std::vector<PhaseNode> spans_;  ///< closed spans, in completion order
   std::vector<FlowArrow> flows_;
 };
 
 /// Aggregates same-name siblings recursively; exposed for tests.
 std::vector<PhaseSummary> summarize_phases(const std::vector<PhaseNode>& nodes);
 
-/// Re-attaches detached roots: every root whose parent_span_id matches a
-/// span anywhere else in the forest moves under that span, inserted among
-/// its children in start_us order. Parents always open before their
-/// children (span ids are assigned in open order), so stitching cannot form
-/// cycles; a root whose parent was never recorded (e.g. the trace was
-/// cleared in between) stays a root. Exposed for tests.
-std::vector<PhaseNode> stitch_phase_roots(std::vector<PhaseNode> roots);
+/// Builds the tree from a flat span log (each span with empty children):
+/// a span goes under the span whose span_id equals its parent_span_id, with
+/// siblings ordered by (start_us, span_id); a span whose parent is not in
+/// the log is a root, and roots keep their log order. Span ids must be
+/// unique and no span may be its own ancestor, as PhaseSpan guarantees (a
+/// parent opens, and so takes its id, before its children). Exposed for
+/// tests.
+std::vector<PhaseNode> build_phase_tree(std::vector<PhaseNode> spans);
 
-/// RAII phase span. Construction opens the span (nested under the innermost
-/// open span on this thread, else under the adopted TraceContext);
-/// destruction records it. Prefer the FBT_OBS_PHASE macro in instrumented
-/// library code so the span compiles away when observability is disabled.
+/// RAII phase span. Construction opens the span under this thread's current
+/// span and makes it current; destruction restores the previous current
+/// span and records this one. Prefer the FBT_OBS_PHASE macro in
+/// instrumented library code so the span compiles away when observability
+/// is disabled.
 class PhaseSpan {
  public:
   explicit PhaseSpan(std::string name);
   ~PhaseSpan();
   PhaseSpan(const PhaseSpan&) = delete;
   PhaseSpan& operator=(const PhaseSpan&) = delete;
+
+ private:
+  PhaseNode node_;
+  TraceContext saved_;
 };
 
 namespace detail {

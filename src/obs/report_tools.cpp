@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <sstream>
+#include <utility>
 
 #include "obs/run_report.hpp"
 
@@ -36,26 +38,70 @@ std::string text_field(const JsonValue& obj, const std::string& key,
   return v == nullptr ? fallback : v->as_string(fallback);
 }
 
-double entry_value(const JsonValue& report, const char* section_name,
-                   const std::string& name) {
-  return field(section(report, section_name), name);
-}
-
-/// Summed total_ms across top-level phases (children are already included
-/// in their parent's total).
-double total_walltime_ms(const JsonValue& report) {
+/// A gate's metric: a member of an object section, or of the top-level
+/// entries of an array section, summed.
+double gate_metric(const JsonValue& report, const DiffGate& gate) {
+  const JsonValue& sec = section(report, gate.section);
+  if (!sec.is_array()) return field(sec, gate.metric);
   double total = 0.0;
-  for (const JsonValue& p : section(report, "phases").array) {
-    total += field(p, "total_ms");
-  }
+  for (const JsonValue& entry : sec.array) total += field(entry, gate.metric);
   return total;
 }
+
+/// `text` with the first {name} of each variable replaced by num() of its
+/// value (a gate's lines name each variable at most once).
+std::string expand(std::string text,
+                   std::initializer_list<std::pair<const char*, double>> vars) {
+  for (const auto& [name, value] : vars) {
+    const std::string key = std::string("{") + name + "}";
+    const std::size_t at = text.find(key);
+    if (at != std::string::npos) text.replace(at, key.size(), num(value));
+  }
+  return text;
+}
+
+constexpr DiffGate kGates[] = {
+    {"max-coverage-drop", "gauges", "flow.fault_coverage_percent",
+     GateKind::kAbsoluteDrop, 0.5, "coverage: {before}% -> {after}%",
+     "fault coverage dropped {change} points ({before}% -> {after}%), "
+     "allowed {bound}",
+     true},
+    {"max-tests-increase", "gauges", "flow.num_tests",
+     GateKind::kPercentIncrease, 20.0, "tests: {before} -> {after}",
+     "test count grew {change}% ({before} -> {after}), allowed {bound}%",
+     true},
+    {"max-walltime-increase", "phases", "total_ms",
+     GateKind::kPercentIncrease, -1.0, "walltime_ms: {before} -> {after}",
+     "walltime grew {change}% ({before}ms -> {after}ms), allowed {bound}%",
+     true},
+    {"max-peak-rss-increase", "memory", "peak_rss_bytes",
+     GateKind::kPercentIncrease, -1.0, "peak_rss_bytes: {before} -> {after}",
+     "peak RSS grew {change}% ({before} -> {after} bytes), allowed {bound}%",
+     true},
+    {"max-bytes-per-gate-increase", "memory", "bytes_per_gate",
+     GateKind::kPercentIncrease, -1.0, "bytes_per_gate: {before} -> {after}",
+     "bytes per gate grew {change}% ({before} -> {after}), allowed {bound}%",
+     true},
+    {"min-warm-speedup", "gauges", "serve.warm_speedup", GateKind::kMinimum,
+     -1.0, "warm_speedup: {before} -> {after}",
+     "serve warm speedup {after}x below required {bound}x", false},
+    {"min-pack-speedup", "gauges", "fault.pack_speedup_64",
+     GateKind::kMinimum, -1.0, "pack_speedup_64: {before} -> {after}",
+     "PPSFP pack-64 grade speedup {after}x below required {bound}x", false},
+    // Diff the FBT_OBS=OFF bench_obs_overhead report (baseline) against the
+    // ON report (current); both publish the min-of-N flow walltime.
+    {"max-obs-overhead-pct", "gauges", "obs.flow_run_ms",
+     GateKind::kPercentIncrease, -1.0, "obs_flow_run_ms: {before} -> {after}",
+     "observability overhead {change}% ({before}ms off -> {after}ms on), "
+     "allowed {bound}%",
+     false},
+};
 
 void append_metric_deltas(const JsonValue& baseline, const JsonValue& current,
                           const char* section_name, std::ostringstream& out) {
   for (const auto& [name, value] : section(current, section_name).object) {
     if (!value.is_number()) continue;
-    const double before = entry_value(baseline, section_name, name);
+    const double before = field(section(baseline, section_name), name);
     if (before == value.number) continue;
     out << "  " << section_name << "." << name << ": " << num(before) << " -> "
         << num(value.number) << "\n";
@@ -405,126 +451,43 @@ bool check_report_schema(const JsonValue& report, std::string& error) {
   return true;
 }
 
+std::span<const DiffGate> diff_gates() { return kGates; }
+
 DiffResult diff_run_reports(const JsonValue& baseline, const JsonValue& current,
-                            const DiffThresholds& thresholds) {
+                            const DiffBounds& bounds) {
   DiffResult result;
   std::ostringstream summary;
-
-  const double cov_before =
-      entry_value(baseline, "gauges", "flow.fault_coverage_percent");
-  const double cov_after =
-      entry_value(current, "gauges", "flow.fault_coverage_percent");
-  const double cov_drop = cov_before - cov_after;
-  summary << "coverage: " << num(cov_before) << "% -> " << num(cov_after)
-          << "%\n";
-  if (thresholds.max_coverage_drop >= 0.0 &&
-      cov_drop > thresholds.max_coverage_drop) {
-    result.violations.push_back(
-        "fault coverage dropped " + num(cov_drop) + " points (" +
-        num(cov_before) + "% -> " + num(cov_after) + "%), allowed " +
-        num(thresholds.max_coverage_drop));
-  }
-
-  const double tests_before = entry_value(baseline, "gauges", "flow.num_tests");
-  const double tests_after = entry_value(current, "gauges", "flow.num_tests");
-  summary << "tests: " << num(tests_before) << " -> " << num(tests_after)
-          << "\n";
-  if (thresholds.max_tests_increase_percent >= 0.0 && tests_before > 0.0) {
-    const double increase =
-        (tests_after - tests_before) / tests_before * 100.0;
-    if (increase > thresholds.max_tests_increase_percent) {
-      result.violations.push_back(
-          "test count grew " + num(increase) + "% (" + num(tests_before) +
-          " -> " + num(tests_after) + "), allowed " +
-          num(thresholds.max_tests_increase_percent) + "%");
+  for (const DiffGate& gate : kGates) {
+    const auto it = bounds.find(gate.flag);
+    const double bound = it == bounds.end() ? gate.default_bound : it->second;
+    const bool on = bound >= 0.0;
+    const double before = gate_metric(baseline, gate);
+    const double after = gate_metric(current, gate);
+    if (on || gate.summarized_when_off) {
+      summary << expand(gate.summary, {{"before", before}, {"after", after}})
+              << "\n";
     }
-  }
-
-  const double wall_before = total_walltime_ms(baseline);
-  const double wall_after = total_walltime_ms(current);
-  summary << "walltime_ms: " << num(wall_before) << " -> " << num(wall_after)
-          << "\n";
-  if (thresholds.max_walltime_increase_percent >= 0.0 && wall_before > 0.0) {
-    const double increase = (wall_after - wall_before) / wall_before * 100.0;
-    if (increase > thresholds.max_walltime_increase_percent) {
-      result.violations.push_back(
-          "walltime grew " + num(increase) + "% (" + num(wall_before) +
-          "ms -> " + num(wall_after) + "ms), allowed " +
-          num(thresholds.max_walltime_increase_percent) + "%");
+    if (!on) continue;
+    double change = 0.0;
+    bool violated = false;
+    switch (gate.kind) {
+      case GateKind::kAbsoluteDrop:
+        change = before - after;
+        violated = change > bound;
+        break;
+      case GateKind::kPercentIncrease:
+        change = before > 0.0 ? (after - before) / before * 100.0 : 0.0;
+        violated = before > 0.0 && change > bound;
+        break;
+      case GateKind::kMinimum:
+        violated = after < bound;
+        break;
     }
-  }
-
-  const double rss_before = entry_value(baseline, "memory", "peak_rss_bytes");
-  const double rss_after = entry_value(current, "memory", "peak_rss_bytes");
-  summary << "peak_rss_bytes: " << num(rss_before) << " -> " << num(rss_after)
-          << "\n";
-  if (thresholds.max_peak_rss_increase_percent >= 0.0 && rss_before > 0.0) {
-    const double increase = (rss_after - rss_before) / rss_before * 100.0;
-    if (increase > thresholds.max_peak_rss_increase_percent) {
-      result.violations.push_back(
-          "peak RSS grew " + num(increase) + "% (" + num(rss_before) +
-          " -> " + num(rss_after) + " bytes), allowed " +
-          num(thresholds.max_peak_rss_increase_percent) + "%");
-    }
-  }
-
-  const double bpg_before = entry_value(baseline, "memory", "bytes_per_gate");
-  const double bpg_after = entry_value(current, "memory", "bytes_per_gate");
-  summary << "bytes_per_gate: " << num(bpg_before) << " -> " << num(bpg_after)
-          << "\n";
-  if (thresholds.max_bytes_per_gate_increase_percent >= 0.0 &&
-      bpg_before > 0.0) {
-    const double increase = (bpg_after - bpg_before) / bpg_before * 100.0;
-    if (increase > thresholds.max_bytes_per_gate_increase_percent) {
-      result.violations.push_back(
-          "bytes per gate grew " + num(increase) + "% (" + num(bpg_before) +
-          " -> " + num(bpg_after) + "), allowed " +
-          num(thresholds.max_bytes_per_gate_increase_percent) + "%");
-    }
-  }
-
-  const double warm_speedup =
-      entry_value(current, "gauges", "serve.warm_speedup");
-  if (thresholds.min_warm_speedup >= 0.0) {
-    summary << "warm_speedup: "
-            << num(entry_value(baseline, "gauges", "serve.warm_speedup"))
-            << " -> " << num(warm_speedup) << "\n";
-    if (warm_speedup < thresholds.min_warm_speedup) {
-      result.violations.push_back(
-          "serve warm speedup " + num(warm_speedup) + "x below required " +
-          num(thresholds.min_warm_speedup) + "x");
-    }
-  }
-
-  const double pack_speedup =
-      entry_value(current, "gauges", "fault.pack_speedup_64");
-  if (thresholds.min_pack_speedup >= 0.0) {
-    summary << "pack_speedup_64: "
-            << num(entry_value(baseline, "gauges", "fault.pack_speedup_64"))
-            << " -> " << num(pack_speedup) << "\n";
-    if (pack_speedup < thresholds.min_pack_speedup) {
-      result.violations.push_back(
-          "PPSFP pack-64 grade speedup " + num(pack_speedup) +
-          "x below required " + num(thresholds.min_pack_speedup) + "x");
-    }
-  }
-
-  if (thresholds.max_obs_overhead_pct >= 0.0) {
-    // Instrumentation-overhead gate: baseline is the FBT_OBS=OFF
-    // bench_obs_overhead report, current the ON report; both publish the
-    // min-of-N flow walltime as the obs.flow_run_ms gauge.
-    const double off_ms = entry_value(baseline, "gauges", "obs.flow_run_ms");
-    const double on_ms = entry_value(current, "gauges", "obs.flow_run_ms");
-    summary << "obs_flow_run_ms: " << num(off_ms) << " -> " << num(on_ms)
-            << "\n";
-    if (off_ms > 0.0) {
-      const double overhead_pct = (on_ms - off_ms) / off_ms * 100.0;
-      if (overhead_pct > thresholds.max_obs_overhead_pct) {
-        result.violations.push_back(
-            "observability overhead " + num(overhead_pct) + "% (" +
-            num(off_ms) + "ms off -> " + num(on_ms) + "ms on), allowed " +
-            num(thresholds.max_obs_overhead_pct) + "%");
-      }
+    if (violated) {
+      result.violations.push_back(expand(gate.violation, {{"before", before},
+                                                          {"after", after},
+                                                          {"change", change},
+                                                          {"bound", bound}}));
     }
   }
 

@@ -1,10 +1,12 @@
 // Post-processing of run reports for humans and for CI: regression diffing
-// of two BENCH_*.json documents with configurable thresholds (the CI gate),
-// and rendering a report + its event journal into a self-contained HTML
-// dashboard. Consumed by tools/fbt_report; pure functions over parsed JSON
-// so tests can drive them without touching the filesystem.
+// of two BENCH_*.json documents against one table of gates (the CI gate;
+// tools/fbt_report exposes each gate as a flag), and rendering a report +
+// its event journal into a self-contained HTML dashboard. Pure functions
+// over parsed JSON so tests can drive them without touching the filesystem.
 #pragma once
 
+#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,40 +14,39 @@
 
 namespace fbt::obs {
 
-/// What counts as a regression when diffing baseline -> current. Negative
-/// threshold disables that check.
-struct DiffThresholds {
-  /// Max allowed drop in gauge flow.fault_coverage_percent (absolute
-  /// percentage points).
-  double max_coverage_drop = 0.5;
-  /// Max allowed increase in gauge flow.num_tests, in percent of baseline.
-  double max_tests_increase_percent = 20.0;
-  /// Max allowed increase in summed top-level phase total_ms, in percent of
-  /// baseline. Disabled by default: wall time is machine-dependent, so CI
-  /// gates only the deterministic quantities unless explicitly asked.
-  double max_walltime_increase_percent = -1.0;
-  /// Max allowed increase in memory.peak_rss_bytes, in percent of baseline.
-  /// Disabled by default: RSS depends on the allocator and the machine.
-  double max_peak_rss_increase_percent = -1.0;
-  /// Max allowed increase in memory.bytes_per_gate, in percent of baseline.
-  /// Disabled by default; bytes_per_gate is derived from deterministic
-  /// content-byte footprints, so a tight gate (~10%) is safe to opt into.
-  double max_bytes_per_gate_increase_percent = -1.0;
-  /// Minimum required value of the current report's serve.warm_speedup
-  /// gauge (cold latency / warm latency from bench_serve). Disabled by
-  /// default; the serve CI job gates it at 10.
-  double min_warm_speedup = -1.0;
-  /// Minimum required value of the current report's fault.pack_speedup_64
-  /// gauge (serial grade walltime / pack-width-64 grade walltime from
-  /// bench_ppsfp). Disabled by default; the ppsfp CI job gates it at 4.
-  double min_pack_speedup = -1.0;
-  /// Max allowed increase of the obs.flow_run_ms gauge (min-of-N flow
-  /// walltime from bench_obs_overhead), in percent of baseline. Diff an
-  /// FBT_OBS=OFF report (baseline) against the ON report (current) to gate
-  /// the cost of instrumentation; the CI obs_overhead job uses 2. Disabled
-  /// by default.
-  double max_obs_overhead_pct = -1.0;
+/// How a gate judges its metric, baseline -> current.
+enum class GateKind {
+  kAbsoluteDrop,     ///< fails when baseline - current exceeds the bound
+  kPercentIncrease,  ///< fails when current exceeds baseline by more than
+                     ///< the bound, in percent; a baseline <= 0 never fails
+  kMinimum,          ///< fails when current is below the bound
 };
+
+/// One regression gate of diff_run_reports. A negative bound disables it.
+struct DiffGate {
+  const char* flag;     ///< fbt_report diff option, without the "--"
+  const char* section;  ///< report section holding the metric
+  /// Member of `section`; in the "phases" array, summed over the top-level
+  /// phases (children are already included in their parent's total).
+  const char* metric;
+  GateKind kind;
+  double default_bound;
+  /// Summary and violation lines; {before}, {after}, {change} (the drop or
+  /// the percent increase) and {bound} expand to numbers.
+  const char* summary;
+  const char* violation;
+  bool summarized_when_off;  ///< print the summary line even when disabled
+};
+
+/// Every gate, in the order diff_run_reports checks and summarizes them.
+/// Coverage and test count are on by default. The rest are opt-in: walltime,
+/// peak RSS, the speedups and the overhead depend on the machine, and bytes
+/// per gate is gated only against bench_scale's baseline.
+std::span<const DiffGate> diff_gates();
+
+/// Gate bounds keyed by DiffGate::flag; a gate without an entry uses its
+/// default bound.
+using DiffBounds = std::map<std::string, double>;
 
 struct DiffResult {
   bool regression = false;
@@ -63,10 +64,11 @@ struct DiffResult {
 /// that passed this check.
 bool check_report_schema(const JsonValue& report, std::string& error);
 
-/// Compares two checked run reports. Never throws; an absent metric reads as
-/// 0 (a baseline without coverage gauges simply cannot regress).
+/// Compares two checked run reports through diff_gates(). Never throws; an
+/// absent metric reads as 0 (a baseline without coverage gauges simply
+/// cannot regress).
 DiffResult diff_run_reports(const JsonValue& baseline, const JsonValue& current,
-                            const DiffThresholds& thresholds);
+                            const DiffBounds& bounds = {});
 
 /// Renders a checked run report (plus the raw NDJSON journal text, may be
 /// empty) into a single self-contained HTML page: config/gauge/counter

@@ -51,7 +51,14 @@ std::int64_t Cli::get_int(const std::string& name,
 
 std::int64_t Cli::get_int_in(const std::string& name, std::int64_t fallback,
                              std::int64_t min, std::int64_t max) const {
-  const std::int64_t value = get_int(name, fallback);
+  std::int64_t value = fallback;
+  try {
+    value = get_int(name, fallback);
+  } catch (const Error&) {
+    std::fprintf(stderr, "%s: --%s expects an integer, got '%s'\n",
+                 program_.c_str(), name.c_str(), get(name, "").c_str());
+    std::exit(2);
+  }
   if (value < min || value > max) {
     std::fprintf(stderr, "%s: --%s must be in [%lld, %lld], got %lld\n",
                  program_.c_str(), name.c_str(), static_cast<long long>(min),

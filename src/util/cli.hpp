@@ -26,7 +26,8 @@ class Cli {
 
   /// get_int checked against [min, max]: a value outside the range prints
   /// "<program>: --name must be in [min, max], got <value>" to stderr and
-  /// exits with status 2, so a CLI refuses it before allocating anything.
+  /// exits with status 2, so a CLI refuses it before allocating anything. A
+  /// value that is not an integer exits 2 the same way.
   std::int64_t get_int_in(const std::string& name, std::int64_t fallback,
                           std::int64_t min, std::int64_t max) const;
 

@@ -139,7 +139,7 @@ TEST(JsonFuzz, MutantsParseOrFailWithoutThrowing) {
 TEST(DiffRunReports, PassesWhenWithinThresholds) {
   const JsonValue base = parse_or_die(report_json(91.25, 500, 10.0));
   const JsonValue cur = parse_or_die(report_json(91.0, 550, 100.0));
-  const DiffResult result = diff_run_reports(base, cur, DiffThresholds{});
+  const DiffResult result = diff_run_reports(base, cur, DiffBounds{});
   EXPECT_FALSE(result.regression);
   EXPECT_TRUE(result.violations.empty());
   EXPECT_NE(result.summary_text.find("coverage: 91.25% -> 91%"),
@@ -149,7 +149,7 @@ TEST(DiffRunReports, PassesWhenWithinThresholds) {
 TEST(DiffRunReports, FlagsCoverageDrop) {
   const JsonValue base = parse_or_die(report_json(91.25, 500, 10.0));
   const JsonValue cur = parse_or_die(report_json(89.0, 500, 10.0));
-  const DiffResult result = diff_run_reports(base, cur, DiffThresholds{});
+  const DiffResult result = diff_run_reports(base, cur, DiffBounds{});
   ASSERT_TRUE(result.regression);
   ASSERT_EQ(result.violations.size(), 1u);
   EXPECT_NE(result.violations[0].find("coverage"), std::string::npos);
@@ -158,7 +158,7 @@ TEST(DiffRunReports, FlagsCoverageDrop) {
 TEST(DiffRunReports, FlagsTestCountGrowth) {
   const JsonValue base = parse_or_die(report_json(91.25, 500, 10.0));
   const JsonValue cur = parse_or_die(report_json(91.25, 700, 10.0));
-  const DiffResult result = diff_run_reports(base, cur, DiffThresholds{});
+  const DiffResult result = diff_run_reports(base, cur, DiffBounds{});
   ASSERT_TRUE(result.regression);
   EXPECT_NE(result.violations[0].find("test count"), std::string::npos);
 }
@@ -167,9 +167,8 @@ TEST(DiffRunReports, WalltimeGateIsOptIn) {
   const JsonValue base = parse_or_die(report_json(91.25, 500, 10.0));
   const JsonValue cur = parse_or_die(report_json(91.25, 500, 1000.0));
   // Disabled by default: machine-dependent.
-  EXPECT_FALSE(diff_run_reports(base, cur, DiffThresholds{}).regression);
-  DiffThresholds gated;
-  gated.max_walltime_increase_percent = 50.0;
+  EXPECT_FALSE(diff_run_reports(base, cur, DiffBounds{}).regression);
+  const DiffBounds gated{{"max-walltime-increase", 50.0}};
   const DiffResult result = diff_run_reports(base, cur, gated);
   ASSERT_TRUE(result.regression);
   EXPECT_NE(result.violations[0].find("walltime"), std::string::npos);
@@ -178,9 +177,8 @@ TEST(DiffRunReports, WalltimeGateIsOptIn) {
 TEST(DiffRunReports, NegativeThresholdDisablesCheck) {
   const JsonValue base = parse_or_die(report_json(91.25, 500, 10.0));
   const JsonValue cur = parse_or_die(report_json(50.0, 5000, 10.0));
-  DiffThresholds off;
-  off.max_coverage_drop = -1.0;
-  off.max_tests_increase_percent = -1.0;
+  const DiffBounds off{{"max-coverage-drop", -1.0},
+                       {"max-tests-increase", -1.0}};
   EXPECT_FALSE(diff_run_reports(base, cur, off).regression);
 }
 
@@ -192,15 +190,14 @@ TEST(DiffRunReports, PackSpeedupGateIsOptIn) {
       parse_or_die(gauges_json(R"("fault.pack_speedup_64": 4.5)"));
   const JsonValue cur =
       parse_or_die(gauges_json(R"("fault.pack_speedup_64": 3.2)"));
-  EXPECT_FALSE(diff_run_reports(base, cur, DiffThresholds{}).regression);
+  EXPECT_FALSE(diff_run_reports(base, cur, DiffBounds{}).regression);
 
-  DiffThresholds gated;
-  gated.min_pack_speedup = 4.0;
+  DiffBounds gated{{"min-pack-speedup", 4.0}};
   const DiffResult result = diff_run_reports(base, cur, gated);
   ASSERT_TRUE(result.regression);
   EXPECT_NE(result.violations[0].find("pack-64"), std::string::npos);
 
-  gated.min_pack_speedup = 3.0;
+  gated["min-pack-speedup"] = 3.0;
   EXPECT_FALSE(diff_run_reports(base, cur, gated).regression);
 }
 
@@ -213,10 +210,9 @@ TEST(DiffRunReports, ObsOverheadGateIsOptIn) {
       parse_or_die(gauges_json(R"("obs.flow_run_ms": 101.5)"));
   const JsonValue on_slow =
       parse_or_die(gauges_json(R"("obs.flow_run_ms": 104.0)"));
-  EXPECT_FALSE(diff_run_reports(off, on_slow, DiffThresholds{}).regression);
+  EXPECT_FALSE(diff_run_reports(off, on_slow, DiffBounds{}).regression);
 
-  DiffThresholds gated;
-  gated.max_obs_overhead_pct = 2.0;
+  const DiffBounds gated{{"max-obs-overhead-pct", 2.0}};
   EXPECT_FALSE(diff_run_reports(off, on_ok, gated).regression);
   const DiffResult result = diff_run_reports(off, on_slow, gated);
   ASSERT_TRUE(result.regression);
@@ -233,13 +229,13 @@ TEST(DiffRunReports, AbsentMetricsDiffAsZeros) {
   const JsonValue base = parse_or_die(gauges_json(""));
   const JsonValue cur = parse_or_die(report_json(91.25, 500, 10.0));
   // Coverage went 0 -> 91.25 (an improvement); never a regression.
-  EXPECT_FALSE(diff_run_reports(base, cur, DiffThresholds{}).regression);
+  EXPECT_FALSE(diff_run_reports(base, cur, DiffBounds{}).regression);
 }
 
 TEST(DiffRunReports, SummaryListsChangedMetrics) {
   const JsonValue base = parse_or_die(report_json(91.25, 500, 10.0));
   const JsonValue cur = parse_or_die(report_json(91.25, 520, 10.0));
-  const DiffResult result = diff_run_reports(base, cur, DiffThresholds{});
+  const DiffResult result = diff_run_reports(base, cur, DiffBounds{});
   EXPECT_NE(result.summary_text.find("gauges.flow.num_tests: 500 -> 520"),
             std::string::npos);
 }
@@ -263,14 +259,13 @@ TEST(DiffRunReports, MemoryGatesAreOptIn) {
   const JsonValue base = parse_or_die(memory_report_json(1e8, 100.0));
   // +20% bytes-per-gate and 3x peak RSS: passes with default thresholds.
   const JsonValue cur = parse_or_die(memory_report_json(3e8, 120.0));
-  EXPECT_FALSE(diff_run_reports(base, cur, DiffThresholds{}).regression);
+  EXPECT_FALSE(diff_run_reports(base, cur, DiffBounds{}).regression);
 }
 
 TEST(DiffRunReports, FlagsBytesPerGateGrowth) {
   const JsonValue base = parse_or_die(memory_report_json(1e8, 100.0));
   const JsonValue cur = parse_or_die(memory_report_json(1e8, 120.0));
-  DiffThresholds gated;
-  gated.max_bytes_per_gate_increase_percent = 10.0;
+  const DiffBounds gated{{"max-bytes-per-gate-increase", 10.0}};
   const DiffResult result = diff_run_reports(base, cur, gated);
   ASSERT_TRUE(result.regression);
   EXPECT_NE(result.violations[0].find("bytes per gate"), std::string::npos);
@@ -282,11 +277,81 @@ TEST(DiffRunReports, FlagsBytesPerGateGrowth) {
 TEST(DiffRunReports, FlagsPeakRssGrowth) {
   const JsonValue base = parse_or_die(memory_report_json(1e8, 100.0));
   const JsonValue cur = parse_or_die(memory_report_json(2.5e8, 100.0));
-  DiffThresholds gated;
-  gated.max_peak_rss_increase_percent = 100.0;
+  const DiffBounds gated{{"max-peak-rss-increase", 100.0}};
   const DiffResult result = diff_run_reports(base, cur, gated);
   ASSERT_TRUE(result.regression);
   EXPECT_NE(result.violations[0].find("peak RSS"), std::string::npos);
+}
+
+/// A report carrying every gated metric.
+std::string all_gates_json(double coverage, double tests, double walltime_ms,
+                           double rss, double bytes_per_gate, double warm,
+                           double pack, double obs_ms) {
+  ReportDoc doc;
+  doc.phases = R"([{"name": "flow", "count": 1, "total_ms": )" +
+               fmt_num(walltime_ms) +
+               R"(, "self_ms": 1.0, "rss_delta_bytes": 0, "children": []}])";
+  doc.gauges = R"({"flow.fault_coverage_percent": )" + fmt_num(coverage) +
+               R"(, "flow.num_tests": )" + fmt_num(tests) +
+               R"(, "serve.warm_speedup": )" + fmt_num(warm) +
+               R"(, "fault.pack_speedup_64": )" + fmt_num(pack) +
+               R"(, "obs.flow_run_ms": )" + fmt_num(obs_ms) + "}";
+  doc.memory = R"({"peak_rss_bytes": )" + fmt_num(rss) +
+               R"(, "current_rss_bytes": 0, "footprints": {}, "bytes_per_gate": )" +
+               fmt_num(bytes_per_gate) + R"(, "bytes_per_fault": 0})";
+  return doc.json();
+}
+
+TEST(DiffRunReports, EveryGateKeepsItsFlagAndWording) {
+  // CI scripts and readers match these lines; one regression per gate.
+  const JsonValue base =
+      parse_or_die(all_gates_json(91.25, 500, 10.0, 1e8, 100.0, 12.0, 4.5, 100.0));
+  const JsonValue cur =
+      parse_or_die(all_gates_json(89.0, 700, 100.0, 3e8, 120.0, 3.5, 1.5, 104.0));
+  DiffBounds bounds;
+  for (const DiffGate& gate : diff_gates()) {
+    bounds[gate.flag] = gate.kind == GateKind::kMinimum ? 10.0 : 2.0;
+  }
+  const DiffResult result = diff_run_reports(base, cur, bounds);
+  const std::vector<std::string> expected = {
+      "fault coverage dropped 2.25 points (91.25% -> 89%), allowed 2",
+      "test count grew 40% (500 -> 700), allowed 2%",
+      "walltime grew 900% (10ms -> 100ms), allowed 2%",
+      "peak RSS grew 200% (1e+08 -> 3e+08 bytes), allowed 2%",
+      "bytes per gate grew 20% (100 -> 120), allowed 2%",
+      "serve warm speedup 3.5x below required 10x",
+      "PPSFP pack-64 grade speedup 1.5x below required 10x",
+      "observability overhead 4% (100ms off -> 104ms on), allowed 2%"};
+  EXPECT_EQ(result.violations, expected);
+  EXPECT_EQ(result.summary_text.substr(0, result.summary_text.find("changed")),
+            "coverage: 91.25% -> 89%\n"
+            "tests: 500 -> 700\n"
+            "walltime_ms: 10 -> 100\n"
+            "peak_rss_bytes: 1e+08 -> 3e+08\n"
+            "bytes_per_gate: 100 -> 120\n"
+            "warm_speedup: 12 -> 3.5\n"
+            "pack_speedup_64: 4.5 -> 1.5\n"
+            "obs_flow_run_ms: 100 -> 104\n");
+  std::vector<std::string> flags;
+  for (const DiffGate& gate : diff_gates()) flags.push_back(gate.flag);
+  EXPECT_EQ(flags, (std::vector<std::string>{
+                       "max-coverage-drop", "max-tests-increase",
+                       "max-walltime-increase", "max-peak-rss-increase",
+                       "max-bytes-per-gate-increase", "min-warm-speedup",
+                       "min-pack-speedup", "max-obs-overhead-pct"}));
+}
+
+TEST(DiffRunReports, DisabledOptInGatesLeaveTheSummary) {
+  // Coverage through bytes per gate are always summarized; the speedups and
+  // the overhead only when gated.
+  const JsonValue base =
+      parse_or_die(all_gates_json(91.25, 500, 10.0, 1e8, 100.0, 12.0, 4.5, 100.0));
+  const DiffResult result = diff_run_reports(base, base);
+  EXPECT_FALSE(result.regression);
+  EXPECT_NE(result.summary_text.find("bytes_per_gate: 100 -> 100"),
+            std::string::npos);
+  EXPECT_EQ(result.summary_text.find("warm_speedup"), std::string::npos);
+  EXPECT_EQ(result.summary_text.find("obs_flow_run_ms"), std::string::npos);
 }
 
 TEST(RenderHtmlDashboard, ProducesSelfContainedPage) {

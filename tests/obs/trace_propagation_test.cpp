@@ -1,7 +1,7 @@
-// Cross-thread trace propagation: TraceContext capture/adoption, detached
-// roots, stitching, the Chrome export's span-id args and flow arrows, and --
-// under FBT_OBS=ON -- the JobSystem's context re-entry on the workers that
-// run submitted tasks and parallel_for's helper lanes.
+// Cross-thread trace propagation: TraceContext capture/adoption, building
+// the tree from the flat span log, the Chrome export's span-id args and flow
+// arrows, and -- under FBT_OBS=ON -- the JobSystem's context re-entry on the
+// workers that run submitted tasks and parallel_for's helper lanes.
 // The heavy concurrent tests double as TSan targets (the obs label runs in
 // the -fsanitize=thread CI job).
 #include "obs/phase.hpp"
@@ -23,7 +23,7 @@
 namespace fbt::obs {
 namespace {
 
-/// Depth-first search of a stitched forest by span name.
+/// Depth-first search of a built span tree by span name.
 const PhaseNode* find_named(const std::vector<PhaseNode>& nodes,
                             const std::string& name) {
   for (const PhaseNode& n : nodes) {
@@ -74,81 +74,132 @@ TEST(TraceContext, AdoptionParentsSpansAcrossRawThreads) {
     });
     other.join();
   }
-  // Raw roots: the remote span is recorded detached, carrying the captured
-  // parent id; stitching re-attaches it under the outer span.
-  const std::vector<PhaseNode> raw = PhaseTrace::instance().roots();
-  const PhaseNode* detached = find_named(raw, "adopt_remote");
-  ASSERT_NE(detached, nullptr);
-  EXPECT_EQ(detached->parent_span_id, captured.span_id);
-  const std::vector<PhaseNode> stitched = PhaseTrace::instance().stitched_roots();
-  const PhaseNode* outer = find_named(stitched, "adopt_outer");
-  ASSERT_NE(outer, nullptr);
-  EXPECT_NE(find_named(outer->children, "adopt_remote"), nullptr);
+  // The remote span closed on another thread and still parents under the
+  // outer span.
+  const std::vector<PhaseNode> roots = PhaseTrace::instance().roots();
+  ASSERT_EQ(roots.size(), 1u);
+  EXPECT_EQ(roots[0].name, "adopt_outer");
+  const PhaseNode* remote = find_named(roots[0].children, "adopt_remote");
+  ASSERT_NE(remote, nullptr);
+  EXPECT_EQ(remote->parent_span_id, captured.span_id);
 }
 
-TEST(StitchPhaseRoots, ReattachesByParentIdInStartOrder) {
-  std::vector<PhaseNode> roots;
-  PhaseNode parent;
-  parent.name = "p";
-  parent.span_id = 10;
-  PhaseNode local_child;
-  local_child.name = "c_local";
-  local_child.span_id = 11;
-  local_child.parent_span_id = 10;
-  local_child.start_us = 50;
-  parent.children.push_back(local_child);
-  roots.push_back(parent);
-  PhaseNode detached_early;
-  detached_early.name = "c_detached_early";
-  detached_early.span_id = 12;
-  detached_early.parent_span_id = 10;
-  detached_early.start_us = 10;
-  roots.push_back(detached_early);
-  PhaseNode detached_late;
-  detached_late.name = "c_detached_late";
-  detached_late.span_id = 13;
-  detached_late.parent_span_id = 10;
-  detached_late.start_us = 90;
-  roots.push_back(detached_late);
-
-  const std::vector<PhaseNode> stitched = stitch_phase_roots(std::move(roots));
-  ASSERT_EQ(stitched.size(), 1u);
-  ASSERT_EQ(stitched[0].children.size(), 3u);
-  EXPECT_EQ(stitched[0].children[0].name, "c_detached_early");
-  EXPECT_EQ(stitched[0].children[1].name, "c_local");
-  EXPECT_EQ(stitched[0].children[2].name, "c_detached_late");
+PhaseNode span(const char* name, std::uint64_t id, std::uint64_t parent,
+               std::uint64_t start_us, std::uint32_t tid = 1) {
+  PhaseNode node;
+  node.name = name;
+  node.span_id = id;
+  node.parent_span_id = parent;
+  node.start_us = start_us;
+  node.tid = tid;
+  return node;
 }
 
-TEST(StitchPhaseRoots, ChainsOfDetachedRootsResolveTransitively) {
-  // grandchild -> child -> parent, all recorded as separate roots (the
-  // completion order across workers is arbitrary).
-  PhaseNode parent;
-  parent.name = "p";
-  parent.span_id = 1;
-  PhaseNode child;
-  child.name = "c";
-  child.span_id = 2;
-  child.parent_span_id = 1;
-  PhaseNode grandchild;
-  grandchild.name = "g";
-  grandchild.span_id = 3;
-  grandchild.parent_span_id = 2;
-  const std::vector<PhaseNode> stitched =
-      stitch_phase_roots({grandchild, parent, child});
-  ASSERT_EQ(stitched.size(), 1u);
-  const PhaseNode* c = find_named(stitched, "c");
-  ASSERT_NE(c, nullptr);
-  EXPECT_NE(find_named(c->children, "g"), nullptr);
+TEST(BuildPhaseTree, OrdersSiblingsByStartAcrossThreads) {
+  // Logged in completion order: the other thread's spans finish around the
+  // local child, but the tree lists all three by start time.
+  const std::vector<PhaseNode> tree = build_phase_tree({
+      span("c_remote_late", 13, 10, 90, 2),
+      span("c_local", 11, 10, 50),
+      span("c_remote_early", 12, 10, 10, 3),
+      span("p", 10, 0, 0),
+  });
+  ASSERT_EQ(tree.size(), 1u);
+  ASSERT_EQ(tree[0].children.size(), 3u);
+  EXPECT_EQ(tree[0].children[0].name, "c_remote_early");
+  EXPECT_EQ(tree[0].children[1].name, "c_local");
+  EXPECT_EQ(tree[0].children[2].name, "c_remote_late");
+  for (const PhaseNode& child : tree[0].children) {
+    EXPECT_TRUE(child.children.empty());
+  }
 }
 
-TEST(StitchPhaseRoots, UnresolvableParentStaysRoot) {
-  PhaseNode orphan;
-  orphan.name = "orphan";
-  orphan.span_id = 5;
-  orphan.parent_span_id = 4242;  // never recorded (e.g. cleared trace)
-  const std::vector<PhaseNode> stitched = stitch_phase_roots({orphan});
-  ASSERT_EQ(stitched.size(), 1u);
-  EXPECT_EQ(stitched[0].name, "orphan");
+TEST(BuildPhaseTree, EqualStartTimesOrderBySpanId) {
+  // A helper-lane span and a same-thread sibling that began in the same
+  // microsecond: the one opened first (smaller id) comes first, whichever
+  // closed first.
+  const std::vector<PhaseNode> tree = build_phase_tree({
+      span("helper_lane", 23, 20, 50, 2),
+      span("same_thread", 22, 20, 50, 1),
+      span("caller", 20, 0, 40),
+  });
+  ASSERT_EQ(tree.size(), 1u);
+  ASSERT_EQ(tree[0].children.size(), 2u);
+  EXPECT_EQ(tree[0].children[0].name, "same_thread");
+  EXPECT_EQ(tree[0].children[1].name, "helper_lane");
+}
+
+TEST(BuildPhaseTree, UnrecordedParentIsARootAndRootsKeepLogOrder) {
+  const std::vector<PhaseNode> tree = build_phase_tree({
+      span("late_start", 7, 0, 90),
+      span("orphan", 5, 4242, 10),  // parent never recorded
+      span("early_start", 6, 0, 0),
+  });
+  ASSERT_EQ(tree.size(), 3u);
+  EXPECT_EQ(tree[0].name, "late_start");
+  EXPECT_EQ(tree[1].name, "orphan");
+  EXPECT_EQ(tree[2].name, "early_start");
+}
+
+TEST(PhaseTraceRoots, ChainsOfCrossThreadParentsResolve) {
+  // parent -> child -> grandchild, each on its own thread: the log holds
+  // them in completion order (grandchild first), the tree as one chain.
+  PhaseTrace::instance().clear();
+  {
+    PhaseSpan parent("chain_parent");
+    std::thread([ctx = current_trace_context()] {
+      TaskTraceScope scope(ctx);
+      PhaseSpan child("chain_child");
+      std::thread([inner_ctx = current_trace_context()] {
+        TaskTraceScope inner_scope(inner_ctx);
+        PhaseSpan grandchild("chain_grandchild");
+      }).join();
+    }).join();
+  }
+  const std::vector<PhaseNode> roots = PhaseTrace::instance().roots();
+  ASSERT_EQ(roots.size(), 1u);
+  EXPECT_EQ(roots[0].name, "chain_parent");
+  ASSERT_EQ(roots[0].children.size(), 1u);
+  const PhaseNode& child = roots[0].children[0];
+  EXPECT_EQ(child.name, "chain_child");
+  EXPECT_NE(child.tid, roots[0].tid);
+  ASSERT_EQ(child.children.size(), 1u);
+  EXPECT_EQ(child.children[0].name, "chain_grandchild");
+}
+
+TEST(PhaseTraceRoots, SpanWhoseParentWasClearedIsARoot) {
+  PhaseTrace::instance().clear();
+  TraceContext gone{};
+  {
+    PhaseSpan parent("cleared_parent");
+    gone = current_trace_context();
+  }
+  PhaseTrace::instance().clear();
+  {
+    TaskTraceScope scope(gone);
+    PhaseSpan orphan("orphan");
+  }
+  const std::vector<PhaseNode> roots = PhaseTrace::instance().roots();
+  ASSERT_EQ(roots.size(), 1u);
+  EXPECT_EQ(roots[0].name, "orphan");
+  EXPECT_EQ(roots[0].parent_span_id, gone.span_id);
+}
+
+TEST(PhaseTraceRoots, ClosedSpanUnderAnOpenParentIsARoot) {
+  PhaseTrace::instance().clear();
+  {
+    PhaseSpan parent("open_parent");
+    { PhaseSpan child("closed_child"); }
+    // The parent is not recorded yet, so its closed child reads as a root.
+    const std::vector<PhaseNode> roots = PhaseTrace::instance().roots();
+    ASSERT_EQ(roots.size(), 1u);
+    EXPECT_EQ(roots[0].name, "closed_child");
+  }
+  const std::vector<PhaseNode> roots = PhaseTrace::instance().roots();
+  ASSERT_EQ(roots.size(), 1u);
+  EXPECT_EQ(roots[0].name, "open_parent");
+  ASSERT_EQ(roots[0].children.size(), 1u);
+  EXPECT_EQ(roots[0].children[0].name, "closed_child");
 }
 
 #if FBT_OBS_ENABLED
@@ -165,14 +216,14 @@ TEST(JobSystemTracing, SubmittedTasksParentUnderTheSubmitSite) {
     }
     for (const jobs::TaskHandle& h : handles) pool.wait(h);
   }
-  const std::vector<PhaseNode> stitched = PhaseTrace::instance().stitched_roots();
-  const PhaseNode* root = find_named(stitched, "jobs_root");
+  const std::vector<PhaseNode> roots = PhaseTrace::instance().roots();
+  const PhaseNode* root = find_named(roots, "jobs_root");
   ASSERT_NE(root, nullptr);
-  // Every task span must have been re-attached under the submitting span --
-  // none dropped, none left dangling at the top level.
+  // Every task span must parent under the submitting span -- none dropped,
+  // none left dangling at the top level.
   EXPECT_EQ(count_named(root->children, "jobs_task"),
             static_cast<std::size_t>(kTasks));
-  EXPECT_EQ(count_named(stitched, "jobs_task"),
+  EXPECT_EQ(count_named(roots, "jobs_task"),
             static_cast<std::size_t>(kTasks));
 }
 
@@ -218,7 +269,9 @@ TEST(JobSystemTracing, ChromeExportCarriesSpanIdsAndFlowArrows) {
   for (const JsonValue& event : doc.array) {
     if (event.find("ph")->as_string("") != "X") continue;
     const double parent = event.find("args")->find("parent_span_id")->as_number();
-    if (parent != 0.0) EXPECT_TRUE(span_ids.count(parent) != 0) << parent;
+    if (parent != 0.0) {
+      EXPECT_TRUE(span_ids.count(parent) != 0) << parent;
+    }
   }
   // Every flow start has a matching finish and vice versa.
   EXPECT_FALSE(flow_starts.empty());
@@ -295,14 +348,14 @@ TEST(JobSystemTracing, ConcurrentNestedLanesKeepEverySpan) {
     });
   }
   EXPECT_EQ(executed.load(), kOuter * kInner);
-  const std::vector<PhaseNode> stitched = PhaseTrace::instance().stitched_roots();
-  EXPECT_EQ(count_named(stitched, "stress_mid"),
+  const std::vector<PhaseNode> roots = PhaseTrace::instance().roots();
+  EXPECT_EQ(count_named(roots, "stress_mid"),
             static_cast<std::size_t>(kOuter));
-  EXPECT_EQ(count_named(stitched, "stress_leaf"),
+  EXPECT_EQ(count_named(roots, "stress_leaf"),
             static_cast<std::size_t>(kOuter * kInner));
   // Every mid span is a direct child of the root whose parallel_for ran it,
   // on whichever lane: no outer index runs nested inside another.
-  const PhaseNode* root = find_named(stitched, "stress_root");
+  const PhaseNode* root = find_named(roots, "stress_root");
   ASSERT_NE(root, nullptr);
   std::size_t direct_mids = 0;
   for (const PhaseNode& child : root->children) {
@@ -345,12 +398,11 @@ TEST(JobSystemTracing, HelperLaneKeepsItsCallersContext) {
   }
   ASSERT_NE(helper_thread, std::thread::id{});
 
-  const std::vector<PhaseNode> raw = PhaseTrace::instance().roots();
-  const PhaseNode* helper_span = find_named(raw, "lane_helper");
+  const std::vector<PhaseNode> roots = PhaseTrace::instance().roots();
+  const PhaseNode* helper_span = find_named(roots, "lane_helper");
   ASSERT_NE(helper_span, nullptr);
   EXPECT_EQ(helper_span->parent_span_id, caller_id);
-  const std::vector<PhaseNode> stitched = PhaseTrace::instance().stitched_roots();
-  const PhaseNode* caller = find_named(stitched, "lane_caller");
+  const PhaseNode* caller = find_named(roots, "lane_caller");
   ASSERT_NE(caller, nullptr);
   EXPECT_NE(find_named(caller->children, "lane_helper"), nullptr);
   EXPECT_EQ(caller_journal.size(), 1u);

@@ -4,22 +4,23 @@
 //       Renders the report (plus the optional event journal) into a
 //       self-contained HTML dashboard. Default output: <report>.html.
 //
-//   fbt_report diff <baseline.json> <current.json>
-//              [--max-coverage-drop <pts>] [--max-tests-increase <pct>]
-//              [--max-walltime-increase <pct>] [--max-peak-rss-increase <pct>]
-//              [--max-bytes-per-gate-increase <pct>] [--min-warm-speedup <x>]
-//              [--min-pack-speedup <x>] [--max-obs-overhead-pct <pct>]
+//   fbt_report diff <baseline.json> <current.json> [--<gate> <bound>]...
 //       Compares two run reports and exits nonzero when the current report
-//       regresses past a threshold. Negative threshold disables the check;
-//       walltime and memory gating are off unless requested (walltime and
-//       peak RSS are machine-dependent; bytes-per-gate is deterministic and
-//       safe to gate tightly).
+//       regresses past a gate. The gates are the rows of
+//       fbt::obs::diff_gates() (obs/report_tools.hpp); each is a flag whose
+//       value is a finite number, and a negative bound disables its gate.
+//       Running fbt_report with no arguments lists them with their
+//       defaults: coverage and test count are gated by default, walltime,
+//       memory, speedups and overhead only when asked for.
 //
 // Both commands read only reports of the schema this build writes; any other
 // schema_version is refused.
 //
-// Exit codes: 0 ok, 1 regression detected, 2 usage, I/O or schema error.
+// Exit codes: 0 ok, 1 regression detected, 2 usage, I/O, schema or bad
+// bound error.
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -62,16 +63,23 @@ bool load_report(const std::string& path, fbt::obs::JsonValue& out) {
 }
 
 int usage() {
-  std::fprintf(
-      stderr,
-      "usage: fbt_report render <report.json> [--journal <f.ndjson>] "
-      "[--out <f.html>]\n"
-      "       fbt_report diff <baseline.json> <current.json> "
-      "[--max-coverage-drop <pts>]\n"
-      "                  [--max-tests-increase <pct>] "
-      "[--max-walltime-increase <pct>]\n"
-      "                  [--max-peak-rss-increase <pct>] "
-      "[--max-bytes-per-gate-increase <pct>]\n");
+  std::fprintf(stderr,
+               "usage: fbt_report render <report.json> [--journal <f.ndjson>] "
+               "[--out <f.html>]\n"
+               "       fbt_report diff <baseline.json> <current.json> "
+               "[--<gate> <bound>]...\n"
+               "gates (a negative bound disables one):\n");
+  for (const fbt::obs::DiffGate& gate : fbt::obs::diff_gates()) {
+    const char* unit = gate.kind == fbt::obs::GateKind::kAbsoluteDrop ? "<pts>"
+                       : gate.kind == fbt::obs::GateKind::kMinimum    ? "<x>"
+                                                                      : "<pct>";
+    char bound[32] = "off";
+    if (gate.default_bound >= 0.0) {
+      std::snprintf(bound, sizeof(bound), "%g", gate.default_bound);
+    }
+    std::fprintf(stderr, "  --%-28s %-6s default %s\n", gate.flag, unit,
+                 bound);
+  }
   return 2;
 }
 
@@ -98,32 +106,26 @@ int cmd_render(const fbt::Cli& cli) {
 
 int cmd_diff(const fbt::Cli& cli) {
   if (cli.positional().size() != 3) return usage();
+  fbt::obs::DiffBounds bounds;
+  for (const fbt::obs::DiffGate& gate : fbt::obs::diff_gates()) {
+    if (!cli.has(gate.flag)) continue;
+    const std::string text = cli.get(gate.flag, "");
+    char* end = nullptr;
+    const double bound = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(bound)) {
+      std::fprintf(stderr, "fbt_report: --%s expects a finite number, got '%s'\n",
+                   gate.flag, text.c_str());
+      return 2;
+    }
+    bounds[gate.flag] = bound;
+  }
   fbt::obs::JsonValue baseline;
   fbt::obs::JsonValue current;
   if (!load_report(cli.positional()[1], baseline)) return 2;
   if (!load_report(cli.positional()[2], current)) return 2;
 
-  fbt::obs::DiffThresholds thresholds;
-  thresholds.max_coverage_drop =
-      cli.get_double("max-coverage-drop", thresholds.max_coverage_drop);
-  thresholds.max_tests_increase_percent = cli.get_double(
-      "max-tests-increase", thresholds.max_tests_increase_percent);
-  thresholds.max_walltime_increase_percent = cli.get_double(
-      "max-walltime-increase", thresholds.max_walltime_increase_percent);
-  thresholds.max_peak_rss_increase_percent = cli.get_double(
-      "max-peak-rss-increase", thresholds.max_peak_rss_increase_percent);
-  thresholds.max_bytes_per_gate_increase_percent =
-      cli.get_double("max-bytes-per-gate-increase",
-                     thresholds.max_bytes_per_gate_increase_percent);
-  thresholds.min_warm_speedup =
-      cli.get_double("min-warm-speedup", thresholds.min_warm_speedup);
-  thresholds.min_pack_speedup =
-      cli.get_double("min-pack-speedup", thresholds.min_pack_speedup);
-  thresholds.max_obs_overhead_pct =
-      cli.get_double("max-obs-overhead-pct", thresholds.max_obs_overhead_pct);
-
   const fbt::obs::DiffResult result =
-      fbt::obs::diff_run_reports(baseline, current, thresholds);
+      fbt::obs::diff_run_reports(baseline, current, bounds);
   std::printf("%s", result.summary_text.c_str());
   if (result.regression) {
     for (const std::string& v : result.violations) {

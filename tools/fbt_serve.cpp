@@ -26,7 +26,8 @@
 //       Polls `stats` every interval and renders a terminal dashboard:
 //       req/s, cache hit rate, p50/p99 warm+cold latency with the
 //       queue/cache/compute/render decomposition, and worker utilization.
-//       --iterations 0 (default) polls until the server goes away; --plain
+//       --interval-ms is 1..3600000 (default 500); --iterations 0..10^9,
+//       where 0 (default) polls until the server goes away; --plain
 //       suppresses the ANSI clear-screen so output appends (for logs/CI).
 //
 // Protocol details: src/serve/protocol.hpp. Quickstart: README.md.
@@ -274,8 +275,10 @@ void print_latency(const char* label, const fbt::obs::JsonValue& doc,
 
 int run_watch(const fbt::Cli& cli) {
   const std::string socket_path = cli.get("socket", "/tmp/fbt_serve.sock");
-  const std::int64_t interval_ms = cli.get_int("interval-ms", 500);
-  const std::int64_t iterations = cli.get_int("iterations", 0);
+  const std::int64_t interval_ms =
+      cli.get_int_in("interval-ms", 500, 1, 3600000);
+  const std::int64_t iterations =
+      cli.get_int_in("iterations", 0, 0, 1000000000);
   const bool plain = cli.has("plain");
 
   double prev_requests = -1.0;
