@@ -95,6 +95,14 @@ constexpr DiffGate kGates[] = {
      "observability overhead {change}% ({before}ms off -> {after}ms on), "
      "allowed {bound}%",
      false},
+    // A deterministic work count: at bound 0 a kernel change must leave the
+    // number of SeqSim gate evaluations exactly as the baseline counted them.
+    {"max-seqsim-gates-increase", "counters", "sim.seqsim_gates_evaluated",
+     GateKind::kPercentIncrease, -1.0,
+     "seqsim_gates_evaluated: {before} -> {after}",
+     "SeqSim gate evaluations grew {change}% ({before} -> {after}), "
+     "allowed {bound}%",
+     false},
 };
 
 void append_metric_deltas(const JsonValue& baseline, const JsonValue& current,

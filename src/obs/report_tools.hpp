@@ -40,8 +40,9 @@ struct DiffGate {
 
 /// Every gate, in the order diff_run_reports checks and summarizes them.
 /// Coverage and test count are on by default. The rest are opt-in: walltime,
-/// peak RSS, the speedups and the overhead depend on the machine, and bytes
-/// per gate is gated only against bench_scale's baseline.
+/// peak RSS, the speedups and the overhead depend on the machine, bytes per
+/// gate is gated only against bench_scale's baseline, and SeqSim gate
+/// evaluations only against bench_flow_smoke's.
 std::span<const DiffGate> diff_gates();
 
 /// Gate bounds keyed by DiffGate::flag; a gate without an entry uses its

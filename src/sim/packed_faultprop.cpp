@@ -151,7 +151,7 @@ std::uint64_t PackedFaultProp::propagate_internal(std::span<const NodeId> sites,
   // Faulty word of a node for this test: the fault-free bit broadcast to
   // every lane, flipped in the lanes where a diff reached it. Branchless --
   // untouched nodes carry diff == 0.
-  const auto faulty = [&](NodeId id) {
+  const auto faulty = [&](NodeId id) -> std::uint64_t {
     const Node& fl = nodes_[id];
     return (0 - ((fl.good >> test) & 1ULL)) ^ fl.diff;
   };

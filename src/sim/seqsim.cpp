@@ -22,7 +22,9 @@ SeqSim::SeqSim(const Netlist& netlist) : netlist_(&netlist) {
 void SeqSim::load_state(std::span<const std::uint8_t> state) {
   require(state.size() == netlist_->num_flops(), "SeqSim::load_state",
           "state size must equal the flop count");
-  std::copy(state.begin(), state.end(), state_.begin());
+  // settle() reads bytes as exactly 0 or 1; normalize like step()'s inputs.
+  std::transform(state.begin(), state.end(), state_.begin(),
+                 [](std::uint8_t v) -> std::uint8_t { return v ? 1 : 0; });
   cycle_ = 0;
   have_prev_ = false;
 }

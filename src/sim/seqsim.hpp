@@ -28,11 +28,12 @@ class SeqSim {
  public:
   explicit SeqSim(const Netlist& netlist);
 
-  /// Loads a state (one 0/1 value per flop, in netlist flop order), resets the
-  /// cycle counter, and clears switching-activity history (the next step's
-  /// SWA is measured against the settled values of this state with the first
-  /// input vector; per the dissertation SWA(0) is undefined, so callers skip
-  /// the first step's percentage or treat it as cycle-1-vs-cycle-0).
+  /// Loads a state (one value per flop, in netlist flop order; a nonzero byte
+  /// loads as 1, as step() reads its inputs), resets the cycle counter, and
+  /// clears switching-activity history (the next step's SWA is measured
+  /// against the settled values of this state with the first input vector;
+  /// per the dissertation SWA(0) is undefined, so callers skip the first
+  /// step's percentage or treat it as cycle-1-vs-cycle-0).
   void load_state(std::span<const std::uint8_t> state);
 
   /// Convenience: loads the all-0 state (the assumed reachable reset state).

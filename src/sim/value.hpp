@@ -7,8 +7,8 @@
 //   std::uint64_t  64 patterns or fault lanes packed one per bit,
 //   Val3           three-valued 0/1/X (cube simulation, PODEM, case analysis).
 // settle<V> drives the constants and evaluates the netlist's eval-order CSR
-// with it; gate_truth_table / eval_truth_table are the branchless <=2-input
-// form of the same function for the 64-bit domain.
+// with it; gate_truth_table / eval_truth_table are the tabulated <=2-input
+// form of the same function for the two binary domains.
 #pragma once
 
 #include <array>
@@ -141,8 +141,8 @@ constexpr std::uint8_t gate_truth_table(GateType type, std::size_t count) {
 }
 
 namespace detail {
-// gate_truth_table() tabulated by [count - 1][type] for settle's 64-bit
-// domain (measured in DESIGN.md, "Gate evaluation").
+// gate_truth_table() tabulated by [count - 1][type] for settle's binary
+// domains (measured in DESIGN.md, "Gate evaluation").
 inline constexpr auto kTruthTables = [] {
   constexpr auto kTypes = static_cast<std::size_t>(GateType::kConst1) + 1;
   std::array<std::array<std::uint8_t, kTypes>, 2> tables{};
@@ -167,13 +167,21 @@ inline std::uint64_t eval_truth_table(std::uint8_t tt, std::uint64_t a,
   return lo ^ ((lo ^ hi) & a);
 }
 
+/// Evaluates truth table `tt` on one (a, b) pair of 0/1 bytes.
+inline std::uint8_t eval_truth_table(std::uint8_t tt, std::uint8_t a,
+                                     std::uint8_t b) {
+  return static_cast<std::uint8_t>((tt >> ((a << 1) | b)) & 1);
+}
+
 /// Settles the combinational logic of `netlist` over `values` (one V per
 /// node): drives the constant nodes, then evaluates every gate of the
 /// eval-order CSR from the source values already in place. `after_gate(id)`
 /// runs right after gate `id` is evaluated and may overwrite its value
-/// (forced fault sites, case analysis). The 64-bit domain evaluates 1- and
+/// (forced fault sites, case analysis). The binary domains evaluate 1- and
 /// 2-input gates through their tabulated truth table, which measured faster
-/// than eval_gate there (DESIGN.md, "Gate evaluation").
+/// than eval_gate in both (DESIGN.md, "Gate evaluation"). A std::uint8_t
+/// value must be exactly 0 or 1: the table is indexed by it, and eval_gate's
+/// AND already reads AND(1, 2) as 0, so callers normalize at the boundary.
 template <class V, class AfterGate>
 inline void settle(const Netlist& netlist, V* values, AfterGate&& after_gate) {
   for (const NodeId id : netlist.const0_nodes()) values[id] = kLogic0<V>;
@@ -181,7 +189,7 @@ inline void settle(const Netlist& netlist, V* values, AfterGate&& after_gate) {
   const NodeId* const ids = netlist.eval_fanin_ids();
   for (const EvalEntry& e : netlist.eval_entries()) {
     const NodeId* const fan = ids + e.first;
-    if constexpr (std::is_same_v<V, std::uint64_t>) {
+    if constexpr (!std::is_same_v<V, Val3>) {
       if (e.count <= 2) {
         const std::uint8_t tt =
             detail::kTruthTables[e.count - 1][static_cast<std::size_t>(e.type)];

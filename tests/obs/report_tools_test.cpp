@@ -283,11 +283,43 @@ TEST(DiffRunReports, FlagsPeakRssGrowth) {
   EXPECT_NE(result.violations[0].find("peak RSS"), std::string::npos);
 }
 
+TEST(DiffRunReports, SeqSimGatesGateIsOptInAndExactAtZero) {
+  // bench_flow_smoke counts sim.seqsim_gates_evaluated; CI gates it at 0 so
+  // a kernel change cannot change the work, only its speed.
+  auto counters_json = [](double gates) {
+    ReportDoc doc;
+    doc.counters =
+        R"({"sim.seqsim_gates_evaluated": )" + fmt_num(gates) + "}";
+    return doc.json();
+  };
+  const JsonValue base = parse_or_die(counters_json(909200));
+  const JsonValue same = parse_or_die(counters_json(909200));
+  const JsonValue more = parse_or_die(counters_json(909201));
+  EXPECT_FALSE(diff_run_reports(base, more, DiffBounds{}).regression);
+
+  const DiffBounds exact{{"max-seqsim-gates-increase", 0.0}};
+  const DiffResult ok = diff_run_reports(base, same, exact);
+  EXPECT_FALSE(ok.regression);
+  EXPECT_NE(ok.summary_text.find("seqsim_gates_evaluated: 909200 -> 909200"),
+            std::string::npos);
+  const DiffResult result = diff_run_reports(base, more, exact);
+  ASSERT_TRUE(result.regression);
+  ASSERT_EQ(result.violations.size(), 1u);
+  EXPECT_NE(result.violations[0].find("SeqSim gate evaluations grew"),
+            std::string::npos);
+
+  // A baseline without the counter cannot regress.
+  const JsonValue empty = parse_or_die(ReportDoc{}.json());
+  EXPECT_FALSE(diff_run_reports(empty, more, exact).regression);
+}
+
 /// A report carrying every gated metric.
 std::string all_gates_json(double coverage, double tests, double walltime_ms,
                            double rss, double bytes_per_gate, double warm,
-                           double pack, double obs_ms) {
+                           double pack, double obs_ms, double seqsim_gates) {
   ReportDoc doc;
+  doc.counters =
+      R"({"sim.seqsim_gates_evaluated": )" + fmt_num(seqsim_gates) + "}";
   doc.phases = R"([{"name": "flow", "count": 1, "total_ms": )" +
                fmt_num(walltime_ms) +
                R"(, "self_ms": 1.0, "rss_delta_bytes": 0, "children": []}])";
@@ -305,9 +337,11 @@ std::string all_gates_json(double coverage, double tests, double walltime_ms,
 TEST(DiffRunReports, EveryGateKeepsItsFlagAndWording) {
   // CI scripts and readers match these lines; one regression per gate.
   const JsonValue base =
-      parse_or_die(all_gates_json(91.25, 500, 10.0, 1e8, 100.0, 12.0, 4.5, 100.0));
+      parse_or_die(all_gates_json(91.25, 500, 10.0, 1e8, 100.0, 12.0, 4.5, 100.0,
+                                  1000));
   const JsonValue cur =
-      parse_or_die(all_gates_json(89.0, 700, 100.0, 3e8, 120.0, 3.5, 1.5, 104.0));
+      parse_or_die(all_gates_json(89.0, 700, 100.0, 3e8, 120.0, 3.5, 1.5, 104.0,
+                                  1100));
   DiffBounds bounds;
   for (const DiffGate& gate : diff_gates()) {
     bounds[gate.flag] = gate.kind == GateKind::kMinimum ? 10.0 : 2.0;
@@ -321,7 +355,8 @@ TEST(DiffRunReports, EveryGateKeepsItsFlagAndWording) {
       "bytes per gate grew 20% (100 -> 120), allowed 2%",
       "serve warm speedup 3.5x below required 10x",
       "PPSFP pack-64 grade speedup 1.5x below required 10x",
-      "observability overhead 4% (100ms off -> 104ms on), allowed 2%"};
+      "observability overhead 4% (100ms off -> 104ms on), allowed 2%",
+      "SeqSim gate evaluations grew 10% (1000 -> 1100), allowed 2%"};
   EXPECT_EQ(result.violations, expected);
   EXPECT_EQ(result.summary_text.substr(0, result.summary_text.find("changed")),
             "coverage: 91.25% -> 89%\n"
@@ -331,27 +366,32 @@ TEST(DiffRunReports, EveryGateKeepsItsFlagAndWording) {
             "bytes_per_gate: 100 -> 120\n"
             "warm_speedup: 12 -> 3.5\n"
             "pack_speedup_64: 4.5 -> 1.5\n"
-            "obs_flow_run_ms: 100 -> 104\n");
+            "obs_flow_run_ms: 100 -> 104\n"
+            "seqsim_gates_evaluated: 1000 -> 1100\n");
   std::vector<std::string> flags;
   for (const DiffGate& gate : diff_gates()) flags.push_back(gate.flag);
   EXPECT_EQ(flags, (std::vector<std::string>{
                        "max-coverage-drop", "max-tests-increase",
                        "max-walltime-increase", "max-peak-rss-increase",
                        "max-bytes-per-gate-increase", "min-warm-speedup",
-                       "min-pack-speedup", "max-obs-overhead-pct"}));
+                       "min-pack-speedup", "max-obs-overhead-pct",
+                       "max-seqsim-gates-increase"}));
 }
 
 TEST(DiffRunReports, DisabledOptInGatesLeaveTheSummary) {
-  // Coverage through bytes per gate are always summarized; the speedups and
-  // the overhead only when gated.
+  // Coverage through bytes per gate are always summarized; the speedups,
+  // the overhead and the SeqSim gate count only when gated.
   const JsonValue base =
-      parse_or_die(all_gates_json(91.25, 500, 10.0, 1e8, 100.0, 12.0, 4.5, 100.0));
+      parse_or_die(all_gates_json(91.25, 500, 10.0, 1e8, 100.0, 12.0, 4.5, 100.0,
+                                  1000));
   const DiffResult result = diff_run_reports(base, base);
   EXPECT_FALSE(result.regression);
   EXPECT_NE(result.summary_text.find("bytes_per_gate: 100 -> 100"),
             std::string::npos);
   EXPECT_EQ(result.summary_text.find("warm_speedup"), std::string::npos);
   EXPECT_EQ(result.summary_text.find("obs_flow_run_ms"), std::string::npos);
+  EXPECT_EQ(result.summary_text.find("seqsim_gates_evaluated"),
+            std::string::npos);
 }
 
 TEST(RenderHtmlDashboard, ProducesSelfContainedPage) {

@@ -5,6 +5,7 @@
 #include "circuits/s27.hpp"
 #include "test_circuits.hpp"
 #include "util/require.hpp"
+#include "util/rng.hpp"
 
 namespace fbt {
 namespace {
@@ -80,6 +81,29 @@ TEST(SeqSim, SnapshotRestoreRoundTrips) {
   sim.restore(snap);
   const SeqStep b = sim.step(w);
   EXPECT_EQ(a.toggled_lines, b.toggled_lines);
+}
+
+// settle() indexes truth tables by byte value, so load_state must read any
+// nonzero byte as 1, as step() does for primary inputs.
+TEST(SeqSim, LoadStateNormalizesNonzeroBytes) {
+  const Netlist nl = make_s27();
+  ASSERT_EQ(nl.num_flops(), 3u);
+  SeqSim raw(nl);
+  SeqSim norm(nl);
+  raw.load_state(std::vector<std::uint8_t>{2, 0, 0xFF});
+  norm.load_state(std::vector<std::uint8_t>{1, 0, 1});
+  EXPECT_EQ(raw.state(), norm.state());
+  Pcg32 rng(27);
+  for (int cycle = 0; cycle < 32; ++cycle) {
+    std::vector<std::uint8_t> pi(nl.num_inputs());
+    for (std::uint8_t& v : pi) v = static_cast<std::uint8_t>(rng.below(2));
+    const SeqStep a = raw.step(pi);
+    const SeqStep b = norm.step(pi);
+    EXPECT_EQ(a.toggled_lines, b.toggled_lines) << "cycle " << cycle;
+    EXPECT_DOUBLE_EQ(a.switching_percent, b.switching_percent);
+    EXPECT_EQ(raw.values(), norm.values()) << "cycle " << cycle;
+    EXPECT_EQ(raw.state(), norm.state()) << "cycle " << cycle;
+  }
 }
 
 TEST(SeqSim, RejectsWrongSizes) {

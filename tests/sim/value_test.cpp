@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
 #include <vector>
 
+#include "netlist/netlist.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -70,6 +73,35 @@ TEST_P(GateEvalConsistency, TruthTableMatchesEvalGate) {
   }
 }
 
+// Property: settle's byte-domain truth-table fold is eval_gate on a one-gate
+// netlist, for every combinational type at one and (where the type admits
+// it) two fanins and every binary input pair.
+TEST_P(GateEvalConsistency, ByteSettleFoldMatchesEvalGate) {
+  const GateType type = GetParam();
+  const std::size_t max_fanin =
+      (type == GateType::kBuf || type == GateType::kNot) ? 1 : 2;
+  for (std::size_t n = 1; n <= max_fanin; ++n) {
+    Netlist nl("one_gate");
+    const NodeId a = nl.add_input("a");
+    const NodeId b = nl.add_input("b");
+    const NodeId g = n == 1 ? nl.add_gate(type, "g", {a})
+                            : nl.add_gate(type, "g", {a, b});
+    nl.mark_output(g);
+    nl.finalize();
+    for (std::uint8_t bits = 0; bits < 4; ++bits) {
+      std::vector<std::uint8_t> values(nl.size(), 0);
+      values[a] = bits >> 1;
+      values[b] = bits & 1;
+      settle(nl, values.data());
+      const std::vector<std::uint8_t> in =
+          n == 1 ? std::vector<std::uint8_t>{values[a]}
+                 : std::vector<std::uint8_t>{values[a], values[b]};
+      EXPECT_EQ(values[g], eval_on(type, in))
+          << gate_type_name(type) << " n=" << n << " bits=" << int{bits};
+    }
+  }
+}
+
 // Property: three-valued evaluation is a sound abstraction -- if the result
 // with some inputs X is binary, then every completion of the X inputs yields
 // that same binary value.
@@ -109,6 +141,56 @@ INSTANTIATE_TEST_SUITE_P(AllGateTypes, GateEvalConsistency,
                          [](const auto& info) {
                            return std::string(gate_type_name(info.param));
                          });
+
+// Property: on a random netlist mixing every type, fanin counts 1-5 and the
+// constants, settle<std::uint8_t> (truth-table fold for <= 2 fanins, switch
+// otherwise) computes lane k of settle<std::uint64_t> for every lane.
+TEST(Value, ByteSettleMatchesEveryLaneOfWordSettle) {
+  Pcg32 rng(2011);
+  Netlist nl("random_mix");
+  const auto name = [](char prefix, int k) {
+    std::string s(1, prefix);
+    s += std::to_string(k);
+    return s;
+  };
+  std::vector<NodeId> pool;
+  std::vector<NodeId> inputs;
+  for (int i = 0; i < 12; ++i) {
+    inputs.push_back(nl.add_input(name('i', i)));
+    pool.push_back(inputs.back());
+  }
+  pool.push_back(nl.add_gate(GateType::kConst0, "c0", {}));
+  pool.push_back(nl.add_gate(GateType::kConst1, "c1", {}));
+  std::size_t by_count[6] = {};
+  for (int g = 0; g < 400; ++g) {
+    const GateType type = kCombTypes[rng.below(static_cast<std::uint32_t>(std::size(kCombTypes)))];
+    const std::size_t n =
+        (type == GateType::kBuf || type == GateType::kNot) ? 1
+                                                           : rng.range(1, 5);
+    std::vector<NodeId> fanins;
+    for (std::size_t k = 0; k < n; ++k) {
+      fanins.push_back(pool[rng.below(static_cast<std::uint32_t>(pool.size()))]);
+    }
+    pool.push_back(nl.add_gate(type, name('g', g), fanins));
+    ++by_count[n];
+  }
+  nl.mark_output(pool.back());
+  nl.finalize();
+  for (std::size_t n = 1; n <= 5; ++n) ASSERT_GT(by_count[n], 0u) << n;
+
+  std::vector<std::uint64_t> words(nl.size(), 0);
+  for (const NodeId id : inputs) words[id] = rng.next64();
+  settle(nl, words.data());
+  for (std::size_t lane = 0; lane < 64; ++lane) {
+    std::vector<std::uint8_t> bytes(nl.size(), 0);
+    for (const NodeId id : inputs) bytes[id] = (words[id] >> lane) & 1;
+    settle(nl, bytes.data());
+    for (NodeId id = 0; id < nl.size(); ++id) {
+      ASSERT_EQ(bytes[id], (words[id] >> lane) & 1)
+          << nl.node_name(id) << " lane " << lane;
+    }
+  }
+}
 
 TEST(Value, ConstantsEvaluate) {
   EXPECT_EQ(eval_on<std::uint8_t>(GateType::kConst0, {}), 0);

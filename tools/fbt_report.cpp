@@ -11,7 +11,8 @@
 //       value is a finite number, and a negative bound disables its gate.
 //       Running fbt_report with no arguments lists them with their
 //       defaults: coverage and test count are gated by default, walltime,
-//       memory, speedups and overhead only when asked for.
+//       memory, speedups, overhead and SeqSim gate evaluations only when
+//       asked for.
 //
 // Both commands read only reports of the schema this build writes; any other
 // schema_version is refused.
