@@ -149,7 +149,6 @@ void JobSystem::worker_loop(std::size_t index) {
             .count());
     FBT_OBS_HIST_RECORD_LOG("jobs.run_ms",
                             static_cast<double>(run_us) / 1000.0);
-    FBT_OBS_COUNTER_ADD("jobs.busy_us", run_us);
     busy_us_[index].fetch_add(run_us, std::memory_order_relaxed);
 #else
     (void)index;
@@ -236,10 +235,16 @@ void JobSystem::parallel_for(std::size_t num_tasks,
     });
   }
   lane(*lanes);
-  std::unique_lock<std::mutex> lock(lanes->mutex);
-  lanes->closed = true;
-  lanes->cv.wait(lock, [&] { return lanes->running == 0; });
-  if (lanes->error != nullptr) std::rethrow_exception(lanes->error);
+  // The error leaves the lanes under the lock: a late helper may drop the
+  // last reference to them while the caller rethrows.
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(lanes->mutex);
+    lanes->closed = true;
+    lanes->cv.wait(lock, [&] { return lanes->running == 0; });
+    error = std::move(lanes->error);
+  }
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 SchedulerSnapshot JobSystem::scheduler_snapshot() const {

@@ -94,9 +94,9 @@ RunReportData collect_run_report(
   for (const CounterSample& c : data.metrics.counters) {
     if (c.name == "jobs.submitted") data.jobs.submitted = c.value;
     if (c.name == "jobs.executed") data.jobs.executed = c.value;
-    if (c.name == "jobs.busy_us") {
-      data.jobs.busy_ms = static_cast<double>(c.value) / 1000.0;
-    }
+  }
+  for (const HistogramSample& h : data.metrics.histograms) {
+    if (h.name == "jobs.run_ms") data.jobs.busy_ms = h.sum;
   }
   for (const GaugeSample& g : data.metrics.gauges) {
     if (g.name == "jobs.workers" && g.value > 0.0) {

@@ -5,6 +5,13 @@
 // apply a primary-input vector, settle the combinational logic, measure the
 // switching activity against the previous cycle's line values, then update the
 // state (optionally holding a subset of state variables, §4.5.1).
+//
+// step() does not walk the netlist's eval order. The constructor compiles a
+// private gate program: every gate and constant sorted by (level, reduction
+// op, output inversion, fanin count) and cut into runs of one key, which
+// step() evaluates with one dispatch per run into a fixed-count loop. Gates
+// at one level never read each other, so every settled value equals what
+// settle<std::uint8_t> computes (DESIGN.md, "SeqSim's gate program").
 #pragma once
 
 #include <cstdint>
@@ -79,19 +86,42 @@ class SeqSim {
   void snapshot_into(Snapshot& out) const;
   void restore(const Snapshot& snap);
 
-  /// Bytes owned by the value/state arrays (resource telemetry).
+  /// Bytes owned by the value/state arrays and the gate program (resource
+  /// telemetry).
   std::uint64_t footprint_bytes() const {
     return sizeof(*this) +
            (values_.size() + prev_values_.size() + state_.size()) *
-               sizeof(std::uint8_t);
+               sizeof(std::uint8_t) +
+           (flop_d_.size() + run_outs_.size() + run_fanins_.size()) *
+               sizeof(NodeId) +
+           runs_.size() * sizeof(GateRun);
   }
 
  private:
+  /// Evaluates `size` gates of one kind: gate g writes values[outs[g]] from
+  /// its `count` fanins at fanins[g * count ...], XORed with `invert`.
+  using RunKernel = void (*)(std::uint8_t* values, const NodeId* outs,
+                             const NodeId* fanins, std::uint32_t size,
+                             std::uint32_t count, std::uint8_t invert);
+  /// One run of the gate program: gates of one level, reduction op, output
+  /// inversion and fanin count, stored contiguously.
+  struct GateRun {
+    RunKernel eval;
+    std::uint32_t first_out;    ///< index into run_outs_
+    std::uint32_t first_fanin;  ///< index into run_fanins_
+    std::uint32_t size;         ///< gates in the run
+    std::uint32_t count;        ///< fanins per gate
+    std::uint8_t invert;        ///< 1 for NOT/NAND/NOR/XNOR/CONST0
+  };
+
   const Netlist* netlist_;
   std::vector<std::uint8_t> values_;       // settled values, current cycle
   std::vector<std::uint8_t> prev_values_;  // settled values, previous cycle
   std::vector<std::uint8_t> state_;        // per flop
   std::vector<NodeId> flop_d_;             // per flop: its D input
+  std::vector<GateRun> runs_;              // the gate program, in run order
+  std::vector<NodeId> run_outs_;           // per program gate: its node
+  std::vector<NodeId> run_fanins_;         // per program gate: count fanins
   std::size_t cycle_ = 0;
   bool have_prev_ = false;
   // Batched per-cycle counters: one atomic RMW per simulated cycle is the

@@ -3,7 +3,9 @@
 //
 // eval_gate<V> is the only definition of a gate's forward Boolean function.
 // It is templated on the value domain:
-//   std::uint8_t   one 0/1 value (scalar trajectory simulation),
+//   std::uint8_t   one 0/1 value (RTL, session and multi-clock fault
+//                  simulation; SeqSim's trajectory runs its own gate
+//                  program, DESIGN.md "Gate evaluation"),
 //   std::uint64_t  64 patterns or fault lanes packed one per bit,
 //   Val3           three-valued 0/1/X (cube simulation, PODEM, case analysis).
 // settle<V> drives the constants and evaluates the netlist's eval-order CSR

@@ -107,7 +107,9 @@ TEST(BistFlow, ChromeTraceShowsTheCalibrationLanesAcrossWorkers) {
     if (event.find("ph")->as_string("") != "X") continue;
     const double parent =
         event.find("args")->find("parent_span_id")->as_number();
-    if (parent != 0.0) EXPECT_EQ(span_ids.count(parent), 1u) << parent;
+    if (parent != 0.0) {
+      EXPECT_EQ(span_ids.count(parent), 1u) << parent;
+    }
   }
   // Flow arrows pair post sites with the workers that ran the lanes.
   EXPECT_FALSE(flow_starts.empty());

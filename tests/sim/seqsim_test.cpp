@@ -2,13 +2,147 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "circuits/registry.hpp"
 #include "circuits/s27.hpp"
+#include "sim/value.hpp"
 #include "test_circuits.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace fbt {
 namespace {
+
+// Oracle for SeqSim's gate program: the same cycle built on
+// settle<std::uint8_t>, which walks the netlist's eval order.
+class SettleSeqSim {
+ public:
+  explicit SettleSeqSim(const Netlist& nl)
+      : nl_(nl), values_(nl.size(), 0), prev_(nl.size(), 0),
+        state_(nl.num_flops(), 0) {}
+
+  std::size_t step(const std::vector<std::uint8_t>& pi,
+                   const std::vector<std::uint8_t>& held) {
+    values_.swap(prev_);
+    for (std::size_t i = 0; i < pi.size(); ++i) values_[nl_.inputs()[i]] = pi[i];
+    for (std::size_t i = 0; i < state_.size(); ++i) {
+      values_[nl_.flops()[i]] = state_[i];
+    }
+    settle(nl_, values_.data());
+    std::size_t toggled = 0;
+    if (have_prev_) {
+      for (std::size_t id = 0; id < values_.size(); ++id) {
+        toggled += values_[id] != prev_[id];
+      }
+    }
+    have_prev_ = true;
+    for (std::size_t i = 0; i < state_.size(); ++i) {
+      if (held.empty() || !held[i]) {
+        state_[i] = values_[nl_.dff_input(nl_.flops()[i])];
+      }
+    }
+    return toggled;
+  }
+
+  const std::vector<std::uint8_t>& values() const { return values_; }
+  const std::vector<std::uint8_t>& state() const { return state_; }
+
+ private:
+  const Netlist& nl_;
+  std::vector<std::uint8_t> values_;
+  std::vector<std::uint8_t> prev_;
+  std::vector<std::uint8_t> state_;
+  bool have_prev_ = false;
+};
+
+// Steps SeqSim and the oracle in lockstep over random inputs and random
+// held flops, and checks every node, the toggles and the state each cycle.
+// Halfway through, SeqSim runs ahead and is restored from a snapshot.
+void expect_matches_settle(const Netlist& nl, std::uint64_t seed,
+                           int cycles) {
+  SeqSim sim(nl);
+  SettleSeqSim oracle(nl);
+  sim.load_reset_state();
+  Pcg32 rng(seed);
+  std::vector<std::uint8_t> pi(nl.num_inputs());
+  std::vector<std::uint8_t> held(nl.num_flops());
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    for (std::uint8_t& v : pi) v = rng.chance(1, 2);
+    for (std::uint8_t& h : held) h = rng.chance(1, 4);
+    const bool hold = cycle % 3 == 2;
+    const std::vector<std::uint8_t> no_hold;
+    if (cycle == cycles / 2) {
+      const SeqSim::Snapshot snap = sim.snapshot();
+      std::vector<std::uint8_t> other(pi.size());
+      for (std::uint8_t& v : other) v = rng.chance(1, 2);
+      sim.step(other);
+      sim.restore(snap);
+    }
+    const SeqStep step = sim.step(pi, hold ? held : no_hold);
+    const std::size_t toggled = oracle.step(pi, hold ? held : no_hold);
+    ASSERT_EQ(step.toggled_lines, toggled) << nl.name() << " cycle " << cycle;
+    for (NodeId id = 0; id < nl.size(); ++id) {
+      ASSERT_EQ(sim.value(id), oracle.values()[id])
+          << nl.name() << " node " << nl.node_name(id) << " cycle " << cycle;
+    }
+    ASSERT_EQ(sim.state(), oracle.state()) << nl.name() << " cycle " << cycle;
+  }
+}
+
+TEST(SeqSim, GateProgramMatchesSettleOnEveryRegistryCircuit) {
+  for (const BenchmarkSpec& spec : benchmark_registry()) {
+    const Netlist nl = load_benchmark(spec.name);
+    expect_matches_settle(nl, spec.seed, 24);
+  }
+}
+
+// Random sequential netlists with every gate type at fanin counts 1-6, the
+// constants (count 0), and repeated fanins, over several levels.
+TEST(SeqSim, GateProgramMatchesSettleOnRandomNetlists) {
+  constexpr GateType kTypes[] = {GateType::kBuf, GateType::kNot,
+                                 GateType::kAnd, GateType::kNand,
+                                 GateType::kOr,  GateType::kNor,
+                                 GateType::kXor, GateType::kXnor};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Pcg32 rng(seed);
+    Netlist nl("random_seq" + std::to_string(seed));
+    std::vector<NodeId> pool;
+    for (int i = 0; i < 6; ++i) {
+      pool.push_back(nl.add_input("i" + std::to_string(i)));
+    }
+    std::vector<NodeId> flops;
+    for (int f = 0; f < 8; ++f) {
+      flops.push_back(nl.add_dff("q" + std::to_string(f)));
+      pool.push_back(flops.back());
+    }
+    pool.push_back(nl.add_gate(GateType::kConst0, "c0", {}));
+    pool.push_back(nl.add_gate(GateType::kConst1, "c1", {}));
+    std::size_t by_count[7] = {};
+    for (int g = 0; g < 300; ++g) {
+      const GateType type =
+          kTypes[rng.below(static_cast<std::uint32_t>(std::size(kTypes)))];
+      const std::size_t n =
+          (type == GateType::kBuf || type == GateType::kNot) ? 1
+                                                             : rng.range(1, 6);
+      std::vector<NodeId> fanins;
+      for (std::size_t k = 0; k < n; ++k) {
+        fanins.push_back(
+            pool[rng.below(static_cast<std::uint32_t>(pool.size()))]);
+      }
+      pool.push_back(nl.add_gate(type, "g" + std::to_string(g), fanins));
+      ++by_count[n];
+    }
+    for (std::size_t n = 1; n <= 6; ++n) ASSERT_GT(by_count[n], 0u) << n;
+    for (const NodeId ff : flops) {
+      nl.set_dff_input(ff, pool[pool.size() - 1 - rng.below(100)]);
+    }
+    nl.mark_output(pool.back());
+    nl.finalize();
+    ASSERT_GT(nl.max_level(), 3u);
+    expect_matches_settle(nl, seed, 64);
+  }
+}
 
 TEST(SeqSim, ToggleCircuitCountsCorrectly) {
   const Netlist nl = testing::make_toggle_circuit();
@@ -83,8 +217,9 @@ TEST(SeqSim, SnapshotRestoreRoundTrips) {
   EXPECT_EQ(a.toggled_lines, b.toggled_lines);
 }
 
-// settle() indexes truth tables by byte value, so load_state must read any
-// nonzero byte as 1, as step() does for primary inputs.
+// The gate program reduces bytes with &, | and ^, which are exact only on 0
+// and 1, so load_state must read any nonzero byte as 1, as step() does for
+// primary inputs.
 TEST(SeqSim, LoadStateNormalizesNonzeroBytes) {
   const Netlist nl = make_s27();
   ASSERT_EQ(nl.num_flops(), 3u);
