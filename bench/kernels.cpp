@@ -1,14 +1,17 @@
 // Microbenchmarks (google-benchmark) for the simulation kernels that
 // dominate every experiment: bit-parallel evaluation, packed (PPSFP) fault
-// propagation, scalar sequential stepping, cube simulation, and the on-chip
-// TPG. Also quantifies the bit-parallel vs scalar design decision called out
-// in DESIGN.md.
+// propagation, scalar sequential stepping, cube simulation, PODEM's
+// branch-and-bound, and the on-chip TPG. Also quantifies the bit-parallel vs
+// scalar design decision called out in DESIGN.md.
 #include <benchmark/benchmark.h>
 
+#include "atpg/necessary.hpp"
+#include "atpg/podem.hpp"
 #include "bist/lfsr.hpp"
 #include "bist/tpg.hpp"
 #include "circuits/registry.hpp"
 #include "fault/fault_sim.hpp"
+#include "paths/path.hpp"
 #include "sim/bitsim.hpp"
 #include "sim/cubesim.hpp"
 #include "sim/packed_faultprop.hpp"
@@ -58,6 +61,51 @@ void BM_SeqSimStepDesPerf(benchmark::State& state) {
   seqsim_step(state, nl);
 }
 BENCHMARK(BM_SeqSimStepDesPerf);
+
+// Chapter 2's branch-and-bound (§2.3.5): a fixed slice of s298's path delay
+// faults, each goal set (the transition faults along the path) solved with
+// solve(..., true) on top of the path's necessary input assignments after
+// reset(), with Table 2.1's budget. A fresh engine per iteration keeps the
+// work identical from one iteration to the next. `per_backtrack` is the
+// unit cost perfbench reports as atpg.ns_per_backtrack.
+void BM_PodemBranchAndBoundS298(benchmark::State& state) {
+  struct GoalSet {
+    std::vector<fbt::TransitionFault> goals;
+    std::vector<fbt::Assignment> inputs;
+  };
+  static const fbt::Netlist nl = fbt::load_benchmark("s298");
+  static const std::vector<GoalSet> sets = [] {
+    constexpr std::size_t kSets = 64;
+    std::vector<GoalSet> out;
+    for (const fbt::Path& p : fbt::enumerate_all_paths(nl, 400).paths) {
+      for (const bool rising : {true, false}) {
+        if (out.size() == kSets) return out;
+        const fbt::PathDelayFault f{p, rising};
+        fbt::NecessaryAnalysis na = fbt::necessary_for_path(nl, f, 1);
+        if (na.undetectable) continue;
+        out.push_back({fbt::transition_faults_along(nl, f),
+                       std::move(na.input_assignments)});
+      }
+    }
+    return out;
+  }();
+  std::uint64_t backtracks = 0;
+  for (auto _ : state) {
+    fbt::PodemEngine engine(nl, fbt::PodemConfig{.backtrack_limit = 4000});
+    for (const GoalSet& set : sets) {
+      engine.reset();
+      if (!engine.preassign(set.inputs)) continue;
+      backtracks += engine.solve(set.goals, true).backtracks;
+    }
+  }
+  state.counters["backtracks"] = benchmark::Counter(
+      static_cast<double>(backtracks), benchmark::Counter::kAvgIterations);
+  state.counters["per_backtrack"] =
+      benchmark::Counter(static_cast<double>(backtracks),
+                         benchmark::Counter::kIsRate |
+                             benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PodemBranchAndBoundS298)->Unit(benchmark::kMillisecond);
 
 // The grader's kernel: one chunk of 64 fault lanes at random sites,
 // propagated for one test of a random good-machine block.

@@ -1,11 +1,45 @@
 #include "atpg/podem.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "obs/instrument.hpp"
 #include "util/require.hpp"
 
 namespace fbt {
+namespace {
+
+constexpr std::size_t kGateTypes =
+    static_cast<std::size_t>(GateType::kConst1) + 1;
+
+/// eval_gate<Val3> tabulated per gate type and fanin count 1-3 in the
+/// PodemEngine::Gate::table layout. Slot 0 reads fanin 0, slot 2 the last
+/// fanin and slot 1 fanin 1 (the last one below three fanins), so every
+/// index a gate can form holds eval_gate's value.
+const std::array<std::array<std::uint64_t, 3>, kGateTypes>& fold_tables() {
+  static const auto tables = [] {
+    std::array<std::array<std::uint64_t, 3>, kGateTypes> out{};
+    for (std::size_t t = 0; t < kGateTypes; ++t) {
+      const auto type = static_cast<GateType>(t);
+      if (!is_combinational(type)) continue;
+      for (std::size_t count = 1; count <= 3; ++count) {
+        for (unsigned i = 0; i < 27; ++i) {
+          const Val3 slot[3] = {static_cast<Val3>(i / 9),
+                                static_cast<Val3>(i / 3 % 3),
+                                static_cast<Val3>(i % 3)};
+          const Val3 v = eval_gate<Val3>(type, count, [&](std::size_t k) {
+            return slot[k == 0 ? 0 : k == count - 1 ? 2 : 1];
+          });
+          out[t][count - 1] |= static_cast<std::uint64_t>(v) << (2 * i);
+        }
+      }
+    }
+    return out;
+  }();
+  return tables;
+}
+
+}  // namespace
 
 PodemEngine::PodemEngine(const Netlist& netlist, const PodemConfig& config)
     : netlist_(&netlist),
@@ -19,23 +53,34 @@ PodemEngine::PodemEngine(const Netlist& netlist, const PodemConfig& config)
   }
   observe_ = netlist.outputs();
   observe_.insert(observe_.end(), dff_input_.begin(), dff_input_.end());
-  const std::span<const EvalEntry> gates = netlist.eval_entries();
-  gates_ = gates.data();
-  gate_fanins_ = netlist.eval_fanin_ids();
+  observed_.assign(n, 0);
+  for (const NodeId obs : observe_) observed_[obs] = 1;
+  const std::span<const EvalEntry> entries = netlist.eval_entries();
+  entries_ = entries.data();
+  entry_fanins_ = netlist.eval_fanin_ids();
   std::vector<std::uint32_t> pos(n, 0);
   level_begin_.assign(netlist.max_level() + 2, 0);
-  gate_level_.resize(gates.size());
-  for (std::uint32_t p = 0; p < gates.size(); ++p) {
-    pos[gates[p].node] = p;
-    gate_level_[p] = netlist.level(gates[p].node);
-    ++level_begin_[gate_level_[p] + 1];
+  gates_.resize(entries.size());
+  const auto& folds = fold_tables();
+  for (std::uint32_t p = 0; p < entries.size(); ++p) {
+    const EvalEntry& e = entries[p];
+    Gate& g = gates_[p];
+    pos[e.node] = p;
+    g.node = e.node;
+    g.level = netlist.level(e.node);
+    ++level_begin_[g.level + 1];
+    if (e.count == 0 || e.count > 3) continue;
+    const NodeId* const fan = entry_fanins_ + e.first;
+    g.in[0] = fan[0];
+    g.in[1] = fan[std::min<std::uint32_t>(1, e.count - 1)];
+    g.in[2] = fan[e.count - 1];
+    g.table = folds[static_cast<std::size_t>(e.type)][e.count - 1];
   }
   for (std::size_t l = 1; l < level_begin_.size(); ++l) {
     level_begin_[l] += level_begin_[l - 1];
   }
   level_end_.assign(level_begin_.begin(), level_begin_.end() - 1);
-  queue_.resize(gates.size());
-  queued_.assign(gates.size(), 0);
+  queue_.resize(entries.size());
   lo_ = static_cast<std::uint32_t>(level_end_.size());
   fanout_off_.assign(n + 1, 0);
   for (NodeId id = 0; id < n; ++id) {
@@ -49,17 +94,19 @@ PodemEngine::PodemEngine(const Netlist& netlist, const PodemConfig& config)
   // drive: set them as sources, then bring frame 2's state up to date.
   input_val_.assign(2 * n, Val3::kX);
   good_.assign(2 * n, Val3::kX);
-  for (Val3* vals : {good_.data(), good_.data() + n}) {
-    for (const NodeId c : netlist.const0_nodes()) set_source(vals, c, Val3::k0);
-    for (const NodeId c : netlist.const1_nodes()) set_source(vals, c, Val3::k1);
-    propagate(vals, nullptr);
+  for (const std::size_t base : {std::size_t{0}, n}) {
+    for (const NodeId c : netlist.const0_nodes()) set_source(base, c, Val3::k0);
+    for (const NodeId c : netlist.const1_nodes()) set_source(base, c, Val3::k1);
+    propagate<false>(base, nullptr);
   }
   simulate();
+  trail_.clear();  // no decision can unwind below the constructed state
 }
 
 void PodemEngine::reset() {
   std::fill(input_val_.begin(), input_val_.end(), Val3::kX);
   decisions_.clear();
+  trail_.clear();
 }
 
 bool PodemEngine::preassign(std::span<const Assignment> assignments) {
@@ -77,119 +124,163 @@ bool PodemEngine::preassign(std::span<const Assignment> assignments) {
 void PodemEngine::simulate() {
   const Netlist& nl = *netlist_;
   const std::size_t n = nl.size();
-  Val3* const g1 = good_.data();
-  Val3* const g2 = g1 + n;
+  const Val3* const g1 = good_.data();
   const Val3* const in1 = input_val_.data();
   const Val3* const in2 = in1 + n;
-  for (const NodeId pi : nl.inputs()) set_source(g1, pi, in1[pi]);
-  for (const NodeId ff : nl.flops()) set_source(g1, ff, in1[ff]);
-  propagate(g1, nullptr);
+  for (const NodeId pi : nl.inputs()) set_source(0, pi, in1[pi]);
+  for (const NodeId ff : nl.flops()) set_source(0, ff, in1[ff]);
+  propagate<false>(0, nullptr);
   // Frame 2: state variables are the frame-1 next state.
-  for (const NodeId pi : nl.inputs()) set_source(g2, pi, in2[pi]);
+  for (const NodeId pi : nl.inputs()) set_source(n, pi, in2[pi]);
   const std::vector<NodeId>& flops = nl.flops();
   for (std::size_t i = 0; i < flops.size(); ++i) {
-    set_source(g2, flops[i], g1[dff_input_[i]]);
+    set_source(n, flops[i], g1[dff_input_[i]]);
   }
-  propagate(g2, nullptr);
+  propagate<false>(n, nullptr);
+  const Val3* const g2 = g1 + n;
+  x_observed_ = std::any_of(observe_.begin(), observe_.end(),
+                            [g2](NodeId obs) { return g2[obs] == Val3::kX; });
 }
 
-void PodemEngine::set_source(Val3* vals, NodeId id, Val3 v) {
-  if (vals[id] == v) return;
-  vals[id] = v;
+void PodemEngine::set_source(std::size_t base, NodeId id, Val3 v) {
+  Val3& slot = good_[base + id];
+  if (slot == v) return;
+  trail_.push_back({static_cast<std::uint32_t>(base + id), slot});
+  slot = v;
   schedule_fanouts(id);
 }
 
 void PodemEngine::schedule_fanouts(NodeId id) {
   for (std::uint32_t k = fanout_off_[id]; k < fanout_off_[id + 1]; ++k) {
-    const std::uint32_t p = fanout_pos_[k];
-    if (queued_[p] != 0) continue;
-    queued_[p] = 1;
-    const std::uint32_t l = gate_level_[p];
-    queue_[level_end_[l]++] = p;
-    lo_ = std::min(lo_, l);
-    hi_ = std::max(hi_, l);
+    Gate& g = gates_[fanout_pos_[k]];
+    if (g.queued != 0) continue;
+    g.queued = 1;
+    queue_[level_end_[g.level]++] = fanout_pos_[k];
+    lo_ = std::min(lo_, g.level);
+    hi_ = std::max(hi_, g.level);
   }
 }
 
-void PodemEngine::propagate(Val3* vals, std::vector<NodeId>* changed) {
+template <bool kFaulty>
+void PodemEngine::propagate(std::size_t base, std::vector<DiffEntry>* diff) {
+  // Locals throughout: every store into vals or a Gate could otherwise
+  // force the members to be reloaded.
+  Val3* const vals = good_.data() + base;
+  Gate* const gates = gates_.data();
+  std::uint32_t* const queue = queue_.data();
+  const std::uint32_t* const level_begin = level_begin_.data();
+  std::uint32_t* const level_end = level_end_.data();
+  const std::uint32_t* const fo_off = fanout_off_.data();
+  const std::uint32_t* const fo_pos = fanout_pos_.data();
+  std::uint32_t hi = hi_;
   std::uint64_t evals = 0;
-  for (std::uint32_t l = lo_; l <= hi_; ++l) {
+  for (std::uint32_t l = lo_; l <= hi; ++l) {
     // A gate's fanouts sit on higher levels, so this level's slots do not
     // grow while it is walked.
-    for (std::uint32_t i = level_begin_[l]; i < level_end_[l]; ++i) {
-      const std::uint32_t p = queue_[i];
-      queued_[p] = 0;
-      const EvalEntry& g = gates_[p];
-      const NodeId* const fan = gate_fanins_ + g.first;
-      const Val3 v = eval_gate<Val3>(
-          g.type, g.count, [vals, fan](std::size_t k) { return vals[fan[k]]; });
+    const std::uint32_t end = level_end[l];
+    for (std::uint32_t i = level_begin[l]; i < end; ++i) {
+      const std::uint32_t p = queue[i];
+      Gate& g = gates[p];
+      g.queued = 0;
+      Val3 v;
+      if (g.table != 0) {
+        const unsigned at = 9 * static_cast<unsigned>(vals[g.in[0]]) +
+                            3 * static_cast<unsigned>(vals[g.in[1]]) +
+                            static_cast<unsigned>(vals[g.in[2]]);
+        v = static_cast<Val3>((g.table >> (2 * at)) & 3);
+      } else {
+        const EvalEntry& e = entries_[p];
+        const NodeId* const fan = entry_fanins_ + e.first;
+        v = eval_gate<Val3>(e.type, e.count,
+                            [vals, fan](std::size_t k) { return vals[fan[k]]; });
+      }
       ++evals;
-      if (v == vals[g.node]) continue;
-      vals[g.node] = v;
-      if (changed != nullptr) changed->push_back(g.node);
-      schedule_fanouts(g.node);
+      const NodeId node = g.node;
+      const Val3 old = vals[node];
+      if (v == old) continue;
+      vals[node] = v;
+      if constexpr (kFaulty) {
+        diff->push_back({node, old, v});
+      } else {
+        trail_.push_back({static_cast<std::uint32_t>(base + node), old});
+      }
+      for (std::uint32_t k = fo_off[node]; k < fo_off[node + 1]; ++k) {
+        const std::uint32_t q = fo_pos[k];
+        Gate& fo = gates[q];
+        if (fo.queued != 0) continue;
+        fo.queued = 1;
+        queue[level_end[fo.level]++] = q;
+        hi = std::max(hi, fo.level);
+      }
     }
-    level_end_[l] = level_begin_[l];
+    level_end[l] = level_begin[l];
   }
   gate_evals_ += evals;
+  if constexpr (kFaulty) faulty_gate_evals_ += evals;
   lo_ = static_cast<std::uint32_t>(level_end_.size());
   hi_ = 0;
 }
 
+void PodemEngine::unwind(std::size_t mark) {
+  Val3* const good = good_.data();
+  while (trail_.size() > mark) {
+    good[trail_.back().index] = trail_.back().old;
+    trail_.pop_back();
+  }
+}
+
 void PodemEngine::simulate_faulty(const TransitionFault& fault,
-                                  std::vector<Val3>& out,
-                                  std::vector<NodeId>& diff) {
+                                  std::vector<DiffEntry>& diff) {
   const std::size_t n = netlist_->size();
-  const Val3* const g2 = good_.data() + n;
+  Val3* const g2 = good_.data() + n;
   // The faulty circuit shares frame 1 and the frame-2 sources with the good
   // one; it differs only in the cone where forcing the site changes values.
-  out.assign(g2, g2 + n);
   diff.clear();
   const Val3 forced = fault.rising ? Val3::k0 : Val3::k1;
   const GateType type = netlist_->type(fault.line);
   // Constants are never forced (fault lists exclude them), and a site that
   // already carries the forced value changes nothing.
   if (type == GateType::kConst0 || type == GateType::kConst1 ||
-      out[fault.line] == forced) {
+      g2[fault.line] == forced) {
     return;
   }
-  out[fault.line] = forced;
-  diff.push_back(fault.line);
+  diff.push_back({fault.line, g2[fault.line], forced});
+  g2[fault.line] = forced;
   schedule_fanouts(fault.line);
-  propagate(out.data(), &diff);
+  propagate<true>(n, &diff);
+  for (const DiffEntry& d : diff) g2[d.node] = d.good;
 }
 
 std::span<const Val3> PodemEngine::faulty_frame(const TransitionFault& fault) {
-  if (faulty_.empty()) {
-    faulty_.resize(1);
-    diff_.resize(1);
-  }
-  simulate_faulty(fault, faulty_[0], diff_[0]);
-  return faulty_[0];
+  const Val3* const g2 = good_.data() + netlist_->size();
+  faulty_frame_.assign(g2, g2 + netlist_->size());
+  if (diff_.empty()) diff_.resize(1);
+  simulate_faulty(fault, diff_[0]);
+  for (const DiffEntry& d : diff_[0]) faulty_frame_[d.node] = d.faulty;
+  return faulty_frame_;
+}
+
+bool PodemEngine::launch_fails(const TransitionFault& fault) const {
+  const Val3 init = fault.rising ? Val3::k0 : Val3::k1;
+  const Val3 launch = good_[idx({Frame::k1, fault.line})];
+  return launch != Val3::kX && launch != init;
 }
 
 PodemEngine::GoalState PodemEngine::goal_state(
-    const TransitionFault& fault, const std::vector<Val3>& faulty) const {
-  const Val3 init = fault.rising ? Val3::k0 : Val3::k1;
-  const Val3 launch = good_[idx({Frame::k1, fault.line})];
-  if (launch != Val3::kX && launch != init) return GoalState::kImpossible;
-
-  // Scan the observation points until the state is decided: a binary
-  // difference detects a launched goal, and any possible difference keeps
-  // an unlaunched one pending.
-  const bool launched = launch == init;
-  const Val3* const g2 = good_.data() + netlist_->size();
-  bool any_maybe_diff = false;
-  for (const NodeId obs : observe_) {
-    const Val3 g = g2[obs];
-    const Val3 f = faulty[obs];
-    const bool binary = g != Val3::kX && f != Val3::kX;
-    if (binary && g == f) continue;
+    const TransitionFault& fault, const std::vector<DiffEntry>& diff) const {
+  // Outside the cone the faulty value is the good one, so an observation
+  // point there can differ only while its good value is X; inside it the
+  // values differ, and a binary difference detects a launched goal.
+  const bool launched = good_[idx({Frame::k1, fault.line})] != Val3::kX;
+  bool cone_observed = false;
+  for (const DiffEntry& d : diff) {
+    if (observed_[d.node] == 0) continue;
     if (!launched) return GoalState::kPending;
-    if (binary) return GoalState::kDetected;
-    any_maybe_diff = true;
+    if (d.good != Val3::kX && d.faulty != Val3::kX) return GoalState::kDetected;
+    cone_observed = true;
   }
-  return any_maybe_diff ? GoalState::kPending : GoalState::kImpossible;
+  return cone_observed || x_observed_ ? GoalState::kPending
+                                      : GoalState::kImpossible;
 }
 
 std::pair<FrameNode, Val3> PodemEngine::backtrace(FrameNode node, Val3 want) {
@@ -259,8 +350,7 @@ std::pair<FrameNode, Val3> PodemEngine::backtrace(FrameNode node, Val3 want) {
 }
 
 std::pair<FrameNode, Val3> PodemEngine::pick_objective(
-    const TransitionFault& fault, const std::vector<Val3>& faulty,
-    const std::vector<NodeId>& diff) {
+    const TransitionFault& fault, const std::vector<DiffEntry>& diff) {
   const Netlist& nl = *netlist_;
   const Val3 init = fault.rising ? Val3::k0 : Val3::k1;
   const Val3 final_v = fault.rising ? Val3::k1 : Val3::k0;
@@ -279,16 +369,17 @@ std::pair<FrameNode, Val3> PodemEngine::pick_objective(
   const Val3* const g2 = good_.data() + nl.size();
   constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
   std::uint32_t first = kNone;
-  for (const NodeId d : diff) {
-    if (g2[d] == Val3::kX || faulty[d] == Val3::kX) continue;
-    for (std::uint32_t k = fanout_off_[d]; k < fanout_off_[d + 1]; ++k) {
+  for (const DiffEntry& d : diff) {
+    if (d.good == Val3::kX || d.faulty == Val3::kX) continue;
+    for (std::uint32_t k = fanout_off_[d.node]; k < fanout_off_[d.node + 1];
+         ++k) {
       const std::uint32_t p = fanout_pos_[k];
       if (g2[gates_[p].node] == Val3::kX) first = std::min(first, p);
     }
   }
   if (first != kNone) {
     // An unknown output has an unknown fanin.
-    const GateType type = gates_[first].type;
+    const GateType type = entries_[first].type;
     for (const NodeId fi : nl.fanins(gates_[first].node)) {
       if (g2[fi] != Val3::kX) continue;
       Val3 want = Val3::k0;
@@ -332,7 +423,9 @@ PodemOutcome PodemEngine::solve(std::span<const TransitionFault> goals,
     }
     outcome.status = status;
     FBT_OBS_COUNTER_ADD("atpg.podem_gate_evals", gate_evals_);
+    FBT_OBS_COUNTER_ADD("atpg.podem_faulty_gate_evals", faulty_gate_evals_);
     gate_evals_ = 0;
+    faulty_gate_evals_ = 0;
     FBT_OBS_COUNTER_ADD("atpg.podem_backtracks", outcome.backtracks);
     FBT_OBS_COUNTER_ADD("atpg.podem_decisions_made", outcome.decisions);
     if (status == PodemStatus::kAborted) {
@@ -341,10 +434,7 @@ PodemOutcome PodemEngine::solve(std::span<const TransitionFault> goals,
     return outcome;
   };
 
-  if (faulty_.size() < goals.size()) {
-    faulty_.resize(goals.size());
-    diff_.resize(goals.size());
-  }
+  if (diff_.size() < goals.size()) diff_.resize(goals.size());
   // Detection is stable under *added* assignments, so a goal detected at
   // decision depth d stays detected until the search backtracks below d;
   // caching this avoids one faulty-circuit simulation per settled goal per
@@ -362,8 +452,12 @@ PodemOutcome PodemEngine::solve(std::span<const TransitionFault> goals,
     bool impossible = false;
     for (std::size_t k = 0; k < goals.size(); ++k) {
       if (detected_depth_[k] != kNotDetected) continue;  // cached
-      simulate_faulty(goals[k], faulty_[k], diff_[k]);
-      const GoalState state = goal_state(goals[k], faulty_[k]);
+      if (launch_fails(goals[k])) {
+        impossible = true;
+        break;
+      }
+      simulate_faulty(goals[k], diff_[k]);
+      const GoalState state = goal_state(goals[k], diff_[k]);
       if (state == GoalState::kImpossible) {
         impossible = true;
         break;
@@ -378,8 +472,7 @@ PodemOutcome PodemEngine::solve(std::span<const TransitionFault> goals,
     if (!impossible) {
       if (pending == goals.size()) return finish(PodemStatus::kDetected);
       // Decide: advance the first pending goal.
-      const auto [input, value] =
-          pick_objective(goals[pending], faulty_[pending], diff_[pending]);
+      const auto [input, value] = pick_objective(goals[pending], diff_[pending]);
       if (input.node != kNoNode) {
         if (outcome.decisions >= config_.decision_limit) {
           return finish(PodemStatus::kAborted);
@@ -387,7 +480,7 @@ PodemOutcome PodemEngine::solve(std::span<const TransitionFault> goals,
         require(input_val_[idx(input)] == Val3::kX, "PodemEngine::solve",
                 "internal: objective chose an assigned input");
         ++outcome.decisions;
-        decisions_.push_back({input, value, false});
+        decisions_.push_back({input, value, false, trail_.size()});
         input_val_[idx(input)] = value;
         continue;
       }
@@ -395,7 +488,9 @@ PodemOutcome PodemEngine::solve(std::span<const TransitionFault> goals,
     }
 
     // Backtrack: flip the deepest unflipped decision above the floor (or
-    // anywhere, when backtracking into earlier decisions).
+    // anywhere, when backtracking into earlier decisions), and restore the
+    // values from before it was first simulated; simulate() then propagates
+    // only the flipped input (and whatever changed since, e.g. preassign()).
     const std::size_t lowest = backtrack_into_earlier ? 0 : floor;
     while (decisions_.size() > lowest && decisions_.back().flipped) {
       input_val_[idx(decisions_.back().input)] = Val3::kX;
@@ -406,6 +501,7 @@ PodemOutcome PodemEngine::solve(std::span<const TransitionFault> goals,
     d.value = not3(d.value);
     d.flipped = true;
     input_val_[idx(d.input)] = d.value;
+    unwind(d.mark);
     ++outcome.backtracks;
     for (std::size_t& depth : detected_depth_) {
       if (depth != kNotDetected && depth >= decisions_.size()) {

@@ -5,9 +5,10 @@
 // three-valued simulation plus, per goal fault, a faulty frame-2 simulation
 // with the fault site forced to its stuck-at-initial value. Both are
 // event-driven: the good machine re-evaluates only the fanout of the sources
-// that changed since the last simulation, and a faulty frame is the good
-// frame 2 plus the fault site's difference cone (DESIGN.md, "PODEM
-// simulation"). A goal fault is
+// that changed since the last simulation (a flip first restores the values
+// from before the flipped decision off an undo trail), and a faulty frame is
+// the good frame 2 plus the fault site's difference cone, overlaid in place
+// and then restored (DESIGN.md, "PODEM simulation"). A goal fault is
 // *detected* when its launch condition holds (binary initial value on the
 // site in frame 1) and some observation point has a binary good/faulty
 // difference; it is *impossible* when the launch condition is violated or no
@@ -110,11 +111,43 @@ class PodemEngine {
   /// valid until the next call into the engine.
   std::span<const Val3> faulty_frame(const TransitionFault& fault);
 
+  /// Entries on the undo trail of good-frame writes. reset() empties it, so
+  /// it holds at most the writes since the last reset().
+  std::size_t trail_size() const { return trail_.size(); }
+
  private:
   struct Decision {
     FrameNode input;
     Val3 value = Val3::kX;
     bool flipped = false;
+    std::size_t mark = 0;  ///< trail_.size() when the decision was pushed
+  };
+
+  /// One gate of the simulation loops, by eval-order position.
+  struct Gate {
+    /// Three-valued truth table of a 1- to 3-input gate: bits 2i..2i+1 hold
+    /// the output Val3 for i = 9 * a + 3 * b + c, where a, b and c are the
+    /// values of in[0], in[1] and in[2]. 0 for wider gates (no table is 0:
+    /// all-X fanins give X).
+    std::uint64_t table = 0;
+    NodeId in[3] = {};  ///< fanins 0, min(1, count - 1) and count - 1
+    NodeId node = kNoNode;
+    std::uint32_t level = 0;
+    std::uint32_t queued = 0;  ///< 1 while scheduled
+  };
+
+  /// A good-frame value before a write: good_[index] was `old`.
+  struct TrailEntry {
+    std::uint32_t index;
+    Val3 old;
+  };
+
+  /// A node of a goal's difference cone with its good and faulty frame-2
+  /// values (they differ).
+  struct DiffEntry {
+    NodeId node;
+    Val3 good;
+    Val3 faulty;
   };
 
   enum class GoalState : std::uint8_t { kDetected, kImpossible, kPending };
@@ -126,26 +159,32 @@ class PodemEngine {
   /// Brings good_ up to date with input_val_: sets the sources of each
   /// frame that changed and propagates from them.
   void simulate();
-  /// Sets source `id` of `vals` to `v`, scheduling its fanout on a change.
-  void set_source(Val3* vals, NodeId id, Val3 v);
+  /// Sets source `id` of the good frame at `base` to `v`, trailing the
+  /// write and scheduling its fanout on a change.
+  void set_source(std::size_t base, NodeId id, Val3 v);
   void schedule_fanouts(NodeId id);
-  /// Evaluates the scheduled gates of `vals` in level order; a gate whose
-  /// value changes schedules its fanout and is appended to `changed` (when
-  /// given).
-  void propagate(Val3* vals, std::vector<NodeId>* changed);
+  /// Evaluates the scheduled gates of the good frame at `base` in level
+  /// order; a gate whose value changes schedules its fanout. Good writes go
+  /// to the trail; faulty ones (kFaulty, frame 2 only) to `diff`.
+  template <bool kFaulty>
+  void propagate(std::size_t base, std::vector<DiffEntry>* diff);
+  /// Restores good_ to its values when the trail held `mark` entries.
+  void unwind(std::size_t mark);
 
+  /// True when `fault`'s launch condition fails in the good frame 1.
+  bool launch_fails(const TransitionFault& fault) const;
+  /// State of a goal whose launch condition does not fail, given its
+  /// difference cone.
   GoalState goal_state(const TransitionFault& fault,
-                       const std::vector<Val3>& faulty) const;
-  /// Computes frame 2 with `fault`'s site forced into `out` (the good frame 2
-  /// plus the site's difference cone) and the nodes where it differs from
-  /// the good frame 2 into `diff`.
-  void simulate_faulty(const TransitionFault& fault, std::vector<Val3>& out,
-                       std::vector<NodeId>& diff);
+                       const std::vector<DiffEntry>& diff) const;
+  /// Forces `fault`'s site in the good frame 2, propagates, records the
+  /// difference cone into `diff` and restores the good values.
+  void simulate_faulty(const TransitionFault& fault,
+                       std::vector<DiffEntry>& diff);
 
   /// Picks (input, value) advancing the goal; kNoNode input when stuck.
   std::pair<FrameNode, Val3> pick_objective(const TransitionFault& fault,
-                                            const std::vector<Val3>& faulty,
-                                            const std::vector<NodeId>& diff);
+                                            const std::vector<DiffEntry>& diff);
   std::pair<FrameNode, Val3> backtrace(FrameNode node, Val3 want);
 
   const Netlist* netlist_;
@@ -154,11 +193,12 @@ class PodemEngine {
 
   // Structure the simulation loops read, precomputed per engine. Gates are
   // addressed by their eval-order position p (netlist.eval_entries()[p]).
-  const EvalEntry* gates_ = nullptr;
-  const NodeId* gate_fanins_ = nullptr;
+  const EvalEntry* entries_ = nullptr;
+  const NodeId* entry_fanins_ = nullptr;
+  std::vector<Gate> gates_;
   std::vector<NodeId> dff_input_;          ///< D input of flops()[i]
   std::vector<NodeId> observe_;            ///< outputs, then D inputs
-  std::vector<std::uint32_t> gate_level_;  ///< logic level of gate p
+  std::vector<std::uint8_t> observed_;     ///< per node: in observe_
   std::vector<std::uint32_t> fanout_off_;  ///< per node: its gate fanouts,
   std::vector<std::uint32_t> fanout_pos_;  ///< as positions (no flop D pins)
 
@@ -167,18 +207,21 @@ class PodemEngine {
   std::vector<std::uint32_t> queue_;
   std::vector<std::uint32_t> level_begin_;
   std::vector<std::uint32_t> level_end_;
-  std::vector<std::uint8_t> queued_;  ///< per gate
   std::uint32_t lo_ = 0;
   std::uint32_t hi_ = 0;
-  std::uint64_t gate_evals_ = 0;  ///< added to the counter once per solve
+  // Added to the counters once per solve.
+  std::uint64_t gate_evals_ = 0;
+  std::uint64_t faulty_gate_evals_ = 0;
 
   std::vector<Val3> input_val_;  ///< free-input assignments (2 * size)
   std::vector<Val3> good_;       ///< simulated values (2 * size)
+  std::vector<TrailEntry> trail_;
+  bool x_observed_ = false;  ///< some observation point of good_'s frame 2 is X
   // Per-goal buffers of solve(), kept across calls.
-  std::vector<std::vector<Val3>> faulty_;   ///< faulty frame 2
-  std::vector<std::vector<NodeId>> diff_;   ///< nodes where faulty != good
+  std::vector<std::vector<DiffEntry>> diff_;  ///< difference cones
   std::vector<std::size_t> detected_depth_;
   std::vector<Decision> decisions_;
+  std::vector<Val3> faulty_frame_;  ///< faulty_frame()'s result
 };
 
 }  // namespace fbt

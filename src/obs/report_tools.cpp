@@ -103,6 +103,22 @@ constexpr DiffGate kGates[] = {
      "SeqSim gate evaluations grew {change}% ({before} -> {after}), "
      "allowed {bound}%",
      false},
+    // Chapter 2's work counts: PODEM's search (backtracks, decisions) must
+    // stay exact under a speed change, and its simulation work may only fall.
+    {"max-podem-backtracks-increase", "counters", "atpg.podem_backtracks",
+     GateKind::kPercentIncrease, -1.0, "podem_backtracks: {before} -> {after}",
+     "PODEM backtracks grew {change}% ({before} -> {after}), allowed {bound}%",
+     false},
+    {"max-podem-decisions-increase", "counters", "atpg.podem_decisions_made",
+     GateKind::kPercentIncrease, -1.0,
+     "podem_decisions_made: {before} -> {after}",
+     "PODEM decisions grew {change}% ({before} -> {after}), allowed {bound}%",
+     false},
+    {"max-podem-gate-evals-increase", "counters", "atpg.podem_gate_evals",
+     GateKind::kPercentIncrease, -1.0, "podem_gate_evals: {before} -> {after}",
+     "PODEM gate evaluations grew {change}% ({before} -> {after}), "
+     "allowed {bound}%",
+     false},
 };
 
 void append_metric_deltas(const JsonValue& baseline, const JsonValue& current,

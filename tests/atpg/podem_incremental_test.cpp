@@ -1,13 +1,15 @@
 // PODEM's simulation is incremental: the good machine re-evaluates only the
-// fanout of changed sources, and each goal's faulty frame is the good frame 2
-// plus the difference cone of the fault site. A combinational DAG has one
-// settled value per node for given source values, so both must equal a full
-// settle. These tests hold that node by node against a full-settle oracle,
-// and pin the search trajectory (statuses, decision and backtrack counts,
-// extracted tests) with a hash: one wrong value shifts a backtrace or an RNG
-// draw and moves the hash.
+// fanout of changed sources (a flip first restores the values from before
+// the flipped decision off an undo trail), and each goal's faulty frame is
+// the good frame 2 plus the difference cone of the fault site. A
+// combinational DAG has one settled value per node for given source values,
+// so both must equal a full settle. These tests hold that node by node
+// against a full-settle oracle, and pin the search trajectory (statuses,
+// decision and backtrack counts, extracted tests) with a hash: one wrong
+// value shifts a backtrace or an RNG draw and moves the hash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -130,6 +132,24 @@ NodeId first_mismatch(std::span<const Val3> got, const Val3* want) {
   return kNoNode;
 }
 
+/// Holds the engine's good frames, and the faulty frame of each of `sites`,
+/// against full settles of assignment().
+void expect_oracle(const Netlist& nl, PodemEngine& engine,
+                   std::span<const TransitionFault> sites) {
+  const std::size_t n = nl.size();
+  const std::vector<Val3> want = settle_frames(nl, engine.assignment());
+  ASSERT_EQ(first_mismatch(engine.values(Frame::k1), want.data()), kNoNode)
+      << nl.name() << " frame 1";
+  ASSERT_EQ(first_mismatch(engine.values(Frame::k2), want.data() + n), kNoNode)
+      << nl.name() << " frame 2";
+  for (const TransitionFault& site : sites) {
+    const std::vector<Val3> faulty = settle_faulty(nl, want.data() + n, site);
+    ASSERT_EQ(first_mismatch(engine.faulty_frame(site), faulty.data()),
+              kNoNode)
+        << nl.name() << " " << fault_name(nl, site);
+  }
+}
+
 // After every detection in all three search modes, the engine's good frames
 // equal a full settle node by node, and so does the faulty frame of each goal
 // and of four more faults that rotate through the list (their sites may be
@@ -154,33 +174,126 @@ TEST(PodemIncremental, ValuesMatchFullSettleOracle) {
   cases.push_back({generate_synthetic(p), 1});
   for (const Case& c : cases) {
     const Netlist& nl = c.nl;
-    const std::size_t n = nl.size();
     const std::vector<TransitionFault> all =
         TransitionFaultList::uncollapsed(nl).faults();
     std::size_t checked = 0;
     const OnDetected oracle = [&](PodemEngine& engine,
                                   std::span<const TransitionFault> goals) {
-      const std::vector<Val3> want = settle_frames(nl, engine.assignment());
-      ASSERT_EQ(first_mismatch(engine.values(Frame::k1), want.data()), kNoNode)
-          << nl.name() << " frame 1";
-      ASSERT_EQ(first_mismatch(engine.values(Frame::k2), want.data() + n),
-                kNoNode)
-          << nl.name() << " frame 2";
       std::vector<TransitionFault> sites(goals.begin(), goals.end());
       for (std::size_t k = 0; k < 4; ++k) {
         sites.push_back(all[(4 * checked + k) % all.size()]);
       }
-      for (const TransitionFault& site : sites) {
-        const std::vector<Val3> faulty =
-            settle_faulty(nl, want.data() + n, site);
-        ASSERT_EQ(first_mismatch(engine.faulty_frame(site), faulty.data()),
-                  kNoNode)
-            << nl.name() << " " << fault_name(nl, site);
-      }
+      expect_oracle(nl, engine, sites);
       ++checked;
     };
     drive(nl, c.stride, oracle);
     EXPECT_GT(checked, 0u) << nl.name();
+  }
+}
+
+// A flip restores the good frames from the trail to where they stood before
+// the flipped decision was simulated. Here the flipped decisions belong to an
+// earlier target(..., false), and between it and the flip a failed target()
+// unwound its own decisions (only in assignment(), not on the trail) and a
+// preassign() added an input. simulate() must pick up both from the sources,
+// so the oracle holds after every detection.
+TEST(PodemIncremental, FlipBelowTheFloorRestoresAcrossFailuresAndPreassign) {
+  for (const char* name : {"s298", "s386", "s1423"}) {
+    const Netlist nl = load_benchmark(name);
+    const std::vector<TransitionFault> faults =
+        TransitionFaultList::uncollapsed(nl).faults();
+    PodemEngine engine(
+        nl, PodemConfig{
+                .backtrack_limit = 100, .decision_limit = 300, .rng_seed = 11});
+    std::size_t flipped_earlier = 0;
+    for (std::size_t i = 0; i < faults.size(); i += 2) {
+      // The second goal sits half the list away, on another line: the two
+      // transitions of one line are never detected together.
+      const TransitionFault goals[2] = {
+          faults[i], faults[(i + faults.size() / 2) % faults.size()]};
+      engine.reset();
+      if (engine.target(goals[0], false).status != PodemStatus::kDetected) {
+        continue;
+      }
+      expect_oracle(nl, engine, std::span(goals, 1));
+      const std::vector<Val3> first(engine.assignment().begin(),
+                                    engine.assignment().end());
+      // Undetectable under the first goal's decisions: detecting it below
+      // takes flipping one of them.
+      if (engine.target(goals[1], false).status !=
+          PodemStatus::kUndetectable) {
+        continue;
+      }
+      const auto free_pi = std::find_if(
+          nl.inputs().begin(), nl.inputs().end(), [&](NodeId pi) {
+            return engine.assignment()[nl.size() + pi] == Val3::kX;
+          });
+      if (free_pi == nl.inputs().end()) continue;
+      const Assignment pre{{Frame::k2, *free_pi}, i % 4 == 0};
+      ASSERT_TRUE(engine.preassign(std::span(&pre, 1)));
+      if (engine.solve(goals, true).status != PodemStatus::kDetected) continue;
+      expect_oracle(nl, engine, goals);
+      for (std::size_t k = 0; k < first.size(); ++k) {
+        const Val3 now = engine.assignment()[k];
+        if (first[k] != Val3::kX && now != Val3::kX && now != first[k]) {
+          ++flipped_earlier;
+          break;
+        }
+      }
+    }
+    EXPECT_GT(flipped_earlier, 0u) << name;
+  }
+}
+
+// reset() empties the trail: no decision survives it to unwind, and a
+// trail kept across the thousands of generate() calls of a TF ATPG run would
+// grow with every one of them.
+TEST(PodemIncremental, ResetEmptiesTheTrail) {
+  const Netlist nl = load_benchmark("s298");
+  const std::vector<TransitionFault> faults =
+      TransitionFaultList::uncollapsed(nl).faults();
+  PodemEngine engine(nl, PodemConfig{.backtrack_limit = 100, .rng_seed = 7});
+  EXPECT_EQ(engine.trail_size(), 0u);
+  std::size_t trailed = 0;
+  for (std::size_t i = 0; i < faults.size(); i += 7) {
+    engine.generate(faults[i]);
+    trailed += engine.trail_size() > 0 ? 1 : 0;
+    engine.reset();
+    ASSERT_EQ(engine.trail_size(), 0u) << fault_name(nl, faults[i]);
+  }
+  EXPECT_GT(trailed, 0u);
+}
+
+// Outside a goal's difference cone the faulty value is the good one, so an
+// observation point there can still differ exactly while its good value is
+// X. On the all-X assignment every observation point is X, so every goal is
+// pending and the search makes a decision, including the goals whose cone
+// reaches no observation point. Dropping the rule (looking at the cone's
+// observation points only) declares those impossible outright.
+TEST(PodemIncremental, XObservationPointOutsideTheConeKeepsAGoalPending) {
+  for (const char* name : {"s27", "s298", "s386"}) {
+    const Netlist nl = load_benchmark(name);
+    std::vector<std::uint8_t> observed(nl.size(), 0);
+    for (const NodeId po : nl.outputs()) observed[po] = 1;
+    for (const NodeId ff : nl.flops()) observed[nl.dff_input(ff)] = 1;
+    const PodemConfig cfg{.backtrack_limit = 10, .rng_seed = 3};
+    PodemEngine all_x(nl, cfg);
+    PodemEngine engine(nl, cfg);
+    std::size_t unobserved_cones = 0;
+    const std::vector<TransitionFault> faults =
+        TransitionFaultList::uncollapsed(nl).faults();
+    for (const TransitionFault& f : faults) {
+      const std::span<const Val3> good = all_x.values(Frame::k2);
+      const std::span<const Val3> faulty = all_x.faulty_frame(f);
+      bool reaches = false;
+      for (std::size_t id = 0; id < nl.size(); ++id) {
+        reaches |= observed[id] != 0 && faulty[id] != good[id];
+      }
+      if (reaches) continue;
+      ++unobserved_cones;
+      EXPECT_GT(engine.generate(f).decisions, 0u) << fault_name(nl, f);
+    }
+    EXPECT_GT(unobserved_cones, 0u) << name;
   }
 }
 
@@ -195,6 +308,8 @@ TEST(PodemIncremental, GateEvalsStayWellBelowFullSettleWork) {
   obs::Counter& evals = obs::registry().counter("atpg.podem_gate_evals");
   PodemEngine engine(nl, PodemConfig{.backtrack_limit = 100, .rng_seed = 7});
   const std::uint64_t before = evals.value();
+  const std::uint64_t faulty_before =
+      obs::registry().counter("atpg.podem_faulty_gate_evals").value();
   std::uint64_t full_settle = 0;
   for (const TransitionFault& tf : faults.faults()) {
     const PodemOutcome out = engine.generate(tf);
@@ -203,6 +318,12 @@ TEST(PodemIncremental, GateEvalsStayWellBelowFullSettleWork) {
   const std::uint64_t counted = evals.value() - before;
   EXPECT_GT(counted, 0u);
   EXPECT_LT(4 * counted, full_settle);
+  // atpg.podem_faulty_gate_evals is the faulty passes' share of it.
+  const std::uint64_t faulty =
+      obs::registry().counter("atpg.podem_faulty_gate_evals").value() -
+      faulty_before;
+  EXPECT_GT(faulty, 0u);
+  EXPECT_LT(faulty, counted);
 }
 #endif  // FBT_OBS_ENABLED
 

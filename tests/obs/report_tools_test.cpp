@@ -313,13 +313,24 @@ TEST(DiffRunReports, SeqSimGatesGateIsOptInAndExactAtZero) {
   EXPECT_FALSE(diff_run_reports(empty, more, exact).regression);
 }
 
+/// PODEM's three gated work counts.
+struct PodemWork {
+  double backtracks;
+  double decisions;
+  double gate_evals;
+};
+
 /// A report carrying every gated metric.
 std::string all_gates_json(double coverage, double tests, double walltime_ms,
                            double rss, double bytes_per_gate, double warm,
-                           double pack, double obs_ms, double seqsim_gates) {
+                           double pack, double obs_ms, double seqsim_gates,
+                           PodemWork podem) {
   ReportDoc doc;
   doc.counters =
-      R"({"sim.seqsim_gates_evaluated": )" + fmt_num(seqsim_gates) + "}";
+      R"({"sim.seqsim_gates_evaluated": )" + fmt_num(seqsim_gates) +
+      R"(, "atpg.podem_backtracks": )" + fmt_num(podem.backtracks) +
+      R"(, "atpg.podem_decisions_made": )" + fmt_num(podem.decisions) +
+      R"(, "atpg.podem_gate_evals": )" + fmt_num(podem.gate_evals) + "}";
   doc.phases = R"([{"name": "flow", "count": 1, "total_ms": )" +
                fmt_num(walltime_ms) +
                R"(, "self_ms": 1.0, "rss_delta_bytes": 0, "children": []}])";
@@ -338,10 +349,10 @@ TEST(DiffRunReports, EveryGateKeepsItsFlagAndWording) {
   // CI scripts and readers match these lines; one regression per gate.
   const JsonValue base =
       parse_or_die(all_gates_json(91.25, 500, 10.0, 1e8, 100.0, 12.0, 4.5, 100.0,
-                                  1000));
+                                  1000, {200, 400, 8000}));
   const JsonValue cur =
       parse_or_die(all_gates_json(89.0, 700, 100.0, 3e8, 120.0, 3.5, 1.5, 104.0,
-                                  1100));
+                                  1100, {210, 440, 8400}));
   DiffBounds bounds;
   for (const DiffGate& gate : diff_gates()) {
     bounds[gate.flag] = gate.kind == GateKind::kMinimum ? 10.0 : 2.0;
@@ -356,7 +367,10 @@ TEST(DiffRunReports, EveryGateKeepsItsFlagAndWording) {
       "serve warm speedup 3.5x below required 10x",
       "PPSFP pack-64 grade speedup 1.5x below required 10x",
       "observability overhead 4% (100ms off -> 104ms on), allowed 2%",
-      "SeqSim gate evaluations grew 10% (1000 -> 1100), allowed 2%"};
+      "SeqSim gate evaluations grew 10% (1000 -> 1100), allowed 2%",
+      "PODEM backtracks grew 5% (200 -> 210), allowed 2%",
+      "PODEM decisions grew 10% (400 -> 440), allowed 2%",
+      "PODEM gate evaluations grew 5% (8000 -> 8400), allowed 2%"};
   EXPECT_EQ(result.violations, expected);
   EXPECT_EQ(result.summary_text.substr(0, result.summary_text.find("changed")),
             "coverage: 91.25% -> 89%\n"
@@ -367,7 +381,10 @@ TEST(DiffRunReports, EveryGateKeepsItsFlagAndWording) {
             "warm_speedup: 12 -> 3.5\n"
             "pack_speedup_64: 4.5 -> 1.5\n"
             "obs_flow_run_ms: 100 -> 104\n"
-            "seqsim_gates_evaluated: 1000 -> 1100\n");
+            "seqsim_gates_evaluated: 1000 -> 1100\n"
+            "podem_backtracks: 200 -> 210\n"
+            "podem_decisions_made: 400 -> 440\n"
+            "podem_gate_evals: 8000 -> 8400\n");
   std::vector<std::string> flags;
   for (const DiffGate& gate : diff_gates()) flags.push_back(gate.flag);
   EXPECT_EQ(flags, (std::vector<std::string>{
@@ -375,15 +392,18 @@ TEST(DiffRunReports, EveryGateKeepsItsFlagAndWording) {
                        "max-walltime-increase", "max-peak-rss-increase",
                        "max-bytes-per-gate-increase", "min-warm-speedup",
                        "min-pack-speedup", "max-obs-overhead-pct",
-                       "max-seqsim-gates-increase"}));
+                       "max-seqsim-gates-increase",
+                       "max-podem-backtracks-increase",
+                       "max-podem-decisions-increase",
+                       "max-podem-gate-evals-increase"}));
 }
 
 TEST(DiffRunReports, DisabledOptInGatesLeaveTheSummary) {
   // Coverage through bytes per gate are always summarized; the speedups,
-  // the overhead and the SeqSim gate count only when gated.
+  // the overhead and the SeqSim and PODEM work counts only when gated.
   const JsonValue base =
       parse_or_die(all_gates_json(91.25, 500, 10.0, 1e8, 100.0, 12.0, 4.5, 100.0,
-                                  1000));
+                                  1000, {200, 400, 8000}));
   const DiffResult result = diff_run_reports(base, base);
   EXPECT_FALSE(result.regression);
   EXPECT_NE(result.summary_text.find("bytes_per_gate: 100 -> 100"),
@@ -392,6 +412,10 @@ TEST(DiffRunReports, DisabledOptInGatesLeaveTheSummary) {
   EXPECT_EQ(result.summary_text.find("obs_flow_run_ms"), std::string::npos);
   EXPECT_EQ(result.summary_text.find("seqsim_gates_evaluated"),
             std::string::npos);
+  for (const char* line : {"podem_backtracks:", "podem_decisions_made:",
+                           "podem_gate_evals:"}) {
+    EXPECT_EQ(result.summary_text.find(line), std::string::npos) << line;
+  }
 }
 
 TEST(RenderHtmlDashboard, ProducesSelfContainedPage) {
