@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     fbt::FunctionalBistGenerator gen(nl, cfg);
     std::vector<std::uint32_t> det(faults.size(), 0);
     fbt::FunctionalBistResult run = gen.run(faults, det);
-    if (run.tests.size() > count) run.tests.resize(count);
+    if (run.tests.size() > count) run.tests.truncate(count);
 
     fbt::Table table("Ablation A: scan test types on " + target_name + " (" +
                      std::to_string(count) + " random tests each)");

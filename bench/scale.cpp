@@ -199,17 +199,17 @@ int main(int argc, char** argv) {
     const double grade_ms = grade_timer.ms();
 
     // Deterministic content bytes of everything this size allocated. The
-    // registry keeps one entry per name, so after the loop the recorded
-    // values -- and the report's bytes_per_gate -- belong to the largest
-    // size, which is the one worth gating.
+    // registry keeps the largest record per name, so after the loop the
+    // recorded values -- and the report's bytes_per_gate -- belong to the
+    // largest size, which is the one worth gating.
     footprint = nl.footprint_bytes() + all_faults.footprint_bytes() +
                 sim.footprint_bytes() + grader.footprint_bytes() +
-                fbt::test_set_footprint_bytes(tests);
+                tests.footprint_bytes();
     FBT_OBS_FOOTPRINT("scale.netlist", nl.footprint_bytes());
     FBT_OBS_FOOTPRINT("scale.fault_list", all_faults.footprint_bytes());
     FBT_OBS_FOOTPRINT("scale.bitsim", sim.footprint_bytes());
     FBT_OBS_FOOTPRINT("scale.fault_sim", grader.footprint_bytes());
-    FBT_OBS_FOOTPRINT("scale.tests", fbt::test_set_footprint_bytes(tests));
+    FBT_OBS_FOOTPRINT("scale.tests", tests.footprint_bytes());
     FBT_OBS_GAUGE_SET("flow.num_gates", nl.num_gates());
     FBT_OBS_GAUGE_SET("flow.num_faults", all_faults.size());
 

@@ -34,8 +34,8 @@ FunctionalBistGenerator::FunctionalBistGenerator(
 }
 
 FunctionalBistGenerator::CandidateSegment
-FunctionalBistGenerator::evaluate_candidate(
-    SeqSim& sim, std::uint32_t seed) {
+FunctionalBistGenerator::evaluate_candidate(SeqSim& sim, std::uint32_t seed,
+                                            TestSet& tests) {
   const std::size_t L = config_.segment_length;
   const bool holding = !hold_mask_.empty();
   const std::size_t hold_period =
@@ -46,8 +46,10 @@ FunctionalBistGenerator::evaluate_candidate(
   // within-segment cycle c; a violation at cycle c means only p(0..c-1) is
   // usable, trimmed to the last even length so the segment ends on a test
   // boundary (§4.4). The trim point (c rounded down to even) is always the
-  // last even-cycle boundary, so one snapshot there suffices to rewind.
+  // last even-cycle boundary, so one snapshot there suffices to rewind, and
+  // the tests appended before the violation are exactly the usable prefix's.
   tpg_.reseed(seed);
+  const std::size_t first_test = tests.size();
   CandidateSegment result;
   swa_trace_.clear();  // per within-segment cycle
   swa_trace_.reserve(L);
@@ -76,7 +78,7 @@ FunctionalBistGenerator::evaluate_candidate(
     if (violation) {
       FBT_OBS_COUNTER_ADD("bist.swa_violations", 1);
       usable = c & ~std::size_t{1};  // j = c-1, rounded down to even
-      // Rewind to the end of the usable prefix and drop trimmed tests.
+      // Rewind to the end of the usable prefix.
       sim.restore(even_snap_);
       break;
     }
@@ -85,26 +87,17 @@ FunctionalBistGenerator::evaluate_candidate(
       mid_state_ = sim.state();  // s(k+1): after the (possibly held) update
       pending_v1_ = vec_scratch_;
     } else {
-      BroadsideTest test;
-      test.scan_state = launch_state_;
-      test.v1 = std::move(pending_v1_);
-      test.v2 = vec_scratch_;
-      if (holding) test.state2_override = mid_state_;
-      result.tests.push_back(std::move(test));
+      tests.append(launch_state_, pending_v1_, vec_scratch_,
+                   holding ? std::span<const std::uint8_t>(mid_state_)
+                           : std::span<const std::uint8_t>());
     }
   }
 
   FBT_OBS_COUNTER_ADD("bist.segments_built", 1);
+  if (usable < 2) return result;  // the violation hit the first transition
   result.usable_cycles = usable;
-  if (usable < 2) {
-    // Ensure the simulator is back at the segment start (usable == 0 means
-    // the violation hit on the first transition).
-    result.tests.clear();
-    result.usable_cycles = 0;
-    return result;
-  }
-  result.tests.resize(usable / 2);
-  FBT_OBS_COUNTER_ADD("bist.tests_extracted", result.tests.size());
+  result.num_tests = tests.size() - first_test;
+  FBT_OBS_COUNTER_ADD("bist.tests_extracted", result.num_tests);
   // Applied cycles are 0 .. usable-1; the settling of cycle `usable` happens
   // under the next segment's first vector and is measured there.
   for (std::size_t c = 0; c < std::min(usable, swa_trace_.size()); ++c) {
@@ -133,9 +126,15 @@ FunctionalBistResult FunctionalBistGenerator::construct(
   FBT_OBS_PHASE("construct");
 
   FunctionalBistResult result;
+  result.tests = TestSet(netlist_->num_flops(), netlist_->num_inputs());
   if (keep_tests) {
     result.first_detect.assign(faults.size(), FaultFirstDetect{});
   }
+  // Candidates append their tests here and are graded in place; a rejected
+  // candidate's rows are cut off again. With `keep_tests`, accepted rows
+  // stay: a sequence with an accepted segment is always committed.
+  TestSet scratch(netlist_->num_flops(), netlist_->num_inputs());
+  TestSet& tests = keep_tests ? result.tests : scratch;
   BroadsideFaultSim fsim(*netlist_);
   SeqSim sim(*netlist_);
 
@@ -159,7 +158,6 @@ FunctionalBistResult FunctionalBistGenerator::construct(
     // from the reachable initial state (all-0).
     sim.load_reset_state();
     SequenceRecord sequence;
-    TestSet sequence_tests;
     std::size_t sequence_num_tests = 0;
     double sequence_peak = 0.0;
     std::size_t segment_failures = 0;
@@ -170,20 +168,22 @@ FunctionalBistResult FunctionalBistGenerator::construct(
       // simulate its candidate segment from the current state.
       const auto seed = static_cast<std::uint32_t>(rng_.next() | 1u);
       sim.snapshot_into(before_snap_);
-      CandidateSegment candidate = evaluate_candidate(sim, seed);
+      const std::size_t first_test = tests.size();
+      const CandidateSegment candidate = evaluate_candidate(sim, seed, tests);
       FBT_OBS_EVENT("seed_tried",
                     {{"sequence", result.sequences.size()},
                      {"segment", sequence.segments.size()},
                      {"seed", seed},
                      {"usable_cycles", candidate.usable_cycles},
-                     {"tests", candidate.tests.size()},
+                     {"tests", candidate.num_tests},
                      {"peak_swa", candidate.peak_swa}});
       bool accepted = false;
-      if (!candidate.tests.empty()) {
+      if (candidate.num_tests != 0) {
         std::vector<std::uint32_t> trial = committed;
         GradeProvenance prov;
-        const std::size_t fresh = fsim.grade(candidate.tests, faults, trial,
-                                             config_.detect_limit, &prov);
+        const std::size_t fresh = fsim.grade(
+            TestSetView(tests, first_test, candidate.num_tests), faults, trial,
+            config_.detect_limit, &prov);
         if (fresh > 0) {
           // One accepted segment contributes one 2q-cycle test window per
           // extracted test; `fresh` is the faults this window set retired.
@@ -223,21 +223,16 @@ FunctionalBistResult FunctionalBistGenerator::construct(
                         {{"sequence", result.sequences.size()},
                          {"segment", sequence.segments.size()},
                          {"seed", seed},
-                         {"tests", candidate.tests.size()},
+                         {"tests", candidate.num_tests},
                          {"usable_cycles", candidate.usable_cycles},
                          {"newly_detected", fresh},
                          {"peak_swa", candidate.peak_swa}});
-          applied_tests += candidate.tests.size();
+          applied_tests += candidate.num_tests;
           sequence.segments.push_back({seed, candidate.usable_cycles,
-                                       candidate.tests.size(), fresh,
+                                       candidate.num_tests, fresh,
                                        candidate.peak_swa});
           sequence_peak = std::max(sequence_peak, candidate.peak_swa);
-          sequence_num_tests += candidate.tests.size();
-          if (keep_tests) {
-            for (auto& t : candidate.tests) {
-              sequence_tests.push_back(std::move(t));
-            }
-          }
+          sequence_num_tests += candidate.num_tests;
         }
       }
       if (!accepted) {
@@ -246,8 +241,8 @@ FunctionalBistResult FunctionalBistGenerator::construct(
             {{"sequence", result.sequences.size()},
              {"segment", sequence.segments.size()},
              {"seed", seed},
-             {"reason", candidate.tests.empty() ? "empty_candidate"
-                                                : "no_new_detections"},
+             {"reason", candidate.num_tests == 0 ? "empty_candidate"
+                                                 : "no_new_detections"},
              {"usable_cycles", candidate.usable_cycles}});
       }
       if (accepted) {
@@ -260,6 +255,7 @@ FunctionalBistResult FunctionalBistGenerator::construct(
         sim.restore(before_snap_);
         ++segment_failures;
       }
+      if (!accepted || !keep_tests) tests.truncate(first_test);
     }
 
     if (sequence.segments.empty()) {
@@ -283,7 +279,6 @@ FunctionalBistResult FunctionalBistGenerator::construct(
       ++result.num_seeds;
     }
     result.peak_swa = std::max(result.peak_swa, sequence_peak);
-    for (auto& t : sequence_tests) result.tests.push_back(std::move(t));
     result.sequences.push_back(std::move(sequence));
   }
 

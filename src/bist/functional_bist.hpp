@@ -139,17 +139,19 @@ class FunctionalBistGenerator {
                                  bool keep_tests);
 
   /// One evaluated candidate segment: the usable (SWA-clean, even-length)
-  /// prefix length, its extracted broadside tests, and the peak SWA over the
-  /// prefix.
+  /// prefix length, the number of broadside tests extracted from it, and the
+  /// peak SWA over the prefix.
   struct CandidateSegment {
     std::size_t usable_cycles = 0;
-    TestSet tests;
+    std::size_t num_tests = 0;
     double peak_swa = 0.0;
   };
 
-  /// Evaluates one candidate segment from the simulator's current state; the
-  /// simulator is left positioned at the end of the usable prefix.
-  CandidateSegment evaluate_candidate(SeqSim& sim, std::uint32_t seed);
+  /// Evaluates one candidate segment from the simulator's current state and
+  /// appends its tests to `tests`; the simulator is left positioned at the
+  /// end of the usable prefix.
+  CandidateSegment evaluate_candidate(SeqSim& sim, std::uint32_t seed,
+                                      TestSet& tests);
 
   const Netlist* netlist_;
   FunctionalBistConfig config_;

@@ -1,7 +1,5 @@
 #include "fault/compaction.hpp"
 
-#include <span>
-
 #include "fault/fault_sim.hpp"
 #include "obs/instrument.hpp"
 #include "util/require.hpp"
@@ -9,7 +7,7 @@
 namespace fbt {
 
 std::vector<std::size_t> reduce_groups(const Netlist& netlist,
-                                       const TestSet& tests,
+                                       TestSetView tests,
                                        const TransitionFaultList& faults,
                                        const std::vector<std::size_t>& group_of,
                                        std::size_t num_groups,
@@ -37,9 +35,8 @@ std::vector<std::size_t> reduce_groups(const Netlist& netlist,
   std::vector<std::uint32_t> detect_count(faults.size(), 0);
   std::vector<std::size_t> kept;
   for (std::size_t g = num_groups; g-- > 0;) {
-    const std::span<const BroadsideTest> span(tests.data() + begin[g],
-                                              end[g] - begin[g]);
-    if (sim.grade(span, faults, detect_count, 1) > 0) kept.push_back(g);
+    const TestSetView group = tests.subview(begin[g], end[g] - begin[g]);
+    if (sim.grade(group, faults, detect_count, 1) > 0) kept.push_back(g);
   }
   return {kept.rbegin(), kept.rend()};
 }

@@ -25,11 +25,12 @@ class JobSystem;
 /// Drops whole groups (e.g. per-seed segments): group g is kept when it
 /// detects a fault that no higher-numbered kept group detects. `group_of[t]`
 /// maps test index to group id (0..num_groups-1); each group's tests must be
-/// contiguous in `tests`, and a group may be empty. Returns kept group ids,
+/// contiguous in `tests` (a set or a row range of one), and a group may be
+/// empty. Returns kept group ids,
 /// ascending. The three trailing parameters are ignored; they remain only so
 /// existing callers that pass them still compile.
 std::vector<std::size_t> reduce_groups(const Netlist& netlist,
-                                       const TestSet& tests,
+                                       TestSetView tests,
                                        const TransitionFaultList& faults,
                                        const std::vector<std::size_t>& group_of,
                                        std::size_t num_groups,

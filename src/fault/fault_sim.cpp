@@ -1,7 +1,6 @@
 #include "fault/fault_sim.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
 
 #include "obs/instrument.hpp"
@@ -28,33 +27,15 @@ void transpose64(std::uint64_t a[64]) {
   }
 }
 
-// LSBs of eight 0/1 bytes gathered into bits 0..7 (byte j -> bit j).
-inline std::uint64_t gather8(const std::uint8_t* p) {
-  std::uint64_t x;
-  std::memcpy(&x, p, 8);
-  return ((x & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
-}
-
-// Source-major bit packing of per-test byte vectors: dest[i] bit t =
-// ptrs[t][i] for i < n, t < count (bits count..63 zero). A test's 64-source
-// run is gathered eight bytes per multiply into one word, and a 64x64
-// transpose flips the block test-major -> source-major -- an order of
-// magnitude fewer operations than the bit-at-a-time loop it replaces.
-void pack_testmajor(const std::uint8_t* const* ptrs, std::size_t count,
-                    std::size_t n, std::uint64_t* dest) {
+// Source-major packing of a block's bit rows: dest[i] bit t = bit i of the
+// field at word `offset` of rows[t], for i < n, t < count (bits count..63
+// zero). Each 64-source word of the block is one 64x64 transpose.
+void pack_rows(const std::uint64_t* const* rows, std::size_t count,
+               std::size_t offset, std::size_t n, std::uint64_t* dest) {
   for (std::size_t i = 0; i < n; i += 64) {
     const std::size_t cols = std::min<std::size_t>(64, n - i);
     std::uint64_t tw[64] = {0};
-    for (std::size_t t = 0; t < count; ++t) {
-      const std::uint8_t* p = ptrs[t] + i;
-      std::uint64_t w = 0;
-      std::size_t c = 0;
-      for (; c + 8 <= cols; c += 8) w |= gather8(p + c) << c;
-      for (; c < cols; ++c) {
-        w |= static_cast<std::uint64_t>(p[c] & 1) << c;
-      }
-      tw[t] = w;
-    }
+    for (std::size_t t = 0; t < count; ++t) tw[t] = rows[t][offset + i / 64];
     transpose64(tw);
     for (std::size_t j = 0; j < cols; ++j) dest[i + j] = tw[j];
   }
@@ -89,33 +70,36 @@ BroadsideBlock::BroadsideBlock(const Netlist& netlist)
   state2_.assign(netlist.num_flops(), 0);
 }
 
-void BroadsideBlock::load(std::span<const BroadsideTest> tests,
-                          std::size_t first, std::size_t count) {
+void BroadsideBlock::load(TestSetView tests, std::size_t first,
+                          std::size_t count) {
   require(count >= 1 && count <= 64, "BroadsideFaultSim", "bad block size");
+  require(first <= tests.size() && count <= tests.size() - first,
+          "BroadsideFaultSim", "block past the end of the tests");
+  const TestSet& set = tests.set();
   const std::size_t ni = netlist_->num_inputs();
   const std::size_t nf = netlist_->num_flops();
-  for (std::size_t t = first; t < first + count; ++t) {
-    require(tests[t].scan_state.size() == nf, "BroadsideFaultSim",
-            "scan state size mismatch");
-    require(tests[t].v1.size() == ni, "BroadsideFaultSim", "v1 size mismatch");
-    require(tests[t].v2.size() == ni, "BroadsideFaultSim", "v2 size mismatch");
-  }
+  require(set.num_flops() == nf, "BroadsideFaultSim",
+          "scan state size mismatch");
+  require(set.num_inputs() == ni, "BroadsideFaultSim", "v1 size mismatch");
   mask_ = count == 64 ? ~0ULL : ((1ULL << count) - 1);
   pack_scratch_.resize(std::max(ni, nf));
-  // Bit-packing runs test-major so each test's value vector is read once,
-  // sequentially (source-major order would hop across all 64 test objects
-  // per source line); see pack_testmajor above.
-  const std::uint8_t* ptrs[64];
+  // The block's rows (they may straddle two chunks) and which of them carry
+  // an s2 override.
+  const std::size_t base = tests.first() + first;
+  const std::uint64_t* rows[64];
+  std::uint64_t overridden = 0;
+  for (std::size_t t = 0; t < count; ++t) {
+    rows[t] = set.s1_words(base + t);
+    if (set.has_state2(base + t)) overridden |= 1ULL << t;
+  }
+  const std::size_t v1_at = set.flop_words();
+  const std::size_t v2_at = v1_at + set.input_words();
   // Frame 1: sources are <s1, v1>.
-  for (std::size_t t = 0; t < count; ++t) ptrs[t] = tests[first + t].v1.data();
-  pack_testmajor(ptrs, count, ni, pack_scratch_.data());
+  pack_rows(rows, count, v1_at, ni, pack_scratch_.data());
   for (std::size_t i = 0; i < ni; ++i) {
     sim_.set_value(netlist_->inputs()[i], pack_scratch_[i]);
   }
-  for (std::size_t t = 0; t < count; ++t) {
-    ptrs[t] = tests[first + t].scan_state.data();
-  }
-  pack_testmajor(ptrs, count, nf, pack_scratch_.data());
+  pack_rows(rows, count, 0, nf, pack_scratch_.data());
   for (std::size_t i = 0; i < nf; ++i) {
     sim_.set_value(netlist_->flops()[i], pack_scratch_[i]);
   }
@@ -125,25 +109,22 @@ void BroadsideBlock::load(std::span<const BroadsideTest> tests,
   std::copy(frame1.begin(), frame1.end(), v1_values_.begin());
   sim_.next_state(state2_);
 
-  // State-holding tests override s2 per test (see BroadsideTest).
-  for (std::size_t t = 0; t < count; ++t) {
-    const auto& ovr = tests[first + t].state2_override;
-    if (ovr.empty()) continue;
-    require(ovr.size() == nf, "BroadsideFaultSim",
-            "state2_override size mismatch");
-    const std::uint64_t bit = 1ULL << t;
+  // State-holding tests override s2 per test (see BroadsideTest). Rows
+  // without an override are packed from s1 and masked out.
+  if (overridden != 0) {
+    const std::uint64_t* s2_rows[64];
+    for (std::size_t t = 0; t < count; ++t) {
+      s2_rows[t] = (overridden >> t) & 1u ? set.state2_words(base + t)
+                                          : rows[t];
+    }
+    pack_rows(s2_rows, count, 0, nf, pack_scratch_.data());
     for (std::size_t i = 0; i < nf; ++i) {
-      if (ovr[i]) {
-        state2_[i] |= bit;
-      } else {
-        state2_[i] &= ~bit;
-      }
+      state2_[i] = (state2_[i] & ~overridden) | (pack_scratch_[i] & overridden);
     }
   }
 
   // Frame 2: sources are <s2, v2>.
-  for (std::size_t t = 0; t < count; ++t) ptrs[t] = tests[first + t].v2.data();
-  pack_testmajor(ptrs, count, ni, pack_scratch_.data());
+  pack_rows(rows, count, v2_at, ni, pack_scratch_.data());
   for (std::size_t i = 0; i < ni; ++i) {
     sim_.set_value(netlist_->inputs()[i], pack_scratch_[i]);
   }
@@ -156,8 +137,8 @@ void BroadsideBlock::load(std::span<const BroadsideTest> tests,
 BroadsideFaultSim::BroadsideFaultSim(const Netlist& netlist)
     : block_(netlist), packed_(netlist) {}
 
-void BroadsideFaultSim::load_block(std::span<const BroadsideTest> tests,
-                                   std::size_t first, std::size_t count) {
+void BroadsideFaultSim::load_block(TestSetView tests, std::size_t first,
+                                   std::size_t count) {
   block_.load(tests, first, count);
   packed_.bind_good_trace(block_.frame2());
 }
@@ -225,7 +206,7 @@ void BroadsideFaultSim::propagate_test(unsigned t, std::size_t ngroups,
   if (lanes != 0) flush();
 }
 
-std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
+std::size_t BroadsideFaultSim::grade(TestSetView tests,
                                      const TransitionFaultList& faults,
                                      std::span<std::uint32_t> detect_count,
                                      std::uint32_t detect_limit,
@@ -329,7 +310,7 @@ std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
 }
 
 std::vector<std::vector<std::uint64_t>> BroadsideFaultSim::detection_matrix(
-    std::span<const BroadsideTest> tests, const TransitionFaultList& faults) {
+    TestSetView tests, const TransitionFaultList& faults) {
   const std::size_t words = (tests.size() + 63) / 64;
   std::vector<std::vector<std::uint64_t>> matrix(
       faults.size(), std::vector<std::uint64_t>(words, 0));
@@ -361,7 +342,9 @@ std::vector<std::vector<std::uint64_t>> BroadsideFaultSim::detection_matrix(
 
 bool BroadsideFaultSim::detects(const BroadsideTest& test,
                                 const TransitionFault& fault) {
-  load_block(std::span(&test, 1), 0, 1);
+  TestSet one;
+  one.push_back(test);
+  load_block(one, 0, 1);
   if ((block_.launch_mask(fault) & 1ULL) == 0) return false;
   const NodeId site = fault.line;
   return (packed_.propagate(std::span(&site, 1), 1ULL, 0) & 1ULL) != 0;

@@ -59,16 +59,16 @@ struct GradeProvenance {
 
 /// Fault-free two-frame simulation of a block of up to 64 broadside tests,
 /// bit t = test t: frame 1 from <s1, v1>, then frame 2 from <s2, v2>, where
-/// s2 is the state captured by frame 1 or the test's state2_override.
+/// s2 is the state captured by frame 1 or the test's s2 override. The tests'
+/// bit rows are transposed into per-source words 64 at a time.
 class BroadsideBlock {
  public:
   explicit BroadsideBlock(const Netlist& netlist);
 
   /// Loads tests[first, first + count), 1 <= count <= 64, and evaluates
-  /// both frames. Throws fbt::Error when a test's vectors do not match the
-  /// netlist's input and flop counts.
-  void load(std::span<const BroadsideTest> tests, std::size_t first,
-            std::size_t count);
+  /// both frames. Throws fbt::Error when the set's widths do not match the
+  /// netlist's flop and input counts.
+  void load(TestSetView tests, std::size_t first, std::size_t count);
 
   /// Frame-2 fault-free words of the loaded block, one per node.
   std::span<const std::uint64_t> frame2() const { return sim_.values(); }
@@ -107,8 +107,7 @@ class BroadsideFaultSim {
   /// count first reached `detect_limit` during this call. When `provenance`
   /// is non-null it is overwritten with this call's first-detect hits and
   /// per-block drop stats.
-  std::size_t grade(std::span<const BroadsideTest> tests,
-                    const TransitionFaultList& faults,
+  std::size_t grade(TestSetView tests, const TransitionFaultList& faults,
                     std::span<std::uint32_t> detect_count,
                     std::uint32_t detect_limit = 1,
                     GradeProvenance* provenance = nullptr);
@@ -117,7 +116,7 @@ class BroadsideFaultSim {
   /// ceil(tests/64) words; bit t of word t/64 is 1 when test t detects fault
   /// f. Intended for small test sets (Chapter-2 engine).
   std::vector<std::vector<std::uint64_t>> detection_matrix(
-      std::span<const BroadsideTest> tests, const TransitionFaultList& faults);
+      TestSetView tests, const TransitionFaultList& faults);
 
   /// Single-query convenience: does `test` detect `fault`?
   bool detects(const BroadsideTest& test, const TransitionFault& fault);
@@ -139,8 +138,7 @@ class BroadsideFaultSim {
   };
 
   // Loads a block and binds its frame-2 trace to the packed kernel.
-  void load_block(std::span<const BroadsideTest> tests, std::size_t first,
-                  std::size_t count);
+  void load_block(TestSetView tests, std::size_t first, std::size_t count);
 
   // Translates every fault site into the kernel's internal id space once,
   // so chunks hand propagate_internal() pre-resolved sites.

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "fault/fault_sim.hpp"
 
@@ -26,8 +25,7 @@ class ParallelBroadsideFaultSim {
       : sim_(netlist) {}
 
   /// BroadsideFaultSim::grade.
-  std::size_t grade(std::span<const BroadsideTest> tests,
-                    const TransitionFaultList& faults,
+  std::size_t grade(TestSetView tests, const TransitionFaultList& faults,
                     std::span<std::uint32_t> detect_count,
                     std::uint32_t detect_limit = 1,
                     GradeProvenance* provenance = nullptr) {

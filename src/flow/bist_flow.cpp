@@ -94,30 +94,30 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
         reduce_groups(result.target, result.run.tests, result.faults, group_of,
                       result.run.sequences.size());
     if (kept.size() < result.run.sequences.size()) {
-      FunctionalBistResult reduced;
-      reduced.newly_detected = result.run.newly_detected;
-      reduced.peak_swa = result.run.peak_swa;
-      // Attribution records construction history: sequence/test indices keep
-      // naming the pre-reduction stream, including sequences the reduction
-      // dropped (a dropped sequence's detections are re-covered by kept
-      // ones, but it still caught those faults first during construction).
-      reduced.first_detect = std::move(result.run.first_detect);
-      for (std::size_t t = 0; t < result.run.tests.size(); ++t) {
-        if (std::find(kept.begin(), kept.end(), group_of[t]) != kept.end()) {
-          reduced.tests.push_back(std::move(result.run.tests[t]));
-        }
-      }
+      // The kept sequences' tests are compacted in place. Attribution
+      // (first_detect) records construction history: sequence/test indices
+      // keep naming the pre-reduction stream, including sequences the
+      // reduction dropped (a dropped sequence's detections are re-covered by
+      // kept ones, but it still caught those faults first during
+      // construction).
+      std::vector<std::uint8_t> keep(result.run.sequences.size(), 0);
+      for (const std::size_t s : kept) keep[s] = 1;
+      result.run.tests.retain([&](std::size_t t) { return keep[group_of[t]]; });
+      std::vector<SequenceRecord> sequences;
+      result.run.num_seeds = 0;
+      result.run.nseg_max = 0;
+      result.run.lmax = 0;
       for (const std::size_t s : kept) {
-        reduced.sequences.push_back(std::move(result.run.sequences[s]));
-        for (const SegmentRecord& seg : reduced.sequences.back().segments) {
-          reduced.lmax = std::max(reduced.lmax, seg.length);
-          ++reduced.num_seeds;
+        sequences.push_back(std::move(result.run.sequences[s]));
+        for (const SegmentRecord& seg : sequences.back().segments) {
+          result.run.lmax = std::max(result.run.lmax, seg.length);
+          ++result.run.num_seeds;
         }
-        reduced.nseg_max = std::max(reduced.nseg_max,
-                                    reduced.sequences.back().segments.size());
+        result.run.nseg_max =
+            std::max(result.run.nseg_max, sequences.back().segments.size());
       }
-      reduced.num_tests = reduced.tests.size();
-      result.run = std::move(reduced);
+      result.run.sequences = std::move(sequences);
+      result.run.num_tests = result.run.tests.size();
     }
   }
 
@@ -150,7 +150,7 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
   // gate/fault denominators for the run report's derived memory analytics.
   FBT_OBS_FOOTPRINT("flow.netlist", result.target.footprint_bytes());
   FBT_OBS_FOOTPRINT("flow.fault_list", result.faults.footprint_bytes());
-  FBT_OBS_FOOTPRINT("flow.tests", test_set_footprint_bytes(result.run.tests));
+  FBT_OBS_FOOTPRINT("flow.tests", result.run.tests.footprint_bytes());
   FBT_OBS_FOOTPRINT("flow.detect_count",
                     result.detect_count.size() * sizeof(std::uint32_t));
   FBT_OBS_GAUGE_SET("flow.num_gates", result.target.num_gates());

@@ -13,9 +13,16 @@ namespace fbt::obs {
 
 namespace {
 
+/// A metric as text: an integral value with all its digits (an exact work
+/// count that moved by one must read as moved), any other to six
+/// significant digits.
 std::string num(double v) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  if (std::isfinite(v) && v == std::trunc(v) && std::fabs(v) < 0x1p53) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.6g", v);
+  }
   return buf;
 }
 

@@ -1,5 +1,6 @@
 #include "obs/resource.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -110,7 +111,7 @@ void FootprintRegistry::record(std::string_view name, std::uint64_t bytes) {
   if (it == entries_.end()) {
     entries_.emplace(std::string(name), bytes);
   } else {
-    it->second = bytes;
+    it->second = std::max(it->second, bytes);
   }
 }
 

@@ -10,11 +10,13 @@
 //    span.
 //
 //  * Footprint registry -- footprints().record("fault_list", bytes) keeps the
-//    latest self-reported byte footprint of each big owned structure (netlist
-//    and its eval-order CSR, collapsed fault list, packed-sim lane state,
-//    journal/trace buffers). Snapshots land in the run report's "memory"
-//    section next to the RSS numbers they should explain. Call sites know
-//    what they built; nothing hooks operator new.
+//    largest self-reported byte footprint of each big owned structure
+//    (netlist and its eval-order CSR, collapsed fault list, test set,
+//    packed-sim lane state, journal/trace buffers): a high-water mark, so a
+//    report whose rows each record "flow.tests" shows its largest row's, not
+//    whichever row finished last. Snapshots land in the run report's
+//    "memory" section next to the peak RSS they should explain. Call sites
+//    know what they built; nothing hooks operator new.
 //
 // Instrumented code uses the FBT_OBS_FOOTPRINT macro in obs/instrument.hpp,
 // which compiles to a no-op under FBT_OBS=OFF exactly like the metric
@@ -49,8 +51,9 @@ struct FootprintSample {
   std::uint64_t bytes = 0;
 };
 
-/// Latest self-reported byte footprint per structure name. record()
-/// overwrites: a structure that grows reports again and replaces its entry.
+/// Largest self-reported byte footprint per structure name. record() keeps
+/// the maximum: a structure that grows reports again and raises its entry,
+/// one that shrinks leaves it.
 class FootprintRegistry {
  public:
   void record(std::string_view name, std::uint64_t bytes);

@@ -140,29 +140,45 @@ TEST(FaultSim, MatchesReferenceOnConstantTiedCircuit) {
   }
 }
 
-// A test whose vectors do not fit the netlist is refused before it is
-// packed, in every entry point and whichever vector is short.
+// A test whose vectors do not fit the set's widths is refused when it is
+// added, whichever vector is short, and a set whose widths do not fit the
+// netlist is refused by every entry point.
 TEST(FaultSim, RejectsTestsOfTheWrongSize) {
   const Netlist nl = make_s27();
   const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
   BroadsideFaultSim sim(nl);
   Pcg32 rng(82);
-  TestSet tests;
+  TestSet tests(nl.num_flops(), nl.num_inputs());
   for (int i = 0; i < 3; ++i) tests.push_back(random_test(nl, rng));
-  tests[1].v1.pop_back();
+  BroadsideTest bad = random_test(nl, rng);
+  bad.v1.pop_back();
+  EXPECT_THROW(tests.push_back(bad), Error);
+  EXPECT_THROW(tests.set(1, bad), Error);
+  EXPECT_THROW(sim.detects(bad, faults.fault(0)), Error);
+  bad = random_test(nl, rng);
+  bad.v2.pop_back();
+  EXPECT_THROW(tests.push_back(bad), Error);
+  EXPECT_THROW(sim.detects(bad, faults.fault(0)), Error);
+  bad = random_test(nl, rng);
+  bad.scan_state.pop_back();
+  EXPECT_THROW(tests.push_back(bad), Error);
+  EXPECT_THROW(sim.detects(bad, faults.fault(0)), Error);
+  EXPECT_EQ(tests.size(), 3u);
   std::vector<std::uint32_t> counts(faults.size(), 0);
-  EXPECT_THROW(sim.grade(tests, faults, counts, 1), Error);
-  EXPECT_THROW(sim.detection_matrix(tests, faults), Error);
-  EXPECT_THROW(sim.detects(tests[1], faults.fault(0)), Error);
-
-  tests[1] = random_test(nl, rng);
-  tests[1].v2.pop_back();
-  EXPECT_THROW(sim.grade(tests, faults, counts, 1), Error);
-  tests[1] = random_test(nl, rng);
-  tests[1].scan_state.pop_back();
-  EXPECT_THROW(sim.grade(tests, faults, counts, 1), Error);
-  tests[1] = random_test(nl, rng);
   EXPECT_NO_THROW(sim.grade(tests, faults, counts, 1));
+
+  for (const auto& [flops, inputs] :
+       {std::pair{nl.num_flops() - 1, nl.num_inputs()},
+        std::pair{nl.num_flops(), nl.num_inputs() + 1}}) {
+    TestSet other(flops, inputs);
+    other.append(std::vector<std::uint8_t>(flops, 1),
+                 std::vector<std::uint8_t>(inputs, 0),
+                 std::vector<std::uint8_t>(inputs, 1));
+    std::vector<std::uint32_t> zero(faults.size(), 0);
+    EXPECT_THROW(sim.grade(other, faults, zero, 1), Error);
+    EXPECT_THROW(sim.detection_matrix(other, faults), Error);
+    EXPECT_THROW(sim.detects(other[0], faults.fault(0)), Error);
+  }
 }
 
 TEST(FaultSim, GradeMatchesDetectionMatrix) {

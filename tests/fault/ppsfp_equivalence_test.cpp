@@ -119,9 +119,11 @@ TEST(PpsfpEquivalence, State2OverrideMatchesSerial) {
   Pcg32 rng(42);
   for (std::size_t i = 0; i < tests.size(); i += 2) {
     // Every other test gets an arbitrary (possibly unreachable) s2.
+    BroadsideTest t = tests[i];
     for (std::size_t k = 0; k < nl.num_flops(); ++k) {
-      tests[i].state2_override.push_back(rng.chance(1, 2));
+      t.state2_override.push_back(rng.chance(1, 2));
     }
+    tests.set(i, t);
   }
   expect_engines_agree(nl, tests, faults,
                        std::vector<std::uint32_t>(faults.size(), 0), 3,

@@ -141,8 +141,7 @@ class SerialFaultSim {
       : block_(netlist), prop_(netlist) {}
 
   /// As BroadsideFaultSim::grade.
-  std::size_t grade(std::span<const BroadsideTest> tests,
-                    const TransitionFaultList& faults,
+  std::size_t grade(TestSetView tests, const TransitionFaultList& faults,
                     std::span<std::uint32_t> detect_count,
                     std::uint32_t detect_limit = 1,
                     GradeProvenance* provenance = nullptr) {
@@ -213,7 +212,7 @@ class SerialFaultSim {
 
   /// As BroadsideFaultSim::detection_matrix.
   std::vector<std::vector<std::uint64_t>> detection_matrix(
-      std::span<const BroadsideTest> tests, const TransitionFaultList& faults) {
+      TestSetView tests, const TransitionFaultList& faults) {
     const std::size_t words = (tests.size() + 63) / 64;
     std::vector<std::vector<std::uint64_t>> matrix(
         faults.size(), std::vector<std::uint64_t>(words, 0));
@@ -229,7 +228,9 @@ class SerialFaultSim {
 
   /// As BroadsideFaultSim::detects.
   bool detects(const BroadsideTest& test, const TransitionFault& fault) {
-    block_.load(std::span(&test, 1), 0, 1);
+    TestSet one;
+    one.push_back(test);
+    block_.load(one, 0, 1);
     return (fault_mask(fault) & 1ULL) != 0;
   }
 

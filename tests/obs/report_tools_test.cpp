@@ -362,7 +362,7 @@ TEST(DiffRunReports, EveryGateKeepsItsFlagAndWording) {
       "fault coverage dropped 2.25 points (91.25% -> 89%), allowed 2",
       "test count grew 40% (500 -> 700), allowed 2%",
       "walltime grew 900% (10ms -> 100ms), allowed 2%",
-      "peak RSS grew 200% (1e+08 -> 3e+08 bytes), allowed 2%",
+      "peak RSS grew 200% (100000000 -> 300000000 bytes), allowed 2%",
       "bytes per gate grew 20% (100 -> 120), allowed 2%",
       "serve warm speedup 3.5x below required 10x",
       "PPSFP pack-64 grade speedup 1.5x below required 10x",
@@ -376,7 +376,7 @@ TEST(DiffRunReports, EveryGateKeepsItsFlagAndWording) {
             "coverage: 91.25% -> 89%\n"
             "tests: 500 -> 700\n"
             "walltime_ms: 10 -> 100\n"
-            "peak_rss_bytes: 1e+08 -> 3e+08\n"
+            "peak_rss_bytes: 100000000 -> 300000000\n"
             "bytes_per_gate: 100 -> 120\n"
             "warm_speedup: 12 -> 3.5\n"
             "pack_speedup_64: 4.5 -> 1.5\n"
@@ -396,6 +396,40 @@ TEST(DiffRunReports, EveryGateKeepsItsFlagAndWording) {
                        "max-podem-backtracks-increase",
                        "max-podem-decisions-increase",
                        "max-podem-gate-evals-increase"}));
+}
+
+TEST(DiffRunReports, ExactCountsPrintEveryDigit) {
+  // A +1 on an exact work count must read as moved in both the summary and
+  // the violation, not as 1.7537e+09 -> 1.7537e+09.
+  auto counters_json = [](const char* seqsim, const char* podem) {
+    ReportDoc doc;
+    doc.counters = std::string(R"({"sim.seqsim_gates_evaluated": )") +
+                   seqsim + R"(, "atpg.podem_gate_evals": )" + podem + "}";
+    return doc.json();
+  };
+  const JsonValue base = parse_or_die(counters_json("1753698600", "75198300"));
+  const JsonValue more = parse_or_die(counters_json("1753698601", "75198301"));
+  const DiffBounds exact{{"max-seqsim-gates-increase", 0.0},
+                         {"max-podem-gate-evals-increase", 0.0}};
+  const DiffResult result = diff_run_reports(base, more, exact);
+  ASSERT_TRUE(result.regression);
+  ASSERT_EQ(result.violations.size(), 2u);
+  EXPECT_NE(result.violations[0].find("(1753698600 -> 1753698601), allowed 0%"),
+            std::string::npos)
+      << result.violations[0];
+  EXPECT_NE(result.violations[1].find("(75198300 -> 75198301), allowed 0%"),
+            std::string::npos)
+      << result.violations[1];
+  EXPECT_NE(result.summary_text.find(
+                "seqsim_gates_evaluated: 1753698600 -> 1753698601\n"),
+            std::string::npos);
+  EXPECT_NE(result.summary_text.find(
+                "podem_gate_evals: 75198300 -> 75198301\n"),
+            std::string::npos);
+  // Fractions keep six significant digits.
+  const JsonValue cov = parse_or_die(report_json(91.25, 500, 10.0));
+  EXPECT_NE(diff_run_reports(cov, cov).summary_text.find("91.25%"),
+            std::string::npos);
 }
 
 TEST(DiffRunReports, DisabledOptInGatesLeaveTheSummary) {

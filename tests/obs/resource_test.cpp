@@ -60,11 +60,11 @@ TEST(RssSampler, ThrottledSamplerTracksCurrent) {
   EXPECT_EQ(sampled, again);
 }
 
-TEST(FootprintRegistry, RecordsOverwritesAndSorts) {
+TEST(FootprintRegistry, RecordsHighWaterMarksAndSorts) {
   FootprintRegistry reg;
   reg.record("netlist", 1000);
   reg.record("fault_list", 300);
-  reg.record("netlist", 1200);  // overwrite, not accumulate
+  reg.record("netlist", 1200);  // raise, not accumulate
   const std::vector<FootprintSample> snap = reg.snapshot();
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].name, "fault_list");
@@ -75,6 +75,23 @@ TEST(FootprintRegistry, RecordsOverwritesAndSorts) {
   reg.clear();
   EXPECT_TRUE(reg.snapshot().empty());
   EXPECT_EQ(reg.total_bytes(), 0u);
+}
+
+// A multi-row report records one name per row; the entry is the largest
+// row's whichever order the rows finish in.
+TEST(FootprintRegistry, KeepsTheLargestRecordInEitherOrder) {
+  FootprintRegistry rising;
+  rising.record("flow.tests", 4000);
+  rising.record("flow.tests", 9000);
+  FootprintRegistry falling;
+  falling.record("flow.tests", 9000);
+  falling.record("flow.tests", 4000);
+  for (const FootprintRegistry* reg : {&rising, &falling}) {
+    const std::vector<FootprintSample> snap = reg->snapshot();
+    ASSERT_EQ(snap.size(), 1u);
+    EXPECT_EQ(snap[0].bytes, 9000u);
+    EXPECT_EQ(reg->total_bytes(), 9000u);
+  }
 }
 
 TEST(Footprints, StructureFootprintsScaleWithCircuitSize) {
